@@ -10,15 +10,15 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .chambers import (Wall, WallError, chamber_polynomial, classify,
                        wall_crossing, wall_crossing_formula, walls)
 from .covers import (Problem, ProblemError, check_cover, validate_problem,
                      weighted_cover_to_json)
-from .enumeration import enumerate_covers, enumerate_types
+from .enumeration import count_covers, enumerate_covers, enumerate_types
 from .exactarith import LinForm, rat_str
 from .intersections import psi_integral, psi_kappa_integral, recursion_rhs
 from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixtures", default=None,
                        help=f"vertex fixture JSON (default: ${FIXTURES_ENV} or builtin)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     p_number = sub.add_parser("number", help="compute the descendant count")
     common(p_number)
@@ -94,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--format", choices=("json", "table"), default="table")
 
+    for p in sub.choices.values():
+        # read "-7,3,1" as a value, as argparse reads a lone "-7"
+        p._negative_number_matcher = re.compile(r"-\d+(,-?\d+)*$")
     return parser
 
 
@@ -122,31 +124,15 @@ def _emit(args, payload, table_lines) -> None:
             print(line)
 
 
-def _enumerate(p: Problem, oracle, jobs: int):
-    types = enumerate_types(p)
-    if jobs <= 1 or len(types) <= 1:
-        return enumerate_covers(p, oracle, types=types)
-    shards = [types[i::jobs] for i in range(jobs) if types[i::jobs]]
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        parts = list(pool.map(
-            lambda shard: enumerate_covers(p, oracle, types=shard), shards))
-    out = [wc for part in parts for wc in part]
-    out.sort(key=lambda wc: wc.cover.sort_key())
-    return out
-
-
 def cmd_number(args) -> int:
-    p = _problem(args)
-    covers = _enumerate(p, _oracle(args), args.jobs)
-    total = sum((wc.multiplicity for wc in covers), Fraction(0))
-    _emit(args, {"H": rat_str(total), "covers": len(covers)},
-          [f"H = {rat_str(total)} ({len(covers)} covers)"])
+    total, count = count_covers(_problem(args), _oracle(args))
+    _emit(args, {"H": rat_str(total), "covers": count},
+          [f"H = {rat_str(total)} ({count} covers)"])
     return EXIT_OK
 
 
 def cmd_covers(args) -> int:
-    p = _problem(args)
-    covers = _enumerate(p, _oracle(args), args.jobs)
+    covers = enumerate_covers(_problem(args), _oracle(args))
     if not args.keep_zero:
         covers = [wc for wc in covers if wc.multiplicity != 0]
     records = [weighted_cover_to_json(wc) for wc in covers]

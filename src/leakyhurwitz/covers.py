@@ -99,19 +99,17 @@ def validate_problem(p: Problem) -> Problem:
 
 
 @dataclass(frozen=True)
-class CoverGraph:
-    """One tropical leaky cover.
+class WeightedType:
+    """A cover before its vertices are placed on the target line.
 
     ``vertex_ends`` partitions 1..n over the vertices; ``edges`` stores
     (u, v, weight) oriented from u to v (weights are positive ints, or
-    LinForms in symbolic mode); ``order`` lists vertex indices from the
-    leftmost position to the rightmost.
+    LinForms in symbolic mode).
     """
 
     vertex_genus: tuple[int, ...]
     vertex_ends: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, Weight], ...]
-    order: tuple[int, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -123,6 +121,13 @@ class CoverGraph:
 
     def is_symbolic(self) -> bool:
         return any(isinstance(w, LinForm) for _, _, w in self.edges)
+
+
+@dataclass(frozen=True)
+class CoverGraph(WeightedType):
+    """One tropical leaky cover; ``order`` lists its vertices left to right."""
+
+    order: tuple[int, ...]
 
     def sort_key(self):
         return (self.vertex_genus, self.vertex_ends,
@@ -225,7 +230,7 @@ def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
     return c
 
 
-def automorphism_order(c: CoverGraph) -> int:
+def automorphism_order(c: WeightedType) -> int:
     """Order of the automorphism group: permutations of equal parallel edges.
 
     Distinct positions and labeled markings pin every vertex, so the only
@@ -242,7 +247,7 @@ def automorphism_order(c: CoverGraph) -> int:
     return out
 
 
-def vertex_key_of(p: Problem, c: CoverGraph, v: int) -> VertexKey:
+def vertex_key_of(p: Problem, c: WeightedType, v: int) -> VertexKey:
     """Local signature of vertex v for the multiplicity oracle."""
     degrees: list[int] = []
     psi: list[int] = []
@@ -264,16 +269,17 @@ def vertex_key_of(p: Problem, c: CoverGraph, v: int) -> VertexKey:
 
 @dataclass(frozen=True)
 class WeightedCover:
-    """A cover with its assembled exact multiplicity and the factors behind it."""
+    """A cover (or a weighted type, for all of its vertex orders) with its
+    assembled exact multiplicity and the factors behind it."""
 
-    cover: CoverGraph
+    cover: WeightedType
     aut: int
     edge_product: Union[Fraction, Poly]
     vertex_mults: tuple[Fraction, ...]
     multiplicity: Union[Fraction, Poly]
 
 
-def assemble_multiplicity(p: Problem, c: CoverGraph,
+def assemble_multiplicity(p: Problem, c: WeightedType,
                           oracle: Callable[[VertexKey], Fraction]) -> WeightedCover:
     """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults)."""
     aut = automorphism_order(c)

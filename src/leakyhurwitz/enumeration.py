@@ -10,7 +10,7 @@ The pipeline runs in three stages:
    edge contributes one free integer weight, scanned over a bounded range;
 3. positions: every linear extension of the orientation induced by positive
    flows yields one cover, since vertices occupy distinct ordered positions
-   on the target line.
+   on the target line.  ``compute_H`` counts them rather than lists them.
 
 Numeric covers carry positive integer weights; symbolic (genus 0) trees
 keep their weight forms for the chamber machinery.
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .covers import (CoverGraph, Problem, WeightedCover, assemble_multiplicity,
-                     validate_problem)
+from .covers import (CoverGraph, Problem, WeightedCover, WeightedType,
+                     assemble_multiplicity, validate_problem)
 from .exactarith import LinForm
 from .vertexdata import VertexOracle, oracle_from
 
@@ -463,41 +463,48 @@ def _admissible_flows(p: Problem, t: CombinatorialType) -> Iterator[list[int]]:
         yield flows
 
 
-def enumerate_covers(p: Problem, oracle: VertexOracle | None = None,
-                     types: Sequence[CombinatorialType] | None = None
+def _weighted_types(p: Problem) -> Iterator[tuple[WeightedType, set]]:
+    """Each weighted type of p, with the arcs that its positive flows orient."""
+    validate_problem(p)
+    for t in _types_for(p.genus, p.n, p.e):
+        for flows in _admissible_flows(p, t):
+            edges = tuple((a, b, f) if f > 0 else (b, a, -f)
+                          for (a, b), f in zip(t.edges, flows))
+            yield (WeightedType(t.vertex_genus, t.vertex_ends, edges),
+                   {(a, b) for a, b, _ in edges})
+
+
+def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
                      ) -> list[WeightedCover]:
     """All covers for p up to isomorphism, each with its exact multiplicity.
 
     Every linear extension of a weighted type's orientation is a distinct
-    cover (its own placement of vertices over the target line).  ``types``
-    restricts the walk to a subset of combinatorial types; callers use it to
-    shard work across workers.
+    cover (its own placement of vertices over the target line).
     """
-    validate_problem(p)
-    if oracle is None:
-        oracle = oracle_from()
-    if types is None:
-        types = _types_for(p.genus, p.n, p.e)
-    out: list[WeightedCover] = []
-    for t in types:
-        V = t.num_vertices
-        for flows in _admissible_flows(p, t):
-            oriented = tuple(
-                (a, b, f) if f > 0 else (b, a, -f)
-                for (a, b), f in zip(t.edges, flows))
-            arcs = {(a, b) for a, b, _ in oriented}
-            for order in linear_extensions(V, arcs):
-                cover = CoverGraph(vertex_genus=t.vertex_genus,
-                                   vertex_ends=t.vertex_ends,
-                                   edges=oriented, order=order)
-                out.append(assemble_multiplicity(p, cover, oracle))
+    oracle = oracle if oracle is not None else oracle_from()
+    out = [assemble_multiplicity(
+               p, CoverGraph(w.vertex_genus, w.vertex_ends, w.edges, order),
+               oracle)
+           for w, arcs in _weighted_types(p)
+           for order in linear_extensions(w.num_vertices, arcs)]
     out.sort(key=lambda wc: wc.cover.sort_key())
     return out
 
 
+def count_covers(p: Problem, oracle: VertexOracle | None = None
+                 ) -> tuple[Fraction, int]:
+    """(H, number of covers) for p: a multiplicity never reads the vertex
+    order, so each weighted type counts once per linear extension."""
+    oracle = oracle if oracle is not None else oracle_from()
+    total, count = Fraction(0), 0
+    for w, arcs in _weighted_types(p):
+        orders = count_linear_extensions(w.num_vertices, arcs)
+        if orders:  # a cyclic orientation is no cover: look up no vertex
+            total += orders * assemble_multiplicity(p, w, oracle).multiplicity
+            count += orders
+    return total, count
+
+
 def compute_H(p: Problem, oracle: VertexOracle | None = None) -> Fraction:
     """The descendant count: sum of multiplicities over all covers."""
-    total = Fraction(0)
-    for wc in enumerate_covers(p, oracle):
-        total += wc.multiplicity
-    return total
+    return count_covers(p, oracle)[0]

@@ -149,15 +149,20 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_jobs_flag_deterministic(capsys):
-    base = ("number", "-g", "1", "-k", "1", "-x", "7,-3,-1", "-e", "1,0,0")
-    _, serial, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--jobs", "3")
-    assert serial == threaded
-    base = ("covers", "-k", "1", "-x", "6,-1,-1,1,-2", "-e", "1,0,0,0,0")
-    _, serial, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--jobs", "2")
-    assert serial == threaded
+def test_negative_leading_list_values(capsys):
+    # "-7,3,1" after -x is the value, not an option
+    code, out, _ = run_cli(capsys, "number", "-g", "1", "-k", "-1",
+                           "-x", "-7,3,1", "-e", "1,0,0")
+    assert code == 0
+    assert json.loads(out) == {"H": "51/4", "covers": 5}
+    code, _, err = run_cli(capsys, "number", "-k", "1", "-x", "3,-1,-1",
+                           "-e", "-1,1,0")
+    assert code == 2
+    assert "nonnegative" in err
+    code, _, err = run_cli(capsys, "wallcross", "-n", "5", "-k", "1",
+                           "--subset", "-1,2")
+    assert code == 4
+    assert "out of range" in err
 
 
 def test_table_format(capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.covers import Problem, check_cover, validate_problem
 from leakyhurwitz.enumeration import (WeightBoundError, compute_H,
-                                      count_linear_extensions, enumerate_covers,
-                                      enumerate_types, linear_extensions,
-                                      solve_weights_tree)
+                                      count_covers, count_linear_extensions,
+                                      enumerate_covers, enumerate_types,
+                                      linear_extensions, solve_weights_tree)
 from leakyhurwitz.exactarith import LinForm
 from leakyhurwitz.intersections import psi_integral
 from leakyhurwitz.vertexdata import FixtureTable, MissingVertexData, oracle_from
@@ -230,10 +230,31 @@ def test_weight_bound_breach_raises(monkeypatch):
         enumerate_covers(Problem.of(1, 1, (5, -3)))
 
 
-def test_enumerate_covers_type_sharding():
-    types = enumerate_types(GOLDEN)
-    merged = []
-    for t in types:
-        merged.extend(enumerate_covers(GOLDEN, types=[t]))
-    merged.sort(key=lambda wc: wc.cover.sort_key())
-    assert merged == enumerate_covers(GOLDEN)
+def _listed(p):
+    covers = enumerate_covers(p)
+    return sum((wc.multiplicity for wc in covers), Fraction(0)), len(covers)
+
+
+@given(st.integers(3, 6), st.integers(-3, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_covers_matches_listing_genus0(n, k, data):
+    x = data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+    x.append(k * (n - 2) - sum(x))
+    e = [0] * n
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n - 3)):
+        e[i] += 1
+    p = Problem.of(0, k, x, e)
+    assert count_covers(p) == _listed(p)
+
+
+GENUS1_FAMILY = [Problem.of(1, k, (span + k, -(span - k)))
+                 for k in (1, 2) for span in range(2, 7)]
+
+
+@pytest.mark.parametrize("p", [
+    GOLDEN, GOLDEN.turned_around(), Problem.of(1, 2, (8, -4)),
+    Problem.of(1, 2, (4, 0)), *GENUS1_FAMILY,
+    *(q.turned_around() for q in GENUS1_FAMILY),
+    Problem.of(2, 0, (5, 5, -10)), Problem.of(2, 0, (20, -20))], ids=str)
+def test_count_covers_matches_listing_higher_genus(p):
+    assert count_covers(p) == _listed(p)
