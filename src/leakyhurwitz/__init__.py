@@ -9,7 +9,7 @@ from .covers import (CoverGraph, CoverError, Problem, ProblemError,
 from .enumeration import (CombinatorialType, WeightBoundError,
                           compute_H, count_linear_extensions, enumerate_covers,
                           enumerate_types, solve_weights_tree)
-from .exactarith import LinForm, Poly, linform_eval, parse_rat, rat, rat_str
+from .exactarith import LinForm, Poly, parse_rat, rat, rat_str
 from .intersections import (KappaPsiQuery, psi_integral, psi_kappa_integral,
                             recursion_rhs)
 from .vertexdata import (FixtureError, FixtureTable, MissingVertexData,
@@ -23,7 +23,7 @@ __all__ = [
     "WeightBoundError", "WeightedCover", "ZERO", "assemble_multiplicity",
     "automorphism_order", "chamber_at", "chamber_polynomial", "check_cover",
     "classify", "compute_H", "count_linear_extensions", "default_fixtures",
-    "enumerate_covers", "enumerate_types", "flanking_points", "linform_eval",
+    "enumerate_covers", "enumerate_types", "flanking_points",
     "load_fixtures", "oracle_from", "parse_rat", "psi_integral",
     "psi_kappa_integral", "rat", "rat_str", "recursion_rhs",
     "solve_weights_tree", "validate_problem", "vertex_mult", "wall_crossing",

@@ -20,6 +20,7 @@ degree constraint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -69,12 +70,17 @@ def walls(n: int, k: int = 0, e: Sequence[int] | None = None) -> list[Wall]:
     """All walls for n markings; k and e do not affect the locus list."""
     if e is not None and len(e) != n:
         raise ProblemError(f"psi vector length {len(e)} != n = {n}")
+    return list(_walls_of(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _walls_of(n: int) -> tuple[Wall, ...]:
     seen: dict[tuple[int, ...], Wall] = {}
     for size in range(2, n - 1):
         for subset in itertools.combinations(range(1, n + 1), size):
             w = Wall.of(n, subset)
             seen.setdefault(w.subset, w)
-    return [seen[key] for key in sorted(seen)]
+    return tuple(seen[key] for key in sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def chamber_at(p: Problem, at: Sequence | None = None) -> Chamber:
     """
     validate_problem(p)
     if p.genus != 0:
-        raise ValueError("chambers exist for genus 0 only")
+        raise ProblemError("chambers exist for genus 0 only")
     x0 = tuple(p.x) if at is None else tuple(at)
     _check_generic(p, x0)
     system = _tree_system(p.n, p.e)
@@ -109,7 +115,8 @@ class _TreeSystem:
     """Tree types of a genus-0 problem with solved weight forms.
 
     The per-(k, orientation) linear-extension counts and form products are
-    memoized; they are reused across every evaluation point.
+    memoized; they are reused across every evaluation point.  So is each
+    chamber's normal-form polynomial, keyed by k and the chamber's wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...]):
@@ -124,6 +131,7 @@ class _TreeSystem:
                     t.valence(v), tuple(e[i - 1] for i in t.vertex_ends[v]))
             self.entries.append((t, forms, mult))
         self._cache: dict[tuple, tuple[int, Poly]] = {}
+        self._chambers: dict[tuple[int, tuple[bool, ...]], Poly] = {}
 
     def contribution(self, idx: int, signs: tuple[int, ...], k: int) -> tuple[int, Poly]:
         key = (idx, signs, k)
@@ -143,6 +151,27 @@ class _TreeSystem:
         self._cache[key] = result
         return result
 
+    def polynomial(self, k: int, x0: Sequence, chamber: tuple[bool, ...]) -> Poly:
+        """Normal-form polynomial of the chamber that contains x0.
+
+        ``chamber`` holds the wall signs at x0.  Every tree edge form is plus
+        or minus a wall form on the degree hyperplane, so they fix the sign
+        of every edge form and hence the polynomial.
+        """
+        key = (k, chamber)
+        poly = self._chambers.get(key)
+        if poly is None:
+            parts = []
+            for idx, (_, forms, _) in enumerate(self.entries):
+                signs = tuple(1 if f.evaluate(x0, k) > 0 else -1 for f in forms)
+                le, product = self.contribution(idx, signs, k)
+                if le:
+                    parts.append((product, le))
+            poly = Poly.weighted_sum(self.n, parts).substitute_degree(
+                k * (self.n - 2))
+            self._chambers[key] = poly
+        return poly
+
 
 _SYSTEMS: dict[tuple[int, tuple[int, ...]], _TreeSystem] = {}
 
@@ -156,11 +185,17 @@ def _tree_system(n: int, e: tuple[int, ...]) -> _TreeSystem:
     return system
 
 
-def _check_generic(p: Problem, x0: Sequence) -> None:
+def _check_generic(p: Problem, x0: Sequence) -> tuple[bool, ...]:
+    """The sign of every wall form at x0 (True when positive); raise when
+    x0 lies on a wall."""
+    signs = []
     for w in walls(p.n):
-        if w.form.evaluate(x0, p.k) == 0:
+        value = w.form.evaluate(x0, p.k)
+        if value == 0:
             raise WallError(
                 f"reference point {list(x0)} lies on the wall {list(w.subset)}")
+        signs.append(value > 0)
+    return tuple(signs)
 
 
 def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
@@ -173,30 +208,21 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
     """
     validate_problem(p)
     if p.genus != 0:
-        raise ValueError("chamber polynomials exist for genus 0 only")
+        raise ProblemError("chamber polynomials exist for genus 0 only")
     x0 = tuple(p.x) if at is None else tuple(at)
     if len(x0) != p.n:
-        raise ValueError(f"reference point has length {len(x0)}, expected {p.n}")
+        raise ProblemError(f"reference point has length {len(x0)}, expected {p.n}")
     expected = p.k * (p.n - 2)
     if sum(x0) != expected:
-        raise ValueError(
+        raise ProblemError(
             f"reference point off the degree hyperplane: sum = {sum(x0)}, "
             f"expected {expected}")
-    _check_generic(p, x0)
-    system = _tree_system(p.n, p.e)
-    total = Poly.zero(p.n)
-    for idx, (t, forms, _) in enumerate(system.entries):
-        values = [f.evaluate(x0, p.k) for f in forms]
-        signs = tuple(1 if v > 0 else -1 for v in values)
-        le, product = system.contribution(idx, signs, p.k)
-        if le:
-            total = total + product * le
-    return total.substitute_degree(expected)
+    chamber = _check_generic(p, x0)
+    return _tree_system(p.n, p.e).polynomial(p.k, x0, chamber)
 
 
-def _flank_candidate(p: Problem, wall: Wall, attempt: int):
+def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
     """One deterministic candidate pair of integer points across the wall."""
-    n, k = p.n, p.k
     rng = random.Random(f"flank:{n}:{k}:{wall.subset}:{attempt}")
     spread = 6 + 2 * attempt
     I = wall.subset
@@ -217,14 +243,13 @@ def _flank_candidate(p: Problem, wall: Wall, attempt: int):
     return z, tuple(x_plus), tuple(x_minus)
 
 
-def _subproblem_refs(p: Problem, wall: Wall, z, x_plus):
+def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
     """Reference points for the two cut-off subproblems near the wall.
 
     Returns None when the induced points are non-generic for the
     subproblems or drift across a subproblem wall between the wall point
     and the perturbed point.
     """
-    n, k = p.n, p.k
     I = wall.subset
     comp = tuple(i for i in range(1, n + 1) if i not in I)
     delta_plus = wall.form.evaluate(x_plus, k)
@@ -240,25 +265,32 @@ def _subproblem_refs(p: Problem, wall: Wall, z, x_plus):
                 if at_limit == 0 or at_ref == 0 or (at_limit > 0) != (at_ref > 0):
                     return None
         refs.append(ref)
-    return refs
+    return tuple(refs)
 
 
 def _find_flanking(p: Problem, wall: Wall):
-    all_walls = walls(p.n)
+    """Flanking points and subproblem references; they depend on n, k and
+    the wall only, so every psi vector shares them."""
+    return _flanking(p.n, p.k, wall)
+
+
+@functools.lru_cache(maxsize=1024)
+def _flanking(n: int, k: int, wall: Wall):
+    all_walls = walls(n)
     for attempt in range(400):
-        z, x_plus, x_minus = _flank_candidate(p, wall, attempt)
+        z, x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
         ok = True
         for w in all_walls:
             if w.subset == wall.subset:
                 continue
-            vp = w.form.evaluate(x_plus, p.k)
-            vm = w.form.evaluate(x_minus, p.k)
+            vp = w.form.evaluate(x_plus, k)
+            vm = w.form.evaluate(x_minus, k)
             if vp == 0 or vm == 0 or (vp > 0) != (vm > 0):
                 ok = False
                 break
         if not ok:
             continue
-        refs = _subproblem_refs(p, wall, z, x_plus)
+        refs = _subproblem_refs(n, k, wall, z, x_plus)
         if refs is None:
             continue
         return x_plus, x_minus, refs
@@ -282,7 +314,7 @@ def wall_crossing(p: Problem, wall: Wall,
     """
     validate_problem(p)
     if p.genus != 0:
-        raise ValueError("wall crossings are computed for genus 0 only")
+        raise ProblemError("wall crossings are computed for genus 0 only")
     if (x_plus is None) != (x_minus is None):
         raise WallError("supply both flanking points or neither")
     if x_plus is None:
@@ -312,7 +344,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     """Closed form binom(r; r1, r2) * delta * P_I * P_Ic, in normal form."""
     validate_problem(p)
     if p.genus != 0:
-        raise ValueError("wall crossings are computed for genus 0 only")
+        raise ProblemError("wall crossings are computed for genus 0 only")
     n, k = p.n, p.k
     I = wall.subset
     comp = tuple(i for i in range(1, n + 1) if i not in I)
@@ -360,7 +392,7 @@ def classify(p: Problem) -> str:
     """Decide whether the genus-0 count is Zero or strictly Positive."""
     validate_problem(p)
     if p.genus != 0:
-        raise ValueError("the vanishing classification applies to genus 0 only")
+        raise ProblemError("the vanishing classification applies to genus 0 only")
     if p.k == 0:
         if all(v == 0 for v in p.x) and p.n > p.psi_total + 3:
             return ZERO

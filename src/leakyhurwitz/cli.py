@@ -335,12 +335,12 @@ def main(argv=None) -> int:
                 "selftest": cmd_selftest}
     try:
         return handlers[args.command](args)
-    except (ProblemError, FixtureError, ValueError) as exc:
-        if isinstance(exc, WallError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_WALL
+    except (ProblemError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except WallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WALL
     except MissingVertexData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FIXTURE

@@ -10,8 +10,10 @@ are stored in this shape, so evaluating one at an integer point always gives
 an integer.
 
 A :class:`Poly` is a sparse multivariate polynomial over the rationals,
-stored as a dict from exponent tuples to nonzero Fraction coefficients (the
-zero polynomial stores no terms).  Profiles live on the hyperplane
+stored as a dict from exponent tuples to nonzero coefficients (the zero
+polynomial stores no terms).  An integral coefficient is stored as an ``int``
+and any other as a ``Fraction``, so genus-0 arithmetic, whose coefficients
+are all integers, runs on plain ints.  Profiles live on the hyperplane
 x1 + ... + xn = total for a problem-specific integer, so polynomial
 identities are only meaningful modulo that relation; ``substitute_degree``
 eliminates the last variable against it and serves as the canonical normal
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -116,15 +119,16 @@ class LinForm:
             total += c * x[i - 1]
         return total
 
-    def max_index(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
-
     def as_poly(self, nvars: int, k_value: int) -> "Poly":
         """Convert to a polynomial in x1..x_nvars with k substituted."""
-        p = Poly.const(nvars, Fraction(self.const + self.k_coeff * k_value))
+        zero = (0,) * nvars
+        terms = {zero: self.const + self.k_coeff * k_value}
         for i, c in self.coeffs:
-            p = p + Poly.variable(nvars, i) * Fraction(c)
-        return p
+            if not 1 <= i <= nvars:
+                raise ValueError(f"variable index {i} out of range 1..{nvars}")
+            exp = zero[:i - 1] + (1,) + zero[i:]
+            terms[exp] = terms.get(exp, 0) + c
+        return Poly._of(nvars, _cleaned(terms))
 
     def to_json(self) -> dict:
         return {"x": {str(i): c for i, c in self.coeffs},
@@ -146,12 +150,6 @@ class LinForm:
         return "".join(parts)
 
 
-def linform_eval(form: LinForm, x: Sequence[int], k: int) -> int:
-    """Evaluate an integer form at an integer point; the result is an int."""
-    value = form.evaluate(x, k)
-    return int(value)
-
-
 def _term_str(coeff, symbol: str, first: bool) -> str:
     sign = "-" if coeff < 0 else ("" if first else "+")
     sep = "" if first else " "
@@ -164,33 +162,54 @@ def _term_str(coeff, symbol: str, first: bool) -> str:
     return f"{lead}{mag}*{symbol}"
 
 
+def _scalar(value) -> int | Fraction:
+    """An exact coefficient: int when integral, else Fraction."""
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _cleaned(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as int."""
+    return {exp: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for exp, c in terms.items() if c}
+
+
 class Poly:
-    """Sparse polynomial in x1..x_nvars with Fraction coefficients."""
+    """Sparse polynomial in x1..x_nvars with exact rational coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+        cleaned: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != nvars:
                     raise ValueError(f"exponent {exp} does not have {nvars} entries")
-                c = Fraction(coeff)
+                c = _scalar(coeff)
                 if c != 0:
                     cleaned[tuple(exp)] = c
         self.terms = cleaned
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap a dict that is already clean: exponent tuples of length
+        nvars, nonzero coefficients, integral ones stored as int."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return Poly._of(nvars, {})
 
     @staticmethod
     def const(nvars: int, value: Fraction | int) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return Poly(nvars)
-        return Poly(nvars, {(0,) * nvars: c})
+        c = _scalar(value)
+        return Poly._of(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
@@ -199,7 +218,21 @@ class Poly:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         exp = [0] * nvars
         exp[i - 1] = 1
-        return Poly(nvars, {tuple(exp): Fraction(1)})
+        return Poly._of(nvars, {tuple(exp): 1})
+
+    @staticmethod
+    def weighted_sum(nvars: int,
+                     parts: Iterable[tuple["Poly", Fraction | int]]) -> "Poly":
+        """sum(scale * poly for poly, scale in parts), added up in one dict."""
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
+        for poly, scale in parts:
+            if poly.nvars != nvars:
+                raise ValueError("polynomials in different variable counts")
+            scale = _scalar(scale)
+            for exp, coeff in poly.terms.items():
+                out[exp] = get(exp, 0) + coeff * scale
+        return Poly._of(nvars, _cleaned(out))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,46 +248,34 @@ class Poly:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return Poly(self.nvars, out)
+        return Poly.weighted_sum(self.nvars, ((self, 1), (self._coerce(other), 1)))
 
     def __radd__(self, other) -> "Poly":
         return self + other
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return Poly.weighted_sum(self.nvars, ((self, 1), (self._coerce(other), -1)))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {exp: -c for exp, c in self.terms.items()})
+        return Poly._of(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Poly(self.nvars, {exp: c * f for exp, c in self.terms.items()})
+            return Poly.weighted_sum(self.nvars, ((self, other),))
         if not isinstance(other, Poly):
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different variable counts")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Poly(self.nvars, out)
+                exp = tuple(map(add, ea, eb))
+                out[exp] = get(exp, 0) + ca * cb
+        return Poly._of(self.nvars, _cleaned(out))
 
     def __rmul__(self, other) -> "Poly":
         return self * other
-
-    def __pow__(self, power: int) -> "Poly":
-        if power < 0:
-            raise ValueError("negative power")
-        result = Poly.const(self.nvars, 1)
-        for _ in range(power):
-            result = result * self
-        return result
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -301,11 +322,9 @@ class Poly:
         powers = [Poly.const(m, 1)]
         for _ in range(max_pow):
             powers.append(powers[-1] * last)
-        out = Poly.zero(m)
-        for exp, coeff in self.terms.items():
-            base = Poly(m, {exp[:-1]: coeff})
-            out = out + base * powers[exp[-1]]
-        return out
+        return Poly.weighted_sum(
+            m, ((Poly._of(m, {exp[:-1]: 1}) * powers[exp[-1]], coeff)
+                for exp, coeff in self.terms.items()))
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for variable x_{i+1}; args share a variable space."""
@@ -317,7 +336,6 @@ class Poly:
         for a in args:
             if a.nvars != m:
                 raise ValueError("substitution polynomials in different variable counts")
-        out = Poly.zero(m)
         cache: dict[tuple[int, int], Poly] = {}
 
         def power(i: int, e: int) -> Poly:
@@ -329,13 +347,15 @@ class Poly:
                     cache[key] = power(i, e - 1) * args[i]
             return cache[key]
 
-        for exp, coeff in self.terms.items():
-            term = Poly.const(m, coeff)
+        def monomial(exp: tuple[int, ...]) -> Poly:
+            term = Poly.const(m, 1)
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
-            out = out + term
-        return out
+            return term
+
+        return Poly.weighted_sum(
+            m, ((monomial(exp), coeff) for exp, coeff in self.terms.items()))
 
     def to_terms(self) -> list[dict]:
         """Term list sorted by exponent tuple, with "p/q" coefficients."""

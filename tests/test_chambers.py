@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from leakyhurwitz.chambers import (POSITIVE, ZERO, Wall, WallError, chamber_at,
-                                   chamber_polynomial, classify,
+from leakyhurwitz.chambers import (POSITIVE, ZERO, Wall, WallError, _TreeSystem,
+                                   chamber_at, chamber_polynomial, classify,
                                    flanking_points, wall_crossing,
                                    wall_crossing_formula, walls)
-from leakyhurwitz.covers import Problem
+from leakyhurwitz.covers import Problem, ProblemError
 from leakyhurwitz.enumeration import compute_H
 from leakyhurwitz.exactarith import LinForm, Poly
 
@@ -96,8 +96,35 @@ def test_chamber_certificates():
 
 
 def test_chamber_polynomial_needs_genus0():
-    with pytest.raises(ValueError):
+    with pytest.raises(ProblemError):
         chamber_polynomial(Problem.of(1, 1, (7, -3, -1), (1, 0, 0)))
+
+
+def test_reference_point_faults_are_problem_errors():
+    with pytest.raises(ProblemError, match="length 3"):
+        chamber_polynomial(EXPP, at=(6, -1, -1))
+    with pytest.raises(ProblemError, match="hyperplane"):
+        chamber_polynomial(EXPP, at=(6, -1, -1, 1, -1))
+
+
+def test_chamber_memo_one_polynomial_per_chamber():
+    a, b = (8, -1, -1, 1, -4), (11, -1, -1, 1, -7)
+    assert a != b and _wall_signs(EXPP, a) == _wall_signs(EXPP, b)
+    pa, pb = Problem.of(0, 1, a, EXPP.e), Problem.of(0, 1, b, EXPP.e)
+    first = chamber_polynomial(pa)
+    assert chamber_polynomial(pb) is first
+    chamber = tuple(s > 0 for s in _wall_signs(EXPP, b))
+    assert _TreeSystem(5, EXPP.e).polynomial(1, b, chamber) == first
+    for p in (pa, pb):
+        assert first.eval(p.x[:-1]) == compute_H(p)
+    # equal wall signs at another leak are another chamber polynomial
+    x0, x2 = (-4, -4, -4, 12), (-4, -4, -4, 16)
+    assert _wall_signs(Problem.of(0, 0, x0), x0) == \
+        _wall_signs(Problem.of(0, 2, x2), x2)
+    for p in (Problem.of(0, 0, x0), Problem.of(0, 2, x2)):
+        assert chamber_polynomial(p).eval(p.x[:-1]) == compute_H(p)
+    assert chamber_polynomial(Problem.of(0, 0, x0)) != \
+        chamber_polynomial(Problem.of(0, 2, x2))
 
 
 def test_wall_crossing_example():
@@ -122,6 +149,25 @@ def test_wall_crossing_rejects_bad_points():
     x_plus, x_minus = flanking_points(EXPP, wall)
     with pytest.raises(WallError):
         wall_crossing(EXPP, wall, x_minus, x_plus)
+
+
+def test_wall_crossing_rejects_extra_wall_with_warm_memo():
+    wall = Wall.of(5, (1, 2, 3))
+    wall_crossing(EXPP, wall)
+    x_plus, _ = flanking_points(EXPP, wall)
+    signs = _wall_signs(EXPP, x_plus)
+    straddling = None
+    for head in itertools.product(range(-6, 7), repeat=4):
+        x = head + (3 - sum(head),)
+        if wall.form.evaluate(x, 1) >= 0 or 0 in (
+                w.form.evaluate(x, 1) for w in walls(5)):
+            continue
+        if any(a != b for a, b, w in zip(_wall_signs(EXPP, x), signs, walls(5))
+               if w != wall):
+            straddling = x
+            break
+    with pytest.raises(WallError, match="straddle the extra wall"):
+        wall_crossing(EXPP, wall, x_plus, straddling)
 
 
 def test_wall_crossing_k0_two_chambers():
@@ -249,6 +295,24 @@ def test_classify_agrees_with_count_small_grid():
                     assert (classify(p) == ZERO) == vanishes
 
 
+def test_classify_agrees_with_count_signed_grid():
+    # signed profiles, leaks of both signs, every admissible psi vector
+    cases = 0
+    for n in (3, 4):
+        vectors = [e for e in itertools.product(range(n - 2), repeat=n)
+                   if sum(e) <= n - 3]
+        for k in range(-2, 3):
+            for head in itertools.product(range(-3, 4), repeat=n - 1):
+                x = head + (k * (n - 2) - sum(head),)
+                if abs(x[-1]) > 3:
+                    continue
+                for e in vectors:
+                    p = Problem.of(0, k, x, e)
+                    assert (classify(p) == ZERO) == (compute_H(p) == 0), p
+                    cases += 1
+    assert cases == 4880
+
+
 def test_classify_needs_genus0():
-    with pytest.raises(ValueError):
+    with pytest.raises(ProblemError):
         classify(Problem.of(1, 1, (7, -3, -1), (1, 0, 0)))

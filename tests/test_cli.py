@@ -165,6 +165,31 @@ def test_negative_leading_list_values(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (("number", "-k", "1", "-x", "7,-3,-1"), 2,
+     "error: degree constraint violated: sum(x) = 3 but k(2g-2+n) = 1\n"),
+    (("polynomial", "-g", "1", "-k", "1", "-x", "7,-3,-1", "-e", "1,0,0"), 2,
+     "error: chamber polynomials exist for genus 0 only\n"),
+    (("classify", "-g", "1", "-k", "1", "-x", "7,-3,-1", "-e", "1,0,0"), 2,
+     "error: the vanishing classification applies to genus 0 only\n"),
+    (("polynomial", "-k", "1", "-x", "1,0,-1,1,2"), 4,
+     "error: reference point [1, 0, -1, 1, 2] lies on the wall [1, 2]\n"),
+    (("wallcross", "-n", "3", "--subset", "1,2"), 4,
+     "error: wall subset (1, 2) must have size 2..1\n"),
+])
+def test_input_errors_exit_codes(capsys, argv, code, err):
+    assert run_cli(capsys, *argv) == (code, "", err)
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(p):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("leakyhurwitz.cli.classify", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["classify", "-k", "2", "-x", "1,1,1,1"])
+
+
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "number", "-g", "1", "-k", "1",
                            "-x", "7,-3,-1", "-e", "1,0,0", "--format", "table")

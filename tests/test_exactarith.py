@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from leakyhurwitz.exactarith import LinForm, Poly, linform_eval, parse_rat, rat, rat_str
+from leakyhurwitz.exactarith import LinForm, Poly, parse_rat, rat, rat_str
 
 
 def test_rat_reduces():
@@ -31,18 +31,10 @@ def test_rat_string_roundtrip(num, den):
     assert parse_rat(rat_str(q)) == q
 
 
-def test_linform_eval_examples():
-    f = LinForm.of({1: 1, 2: 1, 3: 1}, k=-2)
-    assert linform_eval(f, (6, -1, -1, 1, -2), 1) == 2
-    assert linform_eval(LinForm(), (3, -1, -1), 5) == 0
-    g = LinForm.of({1: 1}, k=-1)
-    assert linform_eval(g, (3, -1, -1), 1) == 2
-
-
-def test_linform_eval_index_error():
+def test_linform_evaluate_index_error():
     f = LinForm.of({4: 1})
     with pytest.raises(IndexError):
-        linform_eval(f, (1, 2, 3), 0)
+        f.evaluate((1, 2, 3), 0)
 
 
 def test_linform_canonical_drops_zeros():
@@ -91,12 +83,40 @@ def _polys(nvars):
         lambda terms: Poly(nvars, terms))
 
 
+def _integral_as_int(p):
+    return all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
 @given(_polys(3), _polys(3), _polys(3))
 def test_poly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
+    for p in (a + b, a - b, a * b, -a, a * Fraction(2, 3), a * 3,
+              Poly.weighted_sum(3, [(a, 2), (b, Fraction(1, 2))]),
+              a.substitute_degree(1), a.compose([b, c, a])):
+        assert _integral_as_int(p)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.integers(-20, 20), max_size=5),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_poly_int_and_fraction_coefficients_agree(terms, point):
+    as_int = Poly(2, terms)
+    as_fraction = Poly(2, {exp: Fraction(c) for exp, c in terms.items()})
+    assert all(type(c) is int for c in as_int.terms.values())
+    assert all(type(c) is int for c in as_fraction.terms.values())
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert str(as_int) == str(as_fraction)
+    assert as_int.to_terms() == as_fraction.to_terms()
+    value = as_int.eval(point)
+    assert type(value) is Fraction
+    assert value == as_fraction.eval(point)
+    halves = Poly(2, {exp: Fraction(c, 2) for exp, c in terms.items()})
+    assert halves * 2 == as_int
+    assert str(halves + halves) == str(as_int)
 
 
 @given(_polys(3), st.integers(-4, 4), st.integers(-4, 4), st.integers(-6, 6))
