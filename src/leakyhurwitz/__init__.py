@@ -6,9 +6,8 @@ from .chambers import (Chamber, POSITIVE, Wall, WallError, ZERO, chamber_at,
 from .covers import (CoverGraph, CoverError, Problem, ProblemError,
                      WeightedCover, assemble_multiplicity, automorphism_order,
                      check_cover, validate_problem)
-from .enumeration import (CombinatorialType, WeightBoundError,
-                          compute_H, count_linear_extensions, enumerate_covers,
-                          enumerate_types, solve_weights_tree)
+from .enumeration import (CombinatorialType, compute_H, count_linear_extensions,
+                          enumerate_covers, enumerate_types, solve_weights_tree)
 from .exactarith import LinForm, Poly, parse_rat, rat, rat_str
 from .intersections import (KappaPsiQuery, psi_integral, psi_kappa_integral,
                             recursion_rhs)
@@ -20,11 +19,10 @@ __all__ = [
     "Chamber", "CombinatorialType", "CoverError", "CoverGraph", "FixtureError",
     "FixtureTable", "KappaPsiQuery", "LinForm", "MissingVertexData", "POSITIVE",
     "Poly", "Problem", "ProblemError", "VertexKey", "Wall", "WallError",
-    "WeightBoundError", "WeightedCover", "ZERO", "assemble_multiplicity",
-    "automorphism_order", "chamber_at", "chamber_polynomial", "check_cover",
-    "classify", "compute_H", "count_linear_extensions", "default_fixtures",
-    "enumerate_covers", "enumerate_types", "flanking_points",
-    "load_fixtures", "oracle_from", "parse_rat", "psi_integral",
+    "WeightedCover", "ZERO", "assemble_multiplicity", "automorphism_order",
+    "chamber_at", "chamber_polynomial", "check_cover", "classify", "compute_H",
+    "count_linear_extensions", "default_fixtures", "enumerate_covers",
+    "enumerate_types", "flanking_points", "load_fixtures", "oracle_from", "parse_rat", "psi_integral",
     "psi_kappa_integral", "rat", "rat_str", "recursion_rhs",
     "solve_weights_tree", "validate_problem", "vertex_mult", "wall_crossing",
     "wall_crossing_formula", "walls",

@@ -102,8 +102,7 @@ def chamber_at(p: Problem, at: Sequence | None = None) -> Chamber:
     validate_problem(p)
     if p.genus != 0:
         raise ProblemError("chambers exist for genus 0 only")
-    x0 = tuple(p.x) if at is None else tuple(at)
-    _check_generic(p, x0)
+    x0, _ = _reference_point(p, at)
     system = _tree_system(p.n, p.e)
     signs = []
     for _, forms, _ in system.entries:
@@ -185,9 +184,19 @@ def _tree_system(n: int, e: tuple[int, ...]) -> _TreeSystem:
     return system
 
 
-def _check_generic(p: Problem, x0: Sequence) -> tuple[bool, ...]:
-    """The sign of every wall form at x0 (True when positive); raise when
-    x0 lies on a wall."""
+def _reference_point(p: Problem, at: Sequence | None
+                     ) -> tuple[tuple, tuple[bool, ...]]:
+    """The reference point x0 (p.x by default) and the sign of every wall
+    form at it (True when positive); raise unless x0 has length n, lies on
+    the degree hyperplane and on no wall."""
+    x0 = tuple(p.x) if at is None else tuple(at)
+    if len(x0) != p.n:
+        raise ProblemError(f"reference point has length {len(x0)}, expected {p.n}")
+    expected = p.k * (p.n - 2)
+    if sum(x0) != expected:
+        raise ProblemError(
+            f"reference point off the degree hyperplane: sum = {sum(x0)}, "
+            f"expected {expected}")
     signs = []
     for w in walls(p.n):
         value = w.form.evaluate(x0, p.k)
@@ -195,7 +204,7 @@ def _check_generic(p: Problem, x0: Sequence) -> tuple[bool, ...]:
             raise WallError(
                 f"reference point {list(x0)} lies on the wall {list(w.subset)}")
         signs.append(value > 0)
-    return tuple(signs)
+    return x0, tuple(signs)
 
 
 def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
@@ -209,15 +218,7 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
     validate_problem(p)
     if p.genus != 0:
         raise ProblemError("chamber polynomials exist for genus 0 only")
-    x0 = tuple(p.x) if at is None else tuple(at)
-    if len(x0) != p.n:
-        raise ProblemError(f"reference point has length {len(x0)}, expected {p.n}")
-    expected = p.k * (p.n - 2)
-    if sum(x0) != expected:
-        raise ProblemError(
-            f"reference point off the degree hyperplane: sum = {sum(x0)}, "
-            f"expected {expected}")
-    chamber = _check_generic(p, x0)
+    x0, chamber = _reference_point(p, at)
     return _tree_system(p.n, p.e).polynomial(p.k, x0, chamber)
 
 

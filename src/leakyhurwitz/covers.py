@@ -151,6 +151,23 @@ def _vertex_balance_form(p: Problem, c: CoverGraph, v: int) -> LinForm:
     return form
 
 
+def is_connected(V: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether the edges (u, v) join all of the vertices 0..V-1."""
+    adj: dict[int, set[int]] = {v: set() for v in range(V)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for u in adj[v]:
+            if u not in reached:
+                reached.add(u)
+                frontier.append(u)
+    return len(reached) == V
+
+
 def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
     """Verify every cover invariant against p, naming the first violation."""
     V = c.num_vertices
@@ -174,20 +191,7 @@ def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
             raise CoverError(f"edge ({a}, {b}) references a missing vertex")
         if isinstance(w, int) and w <= 0:
             raise CoverError(f"edge ({a}, {b}) has nonpositive weight {w}")
-    # connectivity
-    adj: dict[int, set[int]] = {v: set() for v in range(V)}
-    for a, b, _ in c.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    if len(reached) != V:
+    if not is_connected(V, [(a, b) for a, b, _ in c.edges]):
         raise CoverError("cover graph is not connected")
     h1 = len(c.edges) - V + 1
     if h1 + sum(c.vertex_genus) != p.genus:

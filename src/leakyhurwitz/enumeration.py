@@ -7,7 +7,11 @@ The pipeline runs in three stages:
    the genus decomposition, deduplicated by a canonical certificate;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
-   edge contributes one free integer weight, scanned over a bounded range;
+   edge contributes one free integer weight, scanned over [-B, B] with the
+   proven bound B = max(P, N) of ``weight_bound`` (P and N the positive and
+   negative degree totals): an edge crossing a position cut points right, so
+   its weight is at most the cut flow, which is at most P for k >= 0 and N
+   for k <= 0;
 3. positions: every linear extension of the orientation induced by positive
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
@@ -24,13 +28,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .covers import (CoverGraph, Problem, WeightedCover, WeightedType,
-                     assemble_multiplicity, validate_problem)
+                     assemble_multiplicity, is_connected, validate_problem)
 from .exactarith import LinForm
 from .vertexdata import VertexOracle, oracle_from
-
-
-class WeightBoundError(RuntimeError):
-    """An admissible cover touched the free-weight scan bound."""
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,6 @@ def _edge_multisets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int],
     yield from rec(0)
 
 
-def _connected(V: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if V == 1:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in range(V)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == V
-
-
 def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
                     edges: Sequence[tuple[int, int]]) -> CombinatorialType:
     """Relabel vertices canonically.
@@ -213,7 +195,7 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                 if sum(degs) // 2 != V - 1 + h1:
                     continue
                 for edges in _edge_multisets(tuple(degs)):
-                    if not _connected(V, edges):
+                    if not is_connected(V, edges):
                         continue
                     t = _canonical_type(genera, blocks, edges)
                     found.setdefault(t, t)
@@ -329,11 +311,18 @@ def solve_weights_tree(p: Problem, t: CombinatorialType) -> tuple[LinForm, ...]:
     return tuple(forms)
 
 
-def free_weight_bound(p: Problem, t: CombinatorialType) -> int:
-    """Scan bound for free cycle weights; generous by construction."""
-    span = 2 * p.genus - 2 + p.n
-    return (sum(abs(v) for v in p.x)
-            + abs(p.k) * span * (p.branch_codim + t.cycle_rank))
+def weight_bound(p: Problem) -> int:
+    """Bound on every edge weight of a cover of p: max(P, N), where P and N
+    are the totals of the positive and of the negative degrees.
+
+    An edge crosses the cut between two adjacent positions pointing right,
+    so its weight is at most the cut flow sum_{v in L}(sum_{i at v} x_i -
+    k mu(v)), where mu(v) = 2g(v) - 2 + val(v) >= 1 by the valence law.
+    For k >= 0 that is at most P; for k <= 0 it equals
+    sum_{v in R}(k mu(v) - sum_{i at v} x_i) and so is at most N.
+    P - N = k(2g-2+n) makes either case max(P, N).
+    """
+    return max(sum(v for v in p.x if v > 0), -sum(v for v in p.x if v < 0))
 
 
 def _canonical_parallel(edges: Sequence[tuple[int, int]],
@@ -351,32 +340,6 @@ def _canonical_parallel(edges: Sequence[tuple[int, int]],
                 return False
         i = j
     return True
-
-
-def _orientation_arcs(edges: Sequence[tuple[int, int]],
-                      flows: Sequence[int]) -> set[tuple[int, int]]:
-    arcs = set()
-    for (a, b), f in zip(edges, flows):
-        arcs.add((a, b) if f > 0 else (b, a))
-    return arcs
-
-
-def _is_dag(V: int, arcs: set[tuple[int, int]]) -> bool:
-    indeg = [0] * V
-    succ: list[list[int]] = [[] for _ in range(V)]
-    for a, b in arcs:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in range(V) if indeg[v] == 0]
-    count = 0
-    while ready:
-        v = ready.pop()
-        count += 1
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return count == V
 
 
 def count_linear_extensions(num_vertices: int,
@@ -429,7 +392,8 @@ def linear_extensions(num_vertices: int,
 
 
 def _admissible_flows(p: Problem, t: CombinatorialType) -> Iterator[list[int]]:
-    """Integer flow vectors with no zero flow, canonical on parallel edges."""
+    """Integer flow vectors with no zero flow, canonical on parallel edges;
+    with cycles, also none above :func:`weight_bound`."""
     V = t.num_vertices
     if not t.edges:
         yield []
@@ -445,22 +409,23 @@ def _admissible_flows(p: Problem, t: CombinatorialType) -> Iterator[list[int]]:
             yield flows
         return
 
-    bound = free_weight_bound(p, t)
+    # every flow is affine in the free weights: base + sum_j w_j * unit_j
+    def solve(net_out, unit):
+        return _solve_flows(V, t.edges, net_out,
+                            {i: int(i == unit) for i in free_idx},
+                            order, parent_edge, inc)
+
+    base = solve(net, None)
+    units = [solve([0] * V, j) for j in free_idx]
+    bound = weight_bound(p)
     values = [v for v in range(-bound, bound + 1) if v != 0]
     for combo in itertools.product(values, repeat=len(free_idx)):
-        fixed = dict(zip(free_idx, combo))
-        flows = _solve_flows(V, t.edges, net, fixed, order, parent_edge, inc)
-        if any(f == 0 for f in flows):
-            continue
-        if not _canonical_parallel(t.edges, flows):
-            continue
-        if any(abs(f) >= bound for f in combo):
-            if _is_dag(V, _orientation_arcs(t.edges, flows)):
-                raise WeightBoundError(
-                    f"admissible cover reached the scan bound {bound}; "
-                    f"the bound is too small for this input")
-            continue
-        yield flows
+        flows = base
+        for w, unit in zip(combo, units):
+            flows = [f + w * u for f, u in zip(flows, unit)]
+        if (all(f and -bound <= f <= bound for f in flows)
+                and _canonical_parallel(t.edges, flows)):
+            yield flows
 
 
 def _weighted_types(p: Problem) -> Iterator[tuple[WeightedType, set]]:

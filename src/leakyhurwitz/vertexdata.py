@@ -119,10 +119,15 @@ def _table_from_rows(rows) -> FixtureTable:
             value = parse_rat(str(row["value"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureError(f"bad fixture row {row!r}: {exc}") from exc
-        if key in entries and entries[key] != value:
-            raise FixtureError(
-                f"conflicting fixture values for {key}: "
-                f"{rat_str(entries[key])} vs {rat_str(value)}")
+        # turning a vertex around (k -> -k, degrees -> -degrees) keeps its value
+        mirror = VertexKey(key.genus, -key.k, tuple(-d for d in key.degrees),
+                           key.psi)
+        for known in (key, mirror):
+            if known in entries and entries[known] != value:
+                raise FixtureError(
+                    f"conflicting fixture values for {known}: "
+                    f"{rat_str(entries[known])} vs {rat_str(value)}"
+                    + ("" if known == key else f" for its turned-around {key}"))
         entries[key] = value
     return FixtureTable(entries)
 

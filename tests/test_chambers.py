@@ -100,11 +100,13 @@ def test_chamber_polynomial_needs_genus0():
         chamber_polynomial(Problem.of(1, 1, (7, -3, -1), (1, 0, 0)))
 
 
-def test_reference_point_faults_are_problem_errors():
-    with pytest.raises(ProblemError, match="length 3"):
-        chamber_polynomial(EXPP, at=(6, -1, -1))
-    with pytest.raises(ProblemError, match="hyperplane"):
-        chamber_polynomial(EXPP, at=(6, -1, -1, 1, -1))
+@pytest.mark.parametrize("fn", [chamber_at, chamber_polynomial])
+@pytest.mark.parametrize("at, match", [
+    ((6, -1, -1, 1, -2, 0), "length 6"), ((6, -1, -1, 1, -1), "hyperplane"),
+    ((6, -1, -1), "length 3")])
+def test_reference_point_faults_are_problem_errors(fn, at, match):
+    with pytest.raises(ProblemError, match=match):
+        fn(EXPP, at=at)
 
 
 def test_chamber_memo_one_polynomial_per_chamber():

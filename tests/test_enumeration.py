@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.covers import Problem, check_cover, validate_problem
-from leakyhurwitz.enumeration import (WeightBoundError, compute_H,
-                                      count_covers, count_linear_extensions,
+from leakyhurwitz.enumeration import (compute_H, count_covers,
+                                      count_linear_extensions,
                                       enumerate_covers, enumerate_types,
-                                      linear_extensions, solve_weights_tree)
+                                      linear_extensions, solve_weights_tree,
+                                      weight_bound)
 from leakyhurwitz.exactarith import LinForm
 from leakyhurwitz.intersections import psi_integral
 from leakyhurwitz.vertexdata import FixtureTable, MissingVertexData, oracle_from
@@ -224,10 +225,32 @@ def test_zero_weight_marking_any_leak():
     assert compute_H(p) == Fraction(5, 12)
 
 
-def test_weight_bound_breach_raises(monkeypatch):
-    monkeypatch.setattr(enumeration, "free_weight_bound", lambda p, t: 3)
-    with pytest.raises(WeightBoundError):
-        enumerate_covers(Problem.of(1, 1, (5, -3)))
+def _orderable_weights(p):
+    return [w for wt, arcs in enumeration._weighted_types(p)
+            if count_linear_extensions(wt.num_vertices, arcs)
+            for _, _, w in wt.edges]
+
+
+@given(st.sampled_from((1, 2)), st.integers(-2, 2),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+@example(2, 0, [2])  # a cover of weight 2 = B
+@settings(max_examples=10, deadline=None)
+def test_weight_bound_holds_under_wider_scan(g, k, head):
+    n = len(head) + 1
+    x = [*head, k * (2 * g - 2 + n) - sum(head)]
+    for p in (Problem.of(g, k, x), Problem.of(g, k, x).turned_around()):
+        bound = weight_bound(p)
+        assert bound == weight_bound(p.turned_around())
+        expected = count_covers(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "weight_bound", lambda q: 2 * bound + 2)
+            assert count_covers(p) == expected
+            assert all(w <= bound for w in _orderable_weights(p))
+
+
+def test_weight_bound_is_reached():
+    p = Problem.of(2, 0, (20, -20))
+    assert max(_orderable_weights(p)) == weight_bound(p) == 20
 
 
 def _listed(p):
@@ -258,3 +281,16 @@ GENUS1_FAMILY = [Problem.of(1, k, (span + k, -(span - k)))
     Problem.of(2, 0, (5, 5, -10)), Problem.of(2, 0, (20, -20))], ids=str)
 def test_count_covers_matches_listing_higher_genus(p):
     assert count_covers(p) == _listed(p)
+
+
+GENUS2_LEAKY = [(Problem.of(2, 1, (3, 3, -1)), Fraction(18671, 192), 157),
+                (Problem.of(2, 1, (6, -2, 1)), Fraction(189399, 64), 199),
+                (Problem.of(2, 1, (4, 2, -1)), Fraction(18397, 192), 41),
+                (Problem.of(2, 2, (6, 5, -1)), Fraction(97633, 12), 284)]
+
+
+@pytest.mark.parametrize("p, H, covers", [
+    *GENUS2_LEAKY, *((p.turned_around(), H, c) for p, H, c in GENUS2_LEAKY)],
+    ids=str)
+def test_genus2_leaky_regressions(p, H, covers):
+    assert count_covers(p) == (H, covers)

@@ -62,6 +62,20 @@ def test_load_fixtures_empty_and_conflict(tmp_path):
         load_fixtures(conflict)
 
 
+def test_load_fixtures_mirrored_conflict(tmp_path):
+    path = tmp_path / "mirrored.json"
+    rows = [{"genus": 1, "k": 1, "degrees": [-5, 7], "psi": [0, 1],
+             "value": "5/2"},
+            {"genus": 1, "k": -1, "degrees": [5, -7], "psi": [0, 1],
+             "value": "5/2"}]
+    path.write_text(json.dumps(rows))
+    assert len(load_fixtures(path)) == 2
+    rows[1]["value"] = "-5/2"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(FixtureError, match="turned-around"):
+        load_fixtures(path)
+
+
 def test_load_fixtures_duplicate_consistent_ok(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps([
