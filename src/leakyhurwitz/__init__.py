@@ -1,29 +1,28 @@
 """Exact k-leaky double Hurwitz descendant counts via tropical covers."""
 
-from .chambers import (Chamber, POSITIVE, Wall, WallError, ZERO, chamber_at,
-                       chamber_polynomial, classify, flanking_points,
-                       wall_crossing, wall_crossing_formula, walls)
+from .chambers import (POSITIVE, Wall, WallError, ZERO, chamber_polynomial,
+                       classify, flanking_points, wall_crossing,
+                       wall_crossing_formula, walls)
 from .covers import (CoverGraph, CoverError, Problem, ProblemError,
                      WeightedCover, assemble_multiplicity, automorphism_order,
                      check_cover, validate_problem)
 from .enumeration import (CombinatorialType, compute_H, count_linear_extensions,
                           enumerate_covers, enumerate_types, solve_weights_tree)
-from .exactarith import LinForm, Poly, parse_rat, rat, rat_str
-from .intersections import (KappaPsiQuery, psi_integral, psi_kappa_integral,
-                            recursion_rhs)
+from .exactarith import LinForm, Poly, parse_rat, rat_str
+from .intersections import psi_integral, psi_kappa_integral, recursion_rhs
 from .vertexdata import (FixtureError, FixtureTable, MissingVertexData,
                          VertexKey, default_fixtures, load_fixtures,
                          oracle_from, vertex_mult)
 
 __all__ = [
-    "Chamber", "CombinatorialType", "CoverError", "CoverGraph", "FixtureError",
-    "FixtureTable", "KappaPsiQuery", "LinForm", "MissingVertexData", "POSITIVE",
-    "Poly", "Problem", "ProblemError", "VertexKey", "Wall", "WallError",
+    "CombinatorialType", "CoverError", "CoverGraph", "FixtureError",
+    "FixtureTable", "LinForm", "MissingVertexData", "POSITIVE", "Poly",
+    "Problem", "ProblemError", "VertexKey", "Wall", "WallError",
     "WeightedCover", "ZERO", "assemble_multiplicity", "automorphism_order",
-    "chamber_at", "chamber_polynomial", "check_cover", "classify", "compute_H",
+    "chamber_polynomial", "check_cover", "classify", "compute_H",
     "count_linear_extensions", "default_fixtures", "enumerate_covers",
-    "enumerate_types", "flanking_points", "load_fixtures", "oracle_from", "parse_rat", "psi_integral",
-    "psi_kappa_integral", "rat", "rat_str", "recursion_rhs",
-    "solve_weights_tree", "validate_problem", "vertex_mult", "wall_crossing",
-    "wall_crossing_formula", "walls",
+    "enumerate_types", "flanking_points", "load_fixtures", "oracle_from",
+    "parse_rat", "psi_integral", "psi_kappa_integral", "rat_str",
+    "recursion_rhs", "solve_weights_tree", "validate_problem", "vertex_mult",
+    "wall_crossing", "wall_crossing_formula", "walls",
 ]

@@ -66,10 +66,8 @@ class Wall:
         return Wall(I, LinForm.of({i: 1 for i in I}, k=-(len(I) - 1)))
 
 
-def walls(n: int, k: int = 0, e: Sequence[int] | None = None) -> list[Wall]:
-    """All walls for n markings; k and e do not affect the locus list."""
-    if e is not None and len(e) != n:
-        raise ProblemError(f"psi vector length {len(e)} != n = {n}")
+def walls(n: int) -> list[Wall]:
+    """All walls for n markings, with k kept symbolic in their forms."""
     return list(_walls_of(n))
 
 
@@ -81,33 +79,6 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
             w = Wall.of(n, subset)
             seen.setdefault(w.subset, w)
     return tuple(seen[key] for key in sorted(seen))
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """A chamber certificate: a reference point and the sign it gives every
-    tree weight form of the problem (flattened over the tree system)."""
-
-    point: tuple
-    signs: tuple[int, ...]
-
-
-def chamber_at(p: Problem, at: Sequence | None = None) -> Chamber:
-    """Certificate of the chamber containing the reference point.
-
-    Two generic points lie in the same chamber exactly when their
-    certificates carry equal signs, in which case their counts agree with
-    one polynomial.
-    """
-    validate_problem(p)
-    if p.genus != 0:
-        raise ProblemError("chambers exist for genus 0 only")
-    x0, _ = _reference_point(p, at)
-    system = _tree_system(p.n, p.e)
-    signs = []
-    for _, forms, _ in system.entries:
-        signs.extend(1 if f.evaluate(x0, p.k) > 0 else -1 for f in forms)
-    return Chamber(point=x0, signs=tuple(signs))
 
 
 class _TreeSystem:
@@ -172,23 +143,23 @@ class _TreeSystem:
         return poly
 
 
-_SYSTEMS: dict[tuple[int, tuple[int, ...]], _TreeSystem] = {}
-
-
+@functools.lru_cache(maxsize=128)
 def _tree_system(n: int, e: tuple[int, ...]) -> _TreeSystem:
-    key = (n, e)
-    system = _SYSTEMS.get(key)
-    if system is None:
-        system = _TreeSystem(n, e)
-        _SYSTEMS[key] = system
-    return system
+    return _TreeSystem(n, e)
 
 
-def _reference_point(p: Problem, at: Sequence | None
-                     ) -> tuple[tuple, tuple[bool, ...]]:
-    """The reference point x0 (p.x by default) and the sign of every wall
-    form at it (True when positive); raise unless x0 has length n, lies on
-    the degree hyperplane and on no wall."""
+def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
+    """Chamber polynomial at the reference point (p.x by default), in normal
+    form with x_n eliminated.
+
+    The reference may have rational entries; it only selects the chamber,
+    and must have length n and lie on the degree hyperplane and on no wall.
+    Evaluating the result at any integer point of the chamber equals the
+    cover count there.
+    """
+    validate_problem(p)
+    if p.genus != 0:
+        raise ProblemError("chamber polynomials exist for genus 0 only")
     x0 = tuple(p.x) if at is None else tuple(at)
     if len(x0) != p.n:
         raise ProblemError(f"reference point has length {len(x0)}, expected {p.n}")
@@ -197,29 +168,14 @@ def _reference_point(p: Problem, at: Sequence | None
         raise ProblemError(
             f"reference point off the degree hyperplane: sum = {sum(x0)}, "
             f"expected {expected}")
-    signs = []
+    chamber = []  # the sign of every wall form at x0, True when positive
     for w in walls(p.n):
         value = w.form.evaluate(x0, p.k)
         if value == 0:
             raise WallError(
                 f"reference point {list(x0)} lies on the wall {list(w.subset)}")
-        signs.append(value > 0)
-    return x0, tuple(signs)
-
-
-def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
-    """Chamber polynomial at the reference point (p.x by default), in normal
-    form with x_n eliminated.
-
-    The reference may have rational entries; it only selects the chamber.
-    Evaluating the result at any integer point of the chamber equals the
-    cover count there.
-    """
-    validate_problem(p)
-    if p.genus != 0:
-        raise ProblemError("chamber polynomials exist for genus 0 only")
-    x0, chamber = _reference_point(p, at)
-    return _tree_system(p.n, p.e).polynomial(p.k, x0, chamber)
+        chamber.append(value > 0)
+    return _tree_system(p.n, p.e).polynomial(p.k, x0, tuple(chamber))
 
 
 def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):

@@ -1,7 +1,7 @@
-"""Command-line interface: exact counts, covers, chamber data, self-test.
+"""Command-line interface: exact counts, covers and chamber data.
 
 Exit codes: 0 success, 2 invalid problem or usage, 3 missing vertex fixture,
-4 wall or reference-point error, 5 self-test failure.
+4 wall or reference-point error.
 """
 
 from __future__ import annotations
@@ -9,18 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
-from fractions import Fraction
 
 from .chambers import (Wall, WallError, chamber_polynomial, classify,
                        wall_crossing, wall_crossing_formula, walls)
-from .covers import (Problem, ProblemError, check_cover, validate_problem,
-                     weighted_cover_to_json)
-from .enumeration import count_covers, enumerate_covers, enumerate_types
+from .covers import Problem, ProblemError, validate_problem, weighted_cover_to_json
+from .enumeration import count_covers, enumerate_covers
 from .exactarith import LinForm, rat_str
-from .intersections import psi_integral, psi_kappa_integral, recursion_rhs
 from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
                          load_fixtures, oracle_from)
 
@@ -28,7 +24,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_MISSING_FIXTURE = 3
 EXIT_WALL = 4
-EXIT_SELFTEST = 5
 
 FIXTURES_ENV = "LEAKY_FIXTURES"
 
@@ -89,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="genus-0 vanishing classification")
     common(p_cls)
-
-    p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--format", choices=("json", "table"), default="table")
 
     for p in sub.choices.values():
         # read "-7,3,1" as a value, as argparse reads a lone "-7"
@@ -156,7 +148,7 @@ def cmd_polynomial(args) -> int:
 
 def cmd_walls(args) -> int:
     n, k = args.markings, args.leak
-    found = walls(n, k)
+    found = walls(n)
 
     def baked(form: LinForm) -> str:
         return str(LinForm.of(dict(form.coeffs), 0, form.const + form.k_coeff * k))
@@ -199,140 +191,12 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _selftest_properties():
-    def golden_count():
-        p = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
-        covers = enumerate_covers(p)
-        mults = sorted(wc.multiplicity for wc in covers)
-        want = sorted([Fraction(-1, 24), Fraction(1, 2), Fraction(2),
-                       Fraction(3), Fraction(175, 24)])
-        return mults == want and sum(mults) == Fraction(51, 4)
-
-    def chamber_example():
-        p = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
-        poly = chamber_polynomial(p)
-        return str(poly) == "3*x1 - 3"
-
-    def wall_crossing_example():
-        p = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
-        wall = Wall.of(5, (1, 2, 3))
-        d = wall_crossing(p, wall)
-        return d == wall_crossing_formula(p, wall) and str(d) == "2*x1 + 2*x2 + 2*x3 - 4"
-
-    def psi_kappa_multinomial():
-        import itertools
-        for n in range(3, 7):
-            for e in itertools.combinations_with_replacement(range(n - 2), n):
-                if psi_kappa_integral(n, e, 0) != psi_integral(n, e):
-                    return False
-        return True
-
-    def recursion_identity():
-        rng = random.Random("selftest-recursion")
-        for _ in range(40):
-            n = rng.randint(4, 5)
-            k = rng.randint(-2, 2)
-            te = rng.randint(1, n - 3)
-            e = [0] * n
-            for _ in range(te):
-                e[rng.randrange(n)] += 1
-            f = n - 3 - te
-            x = [rng.randint(-5, 5) for _ in range(n - 1)]
-            x.append(k * (n - 2) - sum(x))
-            p = Problem.of(0, k, x, e)
-            s = next(i + 1 for i in range(n) if e[i] > 0)
-            lhs = x[s - 1] * (n - 2) * psi_kappa_integral(n, tuple(e), f)
-            if lhs != recursion_rhs(p, s, f):
-                return False
-        return True
-
-    def turnaround():
-        rng = random.Random("selftest-turnaround")
-        oracle = oracle_from()
-        for _ in range(20):
-            n = rng.randint(3, 5)
-            k = rng.randint(-2, 2)
-            te = rng.randint(0, n - 3)
-            e = [0] * n
-            for _ in range(te):
-                e[rng.randrange(n)] += 1
-            x = [rng.randint(-4, 4) for _ in range(n - 1)]
-            x.append(k * (n - 2) - sum(x))
-            p = Problem.of(0, k, x, e)
-            forward = sum((wc.multiplicity for wc in enumerate_covers(p, oracle)),
-                          Fraction(0))
-            backward = sum((wc.multiplicity
-                            for wc in enumerate_covers(p.turned_around(), oracle)),
-                           Fraction(0))
-            if forward != backward:
-                return False
-        return True
-
-    def classifier_grid():
-        import itertools
-        for k in (2, 3):
-            for n in (3, 4):
-                total = k * (n - 2)
-                for x in itertools.product(range(1, 3 * k + 1), repeat=n):
-                    if sum(x) != total:
-                        continue
-                    p = Problem.of(0, k, x)
-                    vanishes = sum((wc.multiplicity
-                                    for wc in enumerate_covers(p)),
-                                   Fraction(0)) == 0
-                    if (classify(p) == "Zero") != vanishes:
-                        return False
-        return True
-
-    def enumeration_invariants():
-        p = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
-        first = enumerate_types(p)
-        second = enumerate_types(p)
-        if first != second:
-            return False
-        for wc in enumerate_covers(p):
-            check_cover(p, wc.cover)
-        return True
-
-    return [("golden_count", golden_count),
-            ("chamber_example", chamber_example),
-            ("wall_crossing_example", wall_crossing_example),
-            ("psi_kappa_multinomial", psi_kappa_multinomial),
-            ("recursion_identity", recursion_identity),
-            ("turnaround", turnaround),
-            ("classifier_grid", classifier_grid),
-            ("enumeration_invariants", enumeration_invariants)]
-
-
-def cmd_selftest(args) -> int:
-    results = []
-    failed = 0
-    for name, prop in _selftest_properties():
-        try:
-            ok = bool(prop())
-        except Exception as exc:  # a crashed property is a failed property
-            ok = False
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
-        results.append({"name": name, "ok": ok})
-        if not ok:
-            failed += 1
-    if args.format == "json":
-        print(json.dumps({"results": results, "failed": failed},
-                         indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(f"{'ok  ' if r['ok'] else 'FAIL'} {r['name']}")
-        print(f"{len(results) - failed}/{len(results)} properties hold")
-    return EXIT_SELFTEST if failed else EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"number": cmd_number, "covers": cmd_covers,
                 "polynomial": cmd_polynomial, "walls": cmd_walls,
-                "wallcross": cmd_wallcross, "classify": cmd_classify,
-                "selftest": cmd_selftest}
+                "wallcross": cmd_wallcross, "classify": cmd_classify}
     try:
         return handlers[args.command](args)
     except (ProblemError, FixtureError) as exc:

@@ -19,14 +19,14 @@ markings.  Zero-weight markings count toward the valence but carry no flow.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
-from .exactarith import LinForm, Poly, rat_str
-from .vertexdata import VertexKey, genus0_vertex_mult
-
-Weight = Union[int, LinForm]
+from .exactarith import rat_str
+from .vertexdata import VertexKey
 
 
 class ProblemError(ValueError):
@@ -103,13 +103,12 @@ class WeightedType:
     """A cover before its vertices are placed on the target line.
 
     ``vertex_ends`` partitions 1..n over the vertices; ``edges`` stores
-    (u, v, weight) oriented from u to v (weights are positive ints, or
-    LinForms in symbolic mode).
+    (u, v, weight) oriented from u to v with a positive integer weight.
     """
 
     vertex_genus: tuple[int, ...]
     vertex_ends: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, Weight], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     @property
     def num_vertices(self) -> int:
@@ -119,9 +118,6 @@ class WeightedType:
         deg = sum(1 for a, b, _ in self.edges if a == v or b == v)
         return deg + len(self.vertex_ends[v])
 
-    def is_symbolic(self) -> bool:
-        return any(isinstance(w, LinForm) for _, _, w in self.edges)
-
 
 @dataclass(frozen=True)
 class CoverGraph(WeightedType):
@@ -130,25 +126,19 @@ class CoverGraph(WeightedType):
     order: tuple[int, ...]
 
     def sort_key(self):
-        return (self.vertex_genus, self.vertex_ends,
-                tuple((a, b, w if isinstance(w, int) else str(w))
-                      for a, b, w in self.edges),
-                self.order)
+        return self.vertex_genus, self.vertex_ends, self.edges, self.order
 
 
-def _vertex_balance_form(p: Problem, c: CoverGraph, v: int) -> LinForm:
-    """Flow law residual at v as a form in x and k; zero iff balanced."""
-    val = c.valence(v)
-    form = LinForm.of({i: 1 for i in c.vertex_ends[v]},
-                      k=-(2 * c.vertex_genus[v] - 2 + val))
+def _balance_residual(p: Problem, c: CoverGraph, v: int) -> int:
+    """Flow law residual at v; zero iff balanced."""
+    residual = (sum(p.x[i - 1] for i in c.vertex_ends[v])
+                - p.k * (2 * c.vertex_genus[v] - 2 + c.valence(v)))
     for a, b, w in c.edges:
-        if a == v or b == v:
-            term = w if isinstance(w, LinForm) else LinForm.constant(w)
-            if b == v:
-                form = form + term
-            if a == v:
-                form = form - term
-    return form
+        if b == v:
+            residual += w
+        if a == v:
+            residual -= w
+    return residual
 
 
 def is_connected(V: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -189,7 +179,7 @@ def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
             raise CoverError(f"edge at vertex {a} is a loop")
         if not (0 <= a < V and 0 <= b < V):
             raise CoverError(f"edge ({a}, {b}) references a missing vertex")
-        if isinstance(w, int) and w <= 0:
+        if w <= 0:
             raise CoverError(f"edge ({a}, {b}) has nonpositive weight {w}")
     if not is_connected(V, [(a, b) for a, b, _ in c.edges]):
         raise CoverError("cover graph is not connected")
@@ -208,22 +198,11 @@ def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
             raise CoverError(
                 f"valence law fails at vertex {v}: val = {val}, "
                 f"psi target = {target}")
-    degree_form = LinForm.of({i: 1 for i in range(1, p.n + 1)},
-                             k=-(2 * p.genus - 2 + p.n))
     for v in range(V):
-        residual = _vertex_balance_form(p, c, v)
-        if c.is_symbolic():
-            # balance need only hold on the degree hyperplane, where the
-            # residual is a multiple of the hyperplane form
-            factor = residual.coeff(1)
-            if residual != degree_form.scale(factor):
-                raise CoverError(
-                    f"flow balance fails at vertex {v}: residual {residual}")
-        else:
-            if residual.evaluate(p.x, p.k) != 0:
-                raise CoverError(
-                    f"flow balance fails at vertex {v}: "
-                    f"residual {residual.evaluate(p.x, p.k)}")
+        residual = _balance_residual(p, c, v)
+        if residual != 0:
+            raise CoverError(
+                f"flow balance fails at vertex {v}: residual {residual}")
     if sorted(c.order) != list(range(V)):
         raise CoverError(f"order {c.order} is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(c.order)}
@@ -240,15 +219,7 @@ def automorphism_order(c: WeightedType) -> int:
     Distinct positions and labeled markings pin every vertex, so the only
     symmetries left permute parallel edges with equal weight.
     """
-    groups: dict[tuple, int] = {}
-    for a, b, w in c.edges:
-        key = (a, b, w if isinstance(w, int) else w)
-        groups[key] = groups.get(key, 0) + 1
-    out = 1
-    for count in groups.values():
-        for m in range(2, count + 1):
-            out *= m
-    return out
+    return math.prod(map(math.factorial, Counter(c.edges).values()))
 
 
 def vertex_key_of(p: Problem, c: WeightedType, v: int) -> VertexKey:
@@ -259,8 +230,6 @@ def vertex_key_of(p: Problem, c: WeightedType, v: int) -> VertexKey:
         degrees.append(p.x[i - 1])
         psi.append(p.e[i - 1])
     for a, b, w in c.edges:
-        if not isinstance(w, int):
-            raise CoverError("vertex keys need numeric edge weights")
         if b == v:
             degrees.append(w)
             psi.append(0)
@@ -278,32 +247,19 @@ class WeightedCover:
 
     cover: WeightedType
     aut: int
-    edge_product: Union[Fraction, Poly]
+    edge_product: Fraction
     vertex_mults: tuple[Fraction, ...]
-    multiplicity: Union[Fraction, Poly]
+    multiplicity: Fraction
 
 
 def assemble_multiplicity(p: Problem, c: WeightedType,
                           oracle: Callable[[VertexKey], Fraction]) -> WeightedCover:
     """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults)."""
     aut = automorphism_order(c)
-    if c.is_symbolic():
-        if any(g != 0 for g in c.vertex_genus):
-            raise CoverError("symbolic covers support genus-0 vertices only")
-        edge_product: Union[Fraction, Poly] = Poly.const(p.n, 1)
-        for _, _, w in c.edges:
-            form = w if isinstance(w, LinForm) else LinForm.constant(w)
-            edge_product = edge_product * form.as_poly(p.n, p.k)
-        mults = tuple(
-            genus0_vertex_mult(c.valence(v),
-                               tuple(p.e[i - 1] for i in c.vertex_ends[v]))
-            for v in range(c.num_vertices))
-    else:
-        edge_product = Fraction(1)
-        for _, _, w in c.edges:
-            edge_product *= w
-        mults = tuple(oracle(vertex_key_of(p, c, v))
-                      for v in range(c.num_vertices))
+    edge_product = Fraction(1)
+    for _, _, w in c.edges:
+        edge_product *= w
+    mults = tuple(oracle(vertex_key_of(p, c, v)) for v in range(c.num_vertices))
     scalar = Fraction(1, aut)
     for m in mults:
         scalar *= m
@@ -316,35 +272,15 @@ def cover_to_json(c: CoverGraph) -> dict:
     return {
         "vertices": [{"genus": g, "ends": list(ends)}
                      for g, ends in zip(c.vertex_genus, c.vertex_ends)],
-        "edges": [{"from": a, "to": b,
-                   "weight": w if isinstance(w, int) else w.to_json()}
-                  for a, b, w in c.edges],
+        "edges": [{"from": a, "to": b, "weight": w} for a, b, w in c.edges],
         "order": list(c.order),
     }
 
 
-def cover_from_json(data: dict) -> CoverGraph:
-    vertices = data["vertices"]
-    edges = []
-    for e in data["edges"]:
-        w = e["weight"]
-        edges.append((e["from"], e["to"],
-                      w if isinstance(w, int) else LinForm.from_json(w)))
-    return CoverGraph(
-        vertex_genus=tuple(v["genus"] for v in vertices),
-        vertex_ends=tuple(tuple(sorted(v["ends"])) for v in vertices),
-        edges=tuple(edges),
-        order=tuple(data["order"]),
-    )
-
-
 def weighted_cover_to_json(wc: WeightedCover) -> dict:
-    def value(v):
-        return rat_str(v) if isinstance(v, Fraction) else str(v)
-
     out = cover_to_json(wc.cover)
     out["aut"] = wc.aut
-    out["edge_product"] = value(wc.edge_product)
+    out["edge_product"] = rat_str(wc.edge_product)
     out["vertex_mults"] = [rat_str(m) for m in wc.vertex_mults]
-    out["multiplicity"] = value(wc.multiplicity)
+    out["multiplicity"] = rat_str(wc.multiplicity)
     return out

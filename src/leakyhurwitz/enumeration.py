@@ -15,13 +15,11 @@ The pipeline runs in three stages:
 3. positions: every linear extension of the orientation induced by positive
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
-
-Numeric covers carry positive integer weights; symbolic (genus 0) trees
-keep their weight forms for the chamber machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,14 +164,8 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
         edges=best_edges)
 
 
-_TYPE_CACHE: dict[tuple, tuple[CombinatorialType, ...]] = {}
-
-
+@functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
-    key = (g, n, e)
-    cached = _TYPE_CACHE.get(key)
-    if cached is not None:
-        return cached
     V = 2 * g - 2 + n - sum(e)
     found: dict[CombinatorialType, CombinatorialType] = {}
     if V >= 1:
@@ -199,10 +191,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                         continue
                     t = _canonical_type(genera, blocks, edges)
                     found.setdefault(t, t)
-    result = tuple(sorted(found, key=lambda t: (t.vertex_genus, t.vertex_ends,
-                                                t.edges)))
-    _TYPE_CACHE[key] = result
-    return result
+    return tuple(sorted(found, key=lambda t: (t.vertex_genus, t.vertex_ends,
+                                              t.edges)))
 
 
 def enumerate_types(p: Problem) -> list[CombinatorialType]:
@@ -220,7 +210,8 @@ def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
 
 
 def _spanning_structure(V: int, edges: Sequence[tuple[int, int]]):
-    """BFS tree from vertex 0: discovery order, parent edge index per vertex."""
+    """BFS tree from vertex 0 of a connected type (``_types_for`` keeps no
+    other): discovery order, parent edge index per vertex."""
     inc = _incidence(V, edges)
     parent_edge: dict[int, int] = {}
     order = [0]
@@ -236,20 +227,17 @@ def _spanning_structure(V: int, edges: Sequence[tuple[int, int]]):
                 seen.add(u)
                 parent_edge[u] = idx
                 order.append(u)
-    if len(order) != V:
-        raise ValueError("type is not connected")
     return order, parent_edge, inc
 
 
 def _solve_flows(V: int, edges: Sequence[tuple[int, int]], net: Sequence,
-                 fixed: dict[int, object], order, parent_edge, inc) -> list:
+                 fixed: dict[int, int], order, parent_edge, inc) -> list:
     """Solve the balance system for the tree flows, leaf to root.
 
     ``net[v]`` is the required net outflow at v; flows are signed relative
-    to the stored (u, v) direction.  Entries of ``net`` and ``fixed`` may be
-    ints or LinForms.
+    to the stored (u, v) direction.
     """
-    flows: dict[int, object] = dict(fixed)
+    flows: dict[int, int] = dict(fixed)
     for v in reversed(order[1:]):
         e = parent_edge[v]
         acc = net[v]

@@ -5,9 +5,9 @@ pin down the canonical ``"p/q"`` string format used everywhere else (the
 denominator is omitted when it equals 1).
 
 A :class:`LinForm` is an integer-coefficient affine expression in profile
-variables x1..xn plus the leak parameter k.  Edge weights of symbolic covers
-are stored in this shape, so evaluating one at an integer point always gives
-an integer.
+variables x1..xn plus the leak parameter k.  Tree edge weights and walls are
+stored in this shape, so evaluating one at an integer point always gives an
+integer.
 
 A :class:`Poly` is a sparse multivariate polynomial over the rationals,
 stored as a dict from exponent tuples to nonzero coefficients (the zero
@@ -26,13 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Build a reduced rational, rejecting a zero denominator."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 def rat_str(value: Fraction | int) -> str:
@@ -72,14 +65,6 @@ class LinForm:
         cleaned = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
         return LinForm(cleaned, k, const)
 
-    @staticmethod
-    def variable(i: int) -> "LinForm":
-        return LinForm.of({i: 1})
-
-    @staticmethod
-    def constant(c: int) -> "LinForm":
-        return LinForm((), 0, c)
-
     def coeff(self, i: int) -> int:
         for j, c in self.coeffs:
             if j == i:
@@ -99,15 +84,6 @@ class LinForm:
     def __neg__(self) -> "LinForm":
         return LinForm(tuple((i, -c) for i, c in self.coeffs),
                        -self.k_coeff, -self.const)
-
-    def scale(self, factor: int) -> "LinForm":
-        if factor == 0:
-            return LinForm()
-        return LinForm(tuple((i, c * factor) for i, c in self.coeffs),
-                       self.k_coeff * factor, self.const * factor)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.k_coeff == 0 and self.const == 0
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
         """Evaluate at a profile and leak; x must cover all indices used."""
@@ -129,15 +105,6 @@ class LinForm:
             exp = zero[:i - 1] + (1,) + zero[i:]
             terms[exp] = terms.get(exp, 0) + c
         return Poly._of(nvars, _cleaned(terms))
-
-    def to_json(self) -> dict:
-        return {"x": {str(i): c for i, c in self.coeffs},
-                "k": self.k_coeff, "const": self.const}
-
-    @staticmethod
-    def from_json(data: dict) -> "LinForm":
-        return LinForm.of({int(i): c for i, c in data.get("x", {}).items()},
-                          data.get("k", 0), data.get("const", 0))
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -361,11 +328,6 @@ class Poly:
         """Term list sorted by exponent tuple, with "p/q" coefficients."""
         return [{"exp": list(exp), "coeff": rat_str(self.terms[exp])}
                 for exp in sorted(self.terms)]
-
-    @staticmethod
-    def from_terms(nvars: int, terms: Iterable[dict]) -> "Poly":
-        data = {tuple(t["exp"]): parse_rat(t["coeff"]) for t in terms}
-        return Poly(nvars, data)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -28,29 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .covers import Problem, validate_problem
-
-
-@dataclass(frozen=True)
-class KappaPsiQuery:
-    """A genus-0 integrand: n markings, psi exponents e, kappa_1 power f."""
-
-    n: int
-    e: tuple[int, ...]
-    f: int
-
-    def __post_init__(self):
-        if len(self.e) != self.n:
-            raise ValueError(f"psi vector length {len(self.e)} != n = {self.n}")
-        if any(v < 0 for v in self.e) or self.f < 0:
-            raise ValueError("exponents must be nonnegative")
-
-    def is_dimensional(self) -> bool:
-        return self.n >= 3 and sum(self.e) + self.f == self.n - 3
 
 
 def psi_integral(n: int, e: tuple[int, ...] | list[int]) -> Fraction:

@@ -86,9 +86,6 @@ class FixtureTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: VertexKey) -> bool:
-        return key in self._entries
-
     def get(self, key: VertexKey) -> Fraction | None:
         return self._entries.get(key)
 
@@ -97,14 +94,6 @@ class FixtureTable:
         out = dict(self._entries)
         out.update(other._entries)
         return FixtureTable(out)
-
-    def to_json(self) -> list[dict]:
-        rows = []
-        for key in sorted(self._entries, key=lambda k: (k.genus, k.k, k.degrees, k.psi)):
-            rows.append({"genus": key.genus, "k": key.k,
-                         "degrees": list(key.degrees), "psi": list(key.psi),
-                         "value": rat_str(self._entries[key])})
-        return rows
 
 
 def _table_from_rows(rows) -> FixtureTable:
@@ -117,7 +106,7 @@ def _table_from_rows(rows) -> FixtureTable:
                             degrees=tuple(int(d) for d in row["degrees"]),
                             psi=tuple(int(p) for p in row["psi"]))
             value = parse_rat(str(row["value"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise FixtureError(f"bad fixture row {row!r}: {exc}") from exc
         # turning a vertex around (k -> -k, degrees -> -degrees) keeps its value
         mirror = VertexKey(key.genus, -key.k, tuple(-d for d in key.degrees),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from leakyhurwitz.chambers import (POSITIVE, ZERO, Wall, WallError, _TreeSystem,
-                                   chamber_at, chamber_polynomial, classify,
+                                   _tree_system, chamber_polynomial, classify,
                                    flanking_points, wall_crossing,
                                    wall_crossing_formula, walls)
 from leakyhurwitz.covers import Problem, ProblemError
@@ -15,7 +15,7 @@ EXPP = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
 
 
 def test_walls_n4():
-    found = walls(4, 1)
+    found = walls(4)
     assert [w.subset for w in found] == [(1, 2), (1, 3), (1, 4)]
     for w in found:
         assert w.form == LinForm.of({i: 1 for i in w.subset}, k=-1)
@@ -85,11 +85,9 @@ def test_chamber_polynomial_on_wall_rejected():
 
 
 def test_chamber_certificates():
-    inside = chamber_at(EXPP)
-    same = chamber_at(EXPP, at=(8, -1, -1, 1, -4))
-    assert same.signs == inside.signs
-    other = chamber_at(EXPP, at=(1, 4, -1, 1, -2))
-    assert other.signs != inside.signs
+    inside = _wall_signs(EXPP, EXPP.x)
+    assert _wall_signs(EXPP, (8, -1, -1, 1, -4)) == inside
+    assert _wall_signs(EXPP, (1, 4, -1, 1, -2)) != inside
     p_other = Problem.of(0, 1, (1, 4, -1, 1, -2), EXPP.e)
     assert chamber_polynomial(p_other) == chamber_polynomial(EXPP, at=p_other.x)
     assert chamber_polynomial(p_other) != chamber_polynomial(EXPP)
@@ -100,13 +98,17 @@ def test_chamber_polynomial_needs_genus0():
         chamber_polynomial(Problem.of(1, 1, (7, -3, -1), (1, 0, 0)))
 
 
-@pytest.mark.parametrize("fn", [chamber_at, chamber_polynomial])
 @pytest.mark.parametrize("at, match", [
     ((6, -1, -1, 1, -2, 0), "length 6"), ((6, -1, -1, 1, -1), "hyperplane"),
     ((6, -1, -1), "length 3")])
-def test_reference_point_faults_are_problem_errors(fn, at, match):
+def test_reference_point_faults_are_problem_errors(at, match):
     with pytest.raises(ProblemError, match=match):
-        fn(EXPP, at=at)
+        chamber_polynomial(EXPP, at=at)
+
+
+def test_tree_system_cache_is_bounded():
+    assert _tree_system.cache_info().maxsize == 128
+    assert _tree_system(EXPP.n, EXPP.e) is _tree_system(EXPP.n, EXPP.e)
 
 
 def test_chamber_memo_one_polynomial_per_chamber():

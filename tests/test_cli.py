@@ -197,10 +197,64 @@ def test_table_format(capsys):
     assert out.strip() == "H = 51/4 (5 covers)"
 
 
-def test_selftest(capsys):
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "8/8 properties hold" in out
+def _edges(*weights):
+    return [{"from": 0, "to": 1, "weight": w} for w in weights]
+
+
+def _vertices(genera, ends):
+    return [{"ends": e, "genus": g} for g, e in zip(genera, ends)]
+
+
+# every field of the five golden covers, in output order
+GOLDEN_COVER_RECORDS = [
+    {"aut": 2, "edge_product": "1", "edges": _edges(1, 1), "multiplicity": "1/2",
+     "order": [0, 1], "vertex_mults": ["1", "1"],
+     "vertices": _vertices((0, 0), ([1, 2], [3]))},
+    {"aut": 1, "edge_product": "3", "edges": _edges(1, 3), "multiplicity": "3",
+     "order": [0, 1], "vertex_mults": ["1", "1"],
+     "vertices": _vertices((0, 0), ([1, 3], [2]))},
+    {"aut": 2, "edge_product": "4", "edges": _edges(2, 2), "multiplicity": "2",
+     "order": [0, 1], "vertex_mults": ["1", "1"],
+     "vertices": _vertices((0, 0), ([1, 3], [2]))},
+    {"aut": 1, "edge_product": "1", "edges": _edges(1), "multiplicity": "-1/24",
+     "order": [0, 1], "vertex_mults": ["1", "-1/24"],
+     "vertices": _vertices((0, 1), ([1, 2, 3], []))},
+    {"aut": 1, "edge_product": "5", "edges": _edges(5), "multiplicity": "175/24",
+     "order": [0, 1], "vertex_mults": ["35/24", "1"],
+     "vertices": _vertices((1, 0), ([1], [2, 3]))},
+]
+
+GOLDEN_COVER_TABLE = """\
+cover 0: aut=2 edges=[(0, 1, 1), (0, 1, 1)] mult=1/2
+cover 1: aut=1 edges=[(0, 1, 1), (0, 1, 3)] mult=3
+cover 2: aut=2 edges=[(0, 1, 2), (0, 1, 2)] mult=2
+cover 3: aut=1 edges=[(0, 1, 1)] mult=-1/24
+cover 4: aut=1 edges=[(0, 1, 5)] mult=175/24
+"""
+
+
+def test_covers_golden_output_bytes(capsys):
+    argv = ("covers", "-g", "1", "-k", "1", "-x", "7,-3,-1", "-e", "1,0,0")
+    expected = json.dumps(GOLDEN_COVER_RECORDS, indent=2, sort_keys=True) + "\n"
+    assert run_cli(capsys, *argv, "--format", "json") == (0, expected, "")
+    assert run_cli(capsys, *argv, "--format", "table") == (0, GOLDEN_COVER_TABLE, "")
+
+
+def test_fixture_zero_denominator_exit2(capsys, tmp_path):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps([
+        {"genus": 1, "k": 3, "degrees": [3], "psi": [0], "value": "1/0"}]))
+    code, out, err = run_cli(capsys, "number", "-g", "1", "-k", "3",
+                             "-x", "9,-3", "--fixtures", str(zero))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad fixture row")
+
+
+def test_selftest_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["selftest"])
+    assert err.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_usage_error_exit2():

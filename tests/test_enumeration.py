@@ -47,6 +47,12 @@ def test_enumerate_types_golden():
     assert len(genus_vertex) == 2
 
 
+def test_type_cache_is_bounded():
+    types_for = enumeration._types_for
+    assert types_for.cache_info().maxsize == 128
+    assert types_for(1, 3, (1, 0, 0)) is types_for(1, 3, (1, 0, 0))
+
+
 def test_enumerate_types_idempotent():
     first = enumerate_types(GOLDEN)
     second = enumerate_types(GOLDEN)

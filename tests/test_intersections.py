@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from leakyhurwitz.covers import Problem
-from leakyhurwitz.intersections import (KappaPsiQuery, psi_integral,
-                                        psi_kappa_integral, recursion_rhs)
+from leakyhurwitz.intersections import (psi_integral, psi_kappa_integral,
+                                        recursion_rhs)
 
 
 def test_psi_integral_values():
@@ -42,14 +42,10 @@ def test_psi_kappa_off_dimension_zero():
     assert psi_kappa_integral(5, (0, 0, 0, 0, 0), 1) == 0
 
 
-def test_kappa_psi_query_validation():
-    q = KappaPsiQuery(5, (1, 0, 0, 0, 0), 1)
-    assert q.is_dimensional()
-    assert not KappaPsiQuery(5, (1, 0, 0, 0, 0), 0).is_dimensional()
-    with pytest.raises(ValueError):
-        KappaPsiQuery(4, (1, 0, 0), 0)
-    with pytest.raises(ValueError):
-        KappaPsiQuery(3, (0, 0, -1), 0)
+def test_psi_kappa_negative_exponents_zero():
+    assert psi_kappa_integral(5, (3, -1, 0, 0, 0), 0) == 0
+    assert psi_kappa_integral(5, (1, 0, 0, 0, 0), -1) == 0
+    assert psi_integral(5, (3, -1, 0, 0, 0)) == 0
 
 
 def _set_partitions(items):

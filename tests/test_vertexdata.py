@@ -92,6 +92,14 @@ def test_load_fixtures_parse_error(tmp_path):
         load_fixtures(path)
 
 
+def test_load_fixtures_zero_denominator(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([
+        {"genus": 1, "k": 3, "degrees": [3], "psi": [0], "value": "1/0"}]))
+    with pytest.raises(FixtureError, match="bad fixture row"):
+        load_fixtures(path)
+
+
 def test_merged_tables_override():
     base = default_fixtures()
     override = FixtureTable({VertexKey(1, 1, (1,), (0,)): Fraction(7)})
