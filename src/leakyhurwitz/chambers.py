@@ -56,6 +56,8 @@ class Wall:
     @staticmethod
     def of(n: int, subset: Sequence[int]) -> "Wall":
         I = tuple(sorted(set(subset)))
+        if n < 4:
+            raise WallError(f"n = {n} markings have no walls: walls need n >= 4")
         if not 2 <= len(I) <= n - 2:
             raise WallError(f"wall subset {I} must have size 2..{n - 2}")
         if any(i < 1 or i > n for i in I):
@@ -68,6 +70,8 @@ class Wall:
 
 def walls(n: int) -> list[Wall]:
     """All walls for n markings, with k kept symbolic in their forms."""
+    if n < 3:
+        raise ProblemError(f"unstable marking count: n = {n} must be at least 3")
     return list(_walls_of(n))
 
 

@@ -15,20 +15,31 @@ The pipeline runs in three stages:
 3. positions: every linear extension of the orientation induced by positive
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
+
+Each type is compiled once per (g, n, e).  A tree edge's flow is the cut
+expression S[mask] - k c of the markings ``mask`` and the summed
+mu(v) = 2g(v) - 2 + val(v) on its tail side, S being the subset sums of x;
+cycle edges add the unit flows of the free weights.  In genus 0 a vertex
+factor is a multinomial that ignores the flows, so the compiled type folds
+them into one integer.  Counting a problem is then integer arithmetic,
+with the vertex oracle consulted for genus >= 1 vertices only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .covers import (CoverGraph, Problem, WeightedCover, WeightedType,
                      assemble_multiplicity, is_connected, validate_problem)
 from .exactarith import LinForm
-from .vertexdata import VertexOracle, oracle_from
+from .vertexdata import (VertexKey, VertexOracle, genus0_vertex_mult,
+                         oracle_from)
 
 
 @dataclass(frozen=True)
@@ -191,14 +202,101 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                         continue
                     t = _canonical_type(genera, blocks, edges)
                     found.setdefault(t, t)
-    return tuple(sorted(found, key=lambda t: (t.vertex_genus, t.vertex_ends,
-                                              t.edges)))
+    # the types repeat a few small tuples many times: keep one copy of each
+    shared: dict = {}
+
+    def one(item):
+        return shared.setdefault(item, item)
+
+    return tuple(CombinatorialType(one(t.vertex_genus), one(t.vertex_ends),
+                                   tuple(map(one, t.edges)))
+                 for t in sorted(found, key=lambda t: (t.vertex_genus,
+                                                       t.vertex_ends, t.edges)))
 
 
 def enumerate_types(p: Problem) -> list[CombinatorialType]:
     """All combinatorial types for p, each isomorphism class exactly once."""
     validate_problem(p)
     return list(_types_for(p.genus, p.n, p.e))
+
+
+class _Compiled(NamedTuple):
+    """A type compiled for the counting path, all in small integers.
+
+    ``cuts`` holds a pair (mask, c) per edge, flattened.  The edge's flow,
+    in its stored (u, v) direction and with every free weight at 0, is the
+    cut expression ``S[mask] - k * c``: ``mask`` is the set of markings (bit
+    i-1 for marking i) on the tail side of the spanning-tree cut through the
+    edge, ``c`` the sum of mu(v) = 2g(v) - 2 + val(v) over that side and
+    ``S`` the subset sums of x; the head side has the complementary mask and
+    2g-2+n - c.  Free (non-tree) edges hold mask 0 and c 0.
+
+    ``units`` are the flows of one unit on each free edge, ``runs`` the
+    (start, stop) index ranges of parallel edges, ``genus0_factor`` the
+    product of the genus-0 vertex multinomials, and ``higher`` one (genus,
+    marking indices, inbound edges, outbound edges, psi) record per
+    genus >= 1 vertex, in vertex order.
+    """
+
+    type: CombinatorialType
+    cuts: tuple[int, ...]
+    units: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[int, int], ...]
+    genus0_factor: int
+    higher: tuple[tuple, ...]
+
+
+def _compile(t: CombinatorialType, e: tuple[int, ...]) -> _Compiled:
+    V, edges = t.num_vertices, t.edges
+    order, parent_edge, inc = _spanning_structure(V, edges)
+    side_mask = [sum(1 << (i - 1) for i in ends) for ends in t.vertex_ends]
+    side_mu = [2 * t.vertex_genus[v] - 2 + len(inc[v]) + len(t.vertex_ends[v])
+               for v in range(V)]
+    full, total = (1 << len(e)) - 1, sum(side_mu)
+    cuts = [0] * (2 * len(edges))
+    for v in reversed(order[1:]):  # leaves first: side_* of v is its subtree
+        idx = parent_edge[v]
+        a, b = edges[idx]
+        if a == v:
+            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
+            parent = b
+        else:
+            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
+            parent = a
+        side_mask[parent] |= side_mask[v]
+        side_mu[parent] += side_mu[v]
+    tree_idx = set(parent_edge.values())
+    free_idx = [i for i in range(len(edges)) if i not in tree_idx]
+    units = tuple(tuple(_solve_flows(V, edges, [0] * V,
+                                     {i: int(i == j) for i in free_idx},
+                                     order, parent_edge, inc))
+                  for j in free_idx)
+    runs, i = [], 0
+    for _, group in itertools.groupby(edges):
+        j = i + len(list(group))
+        if j - i > 1:
+            runs.append((i, j))
+        i = j
+    genus0_factor = Fraction(1)
+    higher = []
+    for v, (genus, ends) in enumerate(zip(t.vertex_genus, t.vertex_ends)):
+        psi = tuple(e[i - 1] for i in ends)
+        if genus == 0:
+            genus0_factor *= genus0_vertex_mult(len(inc[v]) + len(ends), psi)
+        else:
+            higher.append((genus, tuple(i - 1 for i in ends),
+                           tuple(i for i in inc[v] if edges[i][1] == v),
+                           tuple(i for i in inc[v] if edges[i][0] == v),
+                           psi + (0,) * len(inc[v])))
+    # each genus-0 factor is a multinomial, so the product is an integer
+    return _Compiled(t, tuple(cuts), units, tuple(runs),
+                     int(genus0_factor), tuple(higher))
+
+
+@functools.lru_cache(maxsize=128)
+def _compiled_for(g: int, n: int, e: tuple[int, ...]) -> tuple[_Compiled, ...]:
+    """The types of ``_types_for(g, n, e)``, in its order, each compiled."""
+    return tuple(_compile(t, e) for t in _types_for(g, n, e))
 
 
 def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -253,14 +351,6 @@ def _solve_flows(V: int, edges: Sequence[tuple[int, int]], net: Sequence,
     return [flows[i] for i in range(len(edges))]
 
 
-def _net_out_numeric(p: Problem, t: CombinatorialType) -> list[int]:
-    out = []
-    for v in range(t.num_vertices):
-        mu = 2 * t.vertex_genus[v] - 2 + t.valence(v)
-        out.append(sum(p.x[i - 1] for i in t.vertex_ends[v]) - p.k * mu)
-    return out
-
-
 def solve_weights_tree(p: Problem, t: CombinatorialType) -> tuple[LinForm, ...]:
     """Weight forms of a tree type, one per edge, as flows in the stored
     (u, v) direction.
@@ -313,21 +403,11 @@ def weight_bound(p: Problem) -> int:
     return max(sum(v for v in p.x if v > 0), -sum(v for v in p.x if v < 0))
 
 
-def _canonical_parallel(edges: Sequence[tuple[int, int]],
+def _canonical_parallel(runs: Sequence[tuple[int, int]],
                         flows: Sequence[int]) -> bool:
-    """Keep one representative per permutation of parallel edges."""
-    i = 0
-    E = len(edges)
-    while i < E:
-        j = i + 1
-        while j < E and edges[j] == edges[i]:
-            j += 1
-        if j - i > 1:
-            run = [flows[idx] for idx in range(i, j)]
-            if any(run[a] > run[a + 1] for a in range(len(run) - 1)):
-                return False
-        i = j
-    return True
+    """Keep one representative per permutation of parallel edges: the flows
+    ascend along each run."""
+    return all(flows[a] <= flows[a + 1] for i, j in runs for a in range(i, j - 1))
 
 
 def count_linear_extensions(num_vertices: int,
@@ -379,52 +459,43 @@ def linear_extensions(num_vertices: int,
     yield from rec()
 
 
-def _admissible_flows(p: Problem, t: CombinatorialType) -> Iterator[list[int]]:
-    """Integer flow vectors with no zero flow, canonical on parallel edges;
-    with cycles, also none above :func:`weight_bound`."""
-    V = t.num_vertices
-    if not t.edges:
-        yield []
-        return
-    order, parent_edge, inc = _spanning_structure(V, t.edges)
-    tree_idx = set(parent_edge.values())
-    free_idx = [i for i in range(len(t.edges)) if i not in tree_idx]
-    net = _net_out_numeric(p, t)
-
-    if not free_idx:
-        flows = _solve_flows(V, t.edges, net, {}, order, parent_edge, inc)
-        if all(f != 0 for f in flows):
-            yield flows
-        return
-
-    # every flow is affine in the free weights: base + sum_j w_j * unit_j
-    def solve(net_out, unit):
-        return _solve_flows(V, t.edges, net_out,
-                            {i: int(i == unit) for i in free_idx},
-                            order, parent_edge, inc)
-
-    base = solve(net, None)
-    units = [solve([0] * V, j) for j in free_idx]
+def _admissible_flows(p: Problem, compiled: Sequence[_Compiled]
+                      ) -> Iterator[tuple[_Compiled, list[int]]]:
+    """Each compiled type of p with each of its integer flow vectors that
+    has no zero flow and is canonical on parallel edges; with cycles, also
+    none above :func:`weight_bound`."""
+    sums = [0]  # sums[mask]: the degrees of the markings in mask
+    for v in p.x:
+        sums += [s + v for s in sums]
+    k = p.k
     bound = weight_bound(p)
     values = [v for v in range(-bound, bound + 1) if v != 0]
-    for combo in itertools.product(values, repeat=len(free_idx)):
-        flows = base
-        for w, unit in zip(combo, units):
-            flows = [f + w * u for f, u in zip(flows, unit)]
-        if (all(f and -bound <= f <= bound for f in flows)
-                and _canonical_parallel(t.edges, flows)):
-            yield flows
+    for c in compiled:
+        pairs = iter(c.cuts)
+        base = [sums[m] - k * cut for m, cut in zip(pairs, pairs)]
+        if not c.units:
+            if all(base):
+                yield c, base
+            continue
+        # every flow is affine in the free weights: base + sum_j w_j * unit_j
+        for combo in itertools.product(values, repeat=len(c.units)):
+            flows = base
+            for w, unit in zip(combo, c.units):
+                flows = [f + w * u for f, u in zip(flows, unit)]
+            if (all(f and -bound <= f <= bound for f in flows)
+                    and _canonical_parallel(c.runs, flows)):
+                yield c, flows
 
 
-def _weighted_types(p: Problem) -> Iterator[tuple[WeightedType, set]]:
+def _weighted_types(p: Problem) -> Iterator[tuple[WeightedType, list]]:
     """Each weighted type of p, with the arcs that its positive flows orient."""
     validate_problem(p)
-    for t in _types_for(p.genus, p.n, p.e):
-        for flows in _admissible_flows(p, t):
-            edges = tuple((a, b, f) if f > 0 else (b, a, -f)
-                          for (a, b), f in zip(t.edges, flows))
-            yield (WeightedType(t.vertex_genus, t.vertex_ends, edges),
-                   {(a, b) for a, b, _ in edges})
+    for c, flows in _admissible_flows(p, _compiled_for(p.genus, p.n, p.e)):
+        t = c.type
+        edges = tuple((a, b, f) if f > 0 else (b, a, -f)
+                      for (a, b), f in zip(t.edges, flows))
+        yield (WeightedType(t.vertex_genus, t.vertex_ends, edges),
+               [(a, b) for a, b, _ in edges])
 
 
 def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
@@ -432,7 +503,9 @@ def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
     """All covers for p up to isomorphism, each with its exact multiplicity.
 
     Every linear extension of a weighted type's orientation is a distinct
-    cover (its own placement of vertices over the target line).
+    cover (its own placement of vertices over the target line).  Each
+    multiplicity is assembled vertex by vertex, the oracle consulted for
+    every vertex.
     """
     oracle = oracle if oracle is not None else oracle_from()
     out = [assemble_multiplicity(
@@ -446,18 +519,43 @@ def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
 
 def count_covers(p: Problem, oracle: VertexOracle | None = None
                  ) -> tuple[Fraction, int]:
-    """(H, number of covers) for p: a multiplicity never reads the vertex
-    order, so each weighted type counts once per linear extension."""
+    """(H, number of covers) for p.
+
+    A multiplicity never reads the vertex order, so each weighted type
+    counts once per linear extension.  Its multiplicity comes from the
+    compiled type: the edge-weight product and |Aut| are integers, the
+    genus-0 vertex factors are folded into one integer, and the oracle is
+    consulted for the genus >= 1 vertices only, in vertex order.  A
+    ``Fraction`` is built only where a fixture value or |Aut| > 1 enters.
+    """
     oracle = oracle if oracle is not None else oracle_from()
-    total, count = Fraction(0), 0
-    for w, arcs in _weighted_types(p):
-        orders = count_linear_extensions(w.num_vertices, arcs)
-        if orders:  # a cyclic orientation is no cover: look up no vertex
-            total += orders * assemble_multiplicity(p, w, oracle).multiplicity
-            count += orders
-    return total, count
+    validate_problem(p)
+    whole, rest, count = 0, Fraction(0), 0
+    for c, flows in _admissible_flows(p, _compiled_for(p.genus, p.n, p.e)):
+        t = c.type
+        orders = count_linear_extensions(
+            t.num_vertices,
+            [(a, b) if f > 0 else (b, a) for (a, b), f in zip(t.edges, flows)])
+        if not orders:  # a cyclic orientation is no cover: look up no vertex
+            continue
+        count += orders
+        term = orders * c.genus0_factor * abs(math.prod(flows))
+        aut = 1
+        for i, j in c.runs:
+            aut *= math.prod(map(math.factorial, Counter(flows[i:j]).values()))
+        if aut == 1 and not c.higher:
+            whole += term
+            continue
+        term = Fraction(term, aut)
+        for genus, ends, ins, outs, psi in c.higher:
+            degrees = ([p.x[i] for i in ends] + [flows[i] for i in ins]
+                       + [-flows[i] for i in outs])
+            term *= oracle(VertexKey(genus, p.k, tuple(degrees), psi))
+        rest += term
+    return whole + rest, count
 
 
 def compute_H(p: Problem, oracle: VertexOracle | None = None) -> Fraction:
-    """The descendant count: sum of multiplicities over all covers."""
+    """The descendant count: the sum of the multiplicities over all covers,
+    as :func:`count_covers` assembles it."""
     return count_covers(p, oracle)[0]

@@ -65,12 +65,6 @@ class LinForm:
         cleaned = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
         return LinForm(cleaned, k, const)
 
-    def coeff(self, i: int) -> int:
-        for j, c in self.coeffs:
-            if j == i:
-                return c
-        return 0
-
     def __add__(self, other: "LinForm") -> "LinForm":
         merged = dict(self.coeffs)
         for i, c in other.coeffs:
@@ -200,9 +194,6 @@ class Poly:
             for exp, coeff in poly.terms.items():
                 out[exp] = get(exp, 0) + coeff * scale
         return Poly._of(nvars, _cleaned(out))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):

@@ -160,6 +160,12 @@ def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> Fractio
 
 
 def oracle_from(fixtures: FixtureTable | None = None) -> VertexOracle:
-    """Bind :func:`vertex_mult` to one fixture table."""
+    """Bind :func:`vertex_mult` to one fixture table.
+
+    The counting path (``count_covers``, ``compute_H``) consults an oracle
+    for genus >= 1 keys only and takes genus-0 factors from
+    :func:`genus0_vertex_mult` itself; the listing path consults it for
+    every vertex.
+    """
     table = fixtures if fixtures is not None else default_fixtures()
     return lambda key: vertex_mult(key, table)

@@ -175,7 +175,11 @@ def test_negative_leading_list_values(capsys):
     (("polynomial", "-k", "1", "-x", "1,0,-1,1,2"), 4,
      "error: reference point [1, 0, -1, 1, 2] lies on the wall [1, 2]\n"),
     (("wallcross", "-n", "3", "--subset", "1,2"), 4,
-     "error: wall subset (1, 2) must have size 2..1\n"),
+     "error: n = 3 markings have no walls: walls need n >= 4\n"),
+    (("walls", "-n", "-3"), 2,
+     "error: unstable marking count: n = -3 must be at least 3\n"),
+    (("walls", "-n", "0"), 2,
+     "error: unstable marking count: n = 0 must be at least 3\n"),
 ])
 def test_input_errors_exit_codes(capsys, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)

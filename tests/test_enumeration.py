@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import leakyhurwitz.enumeration as enumeration
-from leakyhurwitz.covers import Problem, check_cover, validate_problem
+from leakyhurwitz.covers import (CoverGraph, Problem, _balance_residual,
+                                 check_cover, validate_problem)
 from leakyhurwitz.enumeration import (compute_H, count_covers,
                                       count_linear_extensions,
                                       enumerate_covers, enumerate_types,
@@ -14,7 +15,8 @@ from leakyhurwitz.enumeration import (compute_H, count_covers,
                                       weight_bound)
 from leakyhurwitz.exactarith import LinForm
 from leakyhurwitz.intersections import psi_integral
-from leakyhurwitz.vertexdata import FixtureTable, MissingVertexData, oracle_from
+from leakyhurwitz.vertexdata import (FixtureTable, MissingVertexData, VertexKey,
+                                     default_fixtures, oracle_from)
 
 GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
 
@@ -53,6 +55,74 @@ def test_type_cache_is_bounded():
     assert types_for(1, 3, (1, 0, 0)) is types_for(1, 3, (1, 0, 0))
 
 
+def test_compiled_type_cache_is_bounded():
+    compiled_for = enumeration._compiled_for
+    assert compiled_for.cache_info().maxsize == 128
+    assert compiled_for(1, 3, (1, 0, 0)) is compiled_for(1, 3, (1, 0, 0))
+
+
+def _compiled_forms(n, c):
+    pairs = iter(c.cuts)
+    return tuple(LinForm.of({i + 1: 1 for i in range(n) if mask >> i & 1},
+                            k=-cut) for mask, cut in zip(pairs, pairs))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_compiled_tree_forms_match_solve_weights_tree(n):
+    # every psi vector with |e| <= 2, so every genus-0 type of these n
+    for e in itertools.product(range(3), repeat=n):
+        if sum(e) > min(2, n - 3):
+            continue
+        p = Problem.of(0, 0, (0,) * n, e)
+        for c in enumeration._compiled_for(0, n, e):
+            assert _compiled_forms(n, c) == solve_weights_tree(p, c.type)
+
+
+@given(st.sampled_from((1, 2)), st.integers(-2, 2),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=2), st.data())
+@settings(max_examples=15, deadline=None)
+def test_compiled_flows_balance_higher_genus(g, k, head, data):
+    n = len(head) + 1
+    x = [*head, k * (2 * g - 2 + n) - sum(head)]
+    e = [0] * n
+    for i in data.draw(st.lists(st.integers(0, n - 1),
+                                max_size=min(2, 2 * g - 3 + n))):
+        e[i] += 1
+    p = Problem.of(g, k, x, e)
+    for w, arcs in enumeration._weighted_types(p):
+        order = next(linear_extensions(w.num_vertices, arcs),
+                     tuple(range(w.num_vertices)))
+        cover = CoverGraph(w.vertex_genus, w.vertex_ends, w.edges, order)
+        assert all(_balance_residual(p, cover, v) == 0
+                   for v in range(cover.num_vertices))
+
+
+def _first_missing_key(p, table):
+    with pytest.raises(MissingVertexData) as exc:
+        count_covers(p, oracle_from(table))
+    key = exc.value.key
+    return key.genus, key.k, key.degrees, key.psi
+
+
+def test_count_covers_first_missing_key():
+    # the keys that a vertex-by-vertex assembly meets first, in its order
+    empty = FixtureTable()
+    assert _first_missing_key(GOLDEN, empty) == (1, 1, (1,), (0,))
+    assert _first_missing_key(GOLDEN.turned_around(), empty) == (
+        1, -1, (-1,), (0,))
+    first = VertexKey(1, 1, (1,), (0,))
+    partial = FixtureTable({first: default_fixtures().get(first)})
+    assert _first_missing_key(GOLDEN, partial) == (1, 1, (-5, 7), (0, 1))
+    # two genus-1 vertices on one type: the lower-numbered one is read first
+    assert _first_missing_key(Problem.of(2, 0, (-1, 1, 0), (1, 1, 0)),
+                              empty) == (1, 0, (-1, 1), (1, 0))
+    assert _first_missing_key(Problem.of(2, 0, (1, -1, 0), (1, 1, 0)),
+                              empty) == (1, 0, (-1, 1), (0, 1))
+    # no genus >= 1 vertex of these carries a nonzero flow: nothing is read
+    for p in (Problem.of(2, 0, (20, -20)), Problem.of(2, 0, (-20, 20))):
+        assert count_covers(p, oracle_from(empty)) == (Fraction(20385062), 532)
+
+
 def test_enumerate_types_idempotent():
     first = enumerate_types(GOLDEN)
     second = enumerate_types(GOLDEN)
@@ -65,7 +135,7 @@ def test_solve_weights_tree_forms():
     types = enumerate_types(p)
     target = next(t for t in types if t.vertex_ends == ((1, 2, 3), (4, 5)))
     (form,) = solve_weights_tree(p, target)
-    flow = form if form.coeff(1) > 0 else -form
+    flow = form if dict(form.coeffs)[1] > 0 else -form
     assert flow == LinForm.of({1: 1, 2: 1, 3: 1}, k=-2)
 
 
@@ -74,7 +144,7 @@ def test_solve_weights_tree_caterpillar():
     types = enumerate_types(p)
     target = next(t for t in types if t.vertex_ends == ((1, 2), (3, 4)))
     (form,) = solve_weights_tree(p, target)
-    flow = form if form.coeff(1) > 0 else -form
+    flow = form if dict(form.coeffs)[1] > 0 else -form
     assert flow == LinForm.of({1: 1, 2: 1}, k=-1)
 
 
