@@ -7,7 +7,7 @@ from .covers import (CoverGraph, CoverError, Problem, ProblemError,
                      WeightedCover, assemble_multiplicity, automorphism_order,
                      check_cover, validate_problem)
 from .enumeration import (CombinatorialType, compute_H, count_linear_extensions,
-                          enumerate_covers, enumerate_types, solve_weights_tree)
+                          enumerate_covers, enumerate_types)
 from .exactarith import LinForm, Poly, parse_rat, rat_str
 from .intersections import psi_integral, psi_kappa_integral, recursion_rhs
 from .vertexdata import (FixtureError, FixtureTable, MissingVertexData,
@@ -23,6 +23,6 @@ __all__ = [
     "count_linear_extensions", "default_fixtures", "enumerate_covers",
     "enumerate_types", "flanking_points", "load_fixtures", "oracle_from",
     "parse_rat", "psi_integral", "psi_kappa_integral", "rat_str",
-    "recursion_rhs", "solve_weights_tree", "validate_problem", "vertex_mult",
+    "recursion_rhs", "validate_problem", "vertex_mult",
     "wall_crossing", "wall_crossing_formula", "walls",
 ]

@@ -25,14 +25,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .covers import Problem, ProblemError, validate_problem
 from .enumeration import (CombinatorialType, count_linear_extensions,
-                          _types_for, solve_weights_tree)
+                          _compile, _types_for)
 from .exactarith import LinForm, Poly
-from .vertexdata import genus0_vertex_mult
 
 ZERO = "Zero"
 POSITIVE = "Positive"
@@ -86,24 +84,27 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
 
 
 class _TreeSystem:
-    """Tree types of a genus-0 problem with solved weight forms.
+    """Tree types of a genus-0 problem, each with its compiled weight forms
+    and folded vertex multinomials.
 
-    The per-(k, orientation) linear-extension counts and form products are
-    memoized; they are reused across every evaluation point.  So is each
-    chamber's normal-form polynomial, keyed by k and the chamber's wall signs.
+    Each entry reads one ``_compile`` of the type: the cut (mask, c) of an
+    edge becomes the form sum_{i in mask} x_i - k c, and the multiplier is
+    the type's ``genus0_factor``.  The per-(k, orientation) linear-extension
+    counts and form products are memoized; they are reused across every
+    evaluation point.  So is each chamber's normal-form polynomial, keyed by
+    k and the chamber's wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...]):
         self.n = n
-        reference = Problem.of(0, 0, (0,) * n, e)  # only types(g, n, e) matter
-        self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...], Fraction]] = []
+        self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...], int]] = []
         for t in _types_for(0, n, e):
-            forms = solve_weights_tree(reference, t)
-            mult = Fraction(1)
-            for v in range(t.num_vertices):
-                mult *= genus0_vertex_mult(
-                    t.valence(v), tuple(e[i - 1] for i in t.vertex_ends[v]))
-            self.entries.append((t, forms, mult))
+            c = _compile(t, e)
+            pairs = iter(c.cuts)
+            forms = tuple(
+                LinForm.of({i + 1: 1 for i in range(n) if mask >> i & 1}, k=-cut)
+                for mask, cut in zip(pairs, pairs))
+            self.entries.append((t, forms, c.genus0_factor))
         self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, tuple[bool, ...]], Poly] = {}
 
@@ -331,9 +332,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
         factors.append(sub_poly.compose([Poly.variable(n, i) for i in part]))
 
     delta_poly = wall.form.as_poly(n, k)
-    coeff = Fraction(math.factorial(r),
-                     math.factorial(r1) * math.factorial(r2))
-    product = delta_poly * factors[0] * factors[1] * coeff
+    product = delta_poly * factors[0] * factors[1] * math.comb(r, r1)
     return product.substitute_degree(k * (n - 2))
 
 

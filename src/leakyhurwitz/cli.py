@@ -44,25 +44,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact k-leaky double Hurwitz descendant counts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=True):
+    def common(p, fixtures=False):
         p.add_argument("-g", "--genus", type=int, default=0)
         p.add_argument("-k", "--leak", type=int, default=0)
-        if profile:
-            p.add_argument("-x", "--profile", type=_int_list, required=True,
-                           help="comma-separated signed degree profile")
-            p.add_argument("-n", "--markings", type=int, default=None,
-                           help="number of markings (inferred from -x)")
+        p.add_argument("-x", "--profile", type=_int_list, required=True,
+                       help="comma-separated signed degree profile")
+        p.add_argument("-n", "--markings", type=int, default=None,
+                       help="number of markings (inferred from -x)")
         p.add_argument("-e", "--psi", type=_int_list, default=None,
                        help="comma-separated psi exponents (default: zeros)")
-        p.add_argument("--fixtures", default=None,
-                       help=f"vertex fixture JSON (default: ${FIXTURES_ENV} or builtin)")
+        if fixtures:
+            p.add_argument("--fixtures", default=None,
+                           help=f"vertex fixture JSON (default: ${FIXTURES_ENV} or builtin)")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p_number = sub.add_parser("number", help="compute the descendant count")
-    common(p_number)
+    common(p_number, fixtures=True)
 
     p_covers = sub.add_parser("covers", help="list every cover with its multiplicity")
-    common(p_covers)
+    common(p_covers, fixtures=True)
     p_covers.add_argument("--keep-zero", action="store_true",
                           help="keep covers whose multiplicity is 0")
 
@@ -102,7 +102,7 @@ def _problem(args) -> Problem:
 
 def _oracle(args):
     table = default_fixtures()
-    path = getattr(args, "fixtures", None) or os.environ.get(FIXTURES_ENV)
+    path = args.fixtures or os.environ.get(FIXTURES_ENV)
     if path:
         table = table.merged(load_fixtures(path))
     return oracle_from(table)

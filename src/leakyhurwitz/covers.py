@@ -99,16 +99,18 @@ def validate_problem(p: Problem) -> Problem:
 
 
 @dataclass(frozen=True)
-class WeightedType:
-    """A cover before its vertices are placed on the target line.
+class CoverGraph:
+    """One tropical leaky cover.
 
     ``vertex_ends`` partitions 1..n over the vertices; ``edges`` stores
-    (u, v, weight) oriented from u to v with a positive integer weight.
+    (u, v, weight) oriented from u to v with a positive integer weight;
+    ``order`` lists the vertices left to right.
     """
 
     vertex_genus: tuple[int, ...]
     vertex_ends: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int], ...]
+    order: tuple[int, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -117,13 +119,6 @@ class WeightedType:
     def valence(self, v: int) -> int:
         deg = sum(1 for a, b, _ in self.edges if a == v or b == v)
         return deg + len(self.vertex_ends[v])
-
-
-@dataclass(frozen=True)
-class CoverGraph(WeightedType):
-    """One tropical leaky cover; ``order`` lists its vertices left to right."""
-
-    order: tuple[int, ...]
 
     def sort_key(self):
         return self.vertex_genus, self.vertex_ends, self.edges, self.order
@@ -213,7 +208,7 @@ def check_cover(p: Problem, c: CoverGraph) -> CoverGraph:
     return c
 
 
-def automorphism_order(c: WeightedType) -> int:
+def automorphism_order(c: CoverGraph) -> int:
     """Order of the automorphism group: permutations of equal parallel edges.
 
     Distinct positions and labeled markings pin every vertex, so the only
@@ -222,7 +217,7 @@ def automorphism_order(c: WeightedType) -> int:
     return math.prod(map(math.factorial, Counter(c.edges).values()))
 
 
-def vertex_key_of(p: Problem, c: WeightedType, v: int) -> VertexKey:
+def vertex_key_of(p: Problem, c: CoverGraph, v: int) -> VertexKey:
     """Local signature of vertex v for the multiplicity oracle."""
     degrees: list[int] = []
     psi: list[int] = []
@@ -242,17 +237,17 @@ def vertex_key_of(p: Problem, c: WeightedType, v: int) -> VertexKey:
 
 @dataclass(frozen=True)
 class WeightedCover:
-    """A cover (or a weighted type, for all of its vertex orders) with its
-    assembled exact multiplicity and the factors behind it."""
+    """A cover with its assembled exact multiplicity and the factors behind
+    it."""
 
-    cover: WeightedType
+    cover: CoverGraph
     aut: int
     edge_product: Fraction
     vertex_mults: tuple[Fraction, ...]
     multiplicity: Fraction
 
 
-def assemble_multiplicity(p: Problem, c: WeightedType,
+def assemble_multiplicity(p: Problem, c: CoverGraph,
                           oracle: Callable[[VertexKey], Fraction]) -> WeightedCover:
     """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults)."""
     aut = automorphism_order(c)

@@ -16,13 +16,15 @@ The pipeline runs in three stages:
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
 
-Each type is compiled once per (g, n, e).  A tree edge's flow is the cut
-expression S[mask] - k c of the markings ``mask`` and the summed
-mu(v) = 2g(v) - 2 + val(v) on its tail side, S being the subset sums of x;
-cycle edges add the unit flows of the free weights.  In genus 0 a vertex
-factor is a multinomial that ignores the flows, so the compiled type folds
-them into one integer.  Counting a problem is then integer arithmetic,
-with the vertex oracle consulted for genus >= 1 vertices only.
+Each type is compiled once (``_compile``), and that one derivation feeds
+counting, listing and the genus-0 chamber polynomials of ``chambers``.  A
+tree edge's flow is the cut expression S[mask] - k c of the markings
+``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
+being the subset sums of x; cycle edges add the unit flows of the free
+weights.  In genus 0 a vertex factor is a multinomial that ignores the
+flows, so the compiled type folds them into one integer.  Counting a
+problem is then integer arithmetic, with the vertex oracle consulted for
+genus >= 1 vertices only.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .covers import (CoverGraph, Problem, WeightedCover, WeightedType,
+from .covers import (CoverGraph, Problem, WeightedCover,
                      assemble_multiplicity, is_connected, validate_problem)
-from .exactarith import LinForm
 from .vertexdata import (VertexKey, VertexOracle, genus0_vertex_mult,
                          oracle_from)
 
@@ -57,14 +58,6 @@ class CombinatorialType:
     @property
     def num_vertices(self) -> int:
         return len(self.vertex_genus)
-
-    @property
-    def cycle_rank(self) -> int:
-        return len(self.edges) - self.num_vertices + 1
-
-    def valence(self, v: int) -> int:
-        deg = sum(1 for a, b in self.edges if a == v or b == v)
-        return deg + len(self.vertex_ends[v])
 
 
 def _end_partitions(n: int, blocks: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -221,7 +214,8 @@ def enumerate_types(p: Problem) -> list[CombinatorialType]:
 
 
 class _Compiled(NamedTuple):
-    """A type compiled for the counting path, all in small integers.
+    """A type compiled once for counting, listing and chambers, all in
+    small integers.
 
     ``cuts`` holds a pair (mask, c) per edge, flattened.  The edge's flow,
     in its stored (u, v) direction and with every free weight at 0, is the
@@ -351,44 +345,6 @@ def _solve_flows(V: int, edges: Sequence[tuple[int, int]], net: Sequence,
     return [flows[i] for i in range(len(edges))]
 
 
-def solve_weights_tree(p: Problem, t: CombinatorialType) -> tuple[LinForm, ...]:
-    """Weight forms of a tree type, one per edge, as flows in the stored
-    (u, v) direction.
-
-    The form of the edge (u, v) is the cut expression of its tail side,
-
-        sum_{i in S} x_i - k (|S| - 1 + 2 g_S)
-
-    over the markings S and genus g_S of the component containing u.  It is
-    positive exactly where the stored orientation is realized; where it is
-    negative the edge runs the other way with the negated weight.  The forms
-    double as the inequalities carving out the chambers in which this tree
-    contributes.
-    """
-    if t.cycle_rank != 0:
-        raise ValueError("tree solving requires a type with no cycles")
-    V = t.num_vertices
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    for idx, (a, b) in enumerate(t.edges):
-        adjacency[a].append((idx, b))
-        adjacency[b].append((idx, a))
-    forms = []
-    for idx, (u, v) in enumerate(t.edges):
-        side = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for jdx, other in adjacency[w]:
-                if jdx != idx and other not in side:
-                    side.add(other)
-                    stack.append(other)
-        markings = sorted(i for w in side for i in t.vertex_ends[w])
-        side_genus = sum(t.vertex_genus[w] for w in side)
-        forms.append(LinForm.of({i: 1 for i in markings},
-                                k=-(len(markings) - 1 + 2 * side_genus)))
-    return tuple(forms)
-
-
 def weight_bound(p: Problem) -> int:
     """Bound on every edge weight of a cover of p: max(P, N), where P and N
     are the totals of the positive and of the negative degrees.
@@ -487,15 +443,13 @@ def _admissible_flows(p: Problem, compiled: Sequence[_Compiled]
                 yield c, flows
 
 
-def _weighted_types(p: Problem) -> Iterator[tuple[WeightedType, list]]:
-    """Each weighted type of p, with the arcs that its positive flows orient."""
+def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
+    """Each weighted type of p: its type and its edges (u, v, weight),
+    oriented from u to v along the positive flows."""
     validate_problem(p)
     for c, flows in _admissible_flows(p, _compiled_for(p.genus, p.n, p.e)):
-        t = c.type
-        edges = tuple((a, b, f) if f > 0 else (b, a, -f)
-                      for (a, b), f in zip(t.edges, flows))
-        yield (WeightedType(t.vertex_genus, t.vertex_ends, edges),
-               [(a, b) for a, b, _ in edges])
+        yield c.type, tuple((a, b, f) if f > 0 else (b, a, -f)
+                            for (a, b), f in zip(c.type.edges, flows))
 
 
 def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
@@ -509,10 +463,11 @@ def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
     """
     oracle = oracle if oracle is not None else oracle_from()
     out = [assemble_multiplicity(
-               p, CoverGraph(w.vertex_genus, w.vertex_ends, w.edges, order),
+               p, CoverGraph(t.vertex_genus, t.vertex_ends, edges, order),
                oracle)
-           for w, arcs in _weighted_types(p)
-           for order in linear_extensions(w.num_vertices, arcs)]
+           for t, edges in _weighted_types(p)
+           for order in linear_extensions(t.num_vertices,
+                                          [(a, b) for a, b, _ in edges])]
     out.sort(key=lambda wc: wc.cover.sort_key())
     return out
 

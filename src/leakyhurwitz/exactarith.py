@@ -65,16 +65,6 @@ class LinForm:
         cleaned = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
         return LinForm(cleaned, k, const)
 
-    def __add__(self, other: "LinForm") -> "LinForm":
-        merged = dict(self.coeffs)
-        for i, c in other.coeffs:
-            merged[i] = merged.get(i, 0) + c
-        return LinForm.of(merged, self.k_coeff + other.k_coeff,
-                          self.const + other.const)
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + (-other)
-
     def __neg__(self) -> "LinForm":
         return LinForm(tuple((i, -c) for i, c in self.coeffs),
                        -self.k_coeff, -self.const)

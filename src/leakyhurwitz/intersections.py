@@ -32,19 +32,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .covers import Problem, validate_problem
+from .vertexdata import genus0_vertex_mult
 
 
 def psi_integral(n: int, e: tuple[int, ...] | list[int]) -> Fraction:
-    """(n-3)!/prod(e_i!) when |e| = n-3 and n >= 3, else 0."""
+    """(n-3)!/prod(e_i!), the genus-0 vertex multinomial, when |e| = n-3
+    and n >= 3, else 0."""
     e = tuple(e)
-    if any(v < 0 for v in e):
+    if any(v < 0 for v in e) or n < 3 or sum(e) != n - 3:
         return Fraction(0)
-    if n < 3 or sum(e) != n - 3:
-        return Fraction(0)
-    denom = 1
-    for v in e:
-        denom *= math.factorial(v)
-    return Fraction(math.factorial(n - 3), denom)
+    return genus0_vertex_mult(n, e)
 
 
 @lru_cache(maxsize=None)

@@ -111,6 +111,33 @@ def test_tree_system_cache_is_bounded():
     assert _tree_system(EXPP.n, EXPP.e) is _tree_system(EXPP.n, EXPP.e)
 
 
+def _tree_entry(n, e, ends):
+    """The edge forms, as flows in the stored (u, v) directions, and the
+    vertex multiplier of the tree type with these marking blocks."""
+    return next((forms, mult) for t, forms, mult in _tree_system(n, e).entries
+                if t.vertex_ends == ends)
+
+
+def test_tree_system_forms():
+    assert _tree_entry(5, EXPP.e, ((1, 2, 3), (4, 5))) == (
+        (LinForm.of({1: 1, 2: 1, 3: 1}, k=-2),), 1)
+    # a valence-5 vertex with psi (1, 1, 0, 0): 2! / (1! 1!)
+    assert _tree_entry(6, (1, 1, 0, 0, 0, 0), ((1, 2, 3, 4), (5, 6))) == (
+        (LinForm.of({1: 1, 2: 1, 3: 1, 4: 1}, k=-3),), 2)
+
+
+def test_tree_system_caterpillar():
+    assert _tree_entry(4, (0,) * 4, ((1, 2), (3, 4))) == (
+        (LinForm.of({1: 1, 2: 1}, k=-1),), 1)
+    # edges (0, 2) and (1, 2): the tail of each is its leaf
+    assert _tree_entry(5, (0,) * 5, ((1, 2), (3, 4), (5,))) == (
+        (LinForm.of({1: 1, 2: 1}, k=-1), LinForm.of({3: 1, 4: 1}, k=-1)), 1)
+    # edges (0, 1) and (0, 2): the tail side of each holds the other leaf
+    assert _tree_entry(5, (0,) * 5, ((1,), (2, 3), (4, 5))) == (
+        (LinForm.of({1: 1, 4: 1, 5: 1}, k=-2),
+         LinForm.of({1: 1, 2: 1, 3: 1}, k=-2)), 1)
+
+
 def test_chamber_memo_one_polynomial_per_chamber():
     a, b = (8, -1, -1, 1, -4), (11, -1, -1, 1, -7)
     assert a != b and _wall_signs(EXPP, a) == _wall_signs(EXPP, b)

@@ -265,3 +265,13 @@ def test_usage_error_exit2():
     with pytest.raises(SystemExit) as err:
         main(["number"])  # missing required -x
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["polynomial", "classify"])
+def test_fixtures_only_where_read(capsys, command):
+    # chamber commands are genus 0 and never read a fixture
+    with pytest.raises(SystemExit) as err:
+        main([command, "-k", "2", "-x", "1,1,1,1",
+              "--fixtures", "missing.json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --fixtures" in capsys.readouterr().err

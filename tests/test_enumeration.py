@@ -11,9 +11,7 @@ from leakyhurwitz.covers import (CoverGraph, Problem, _balance_residual,
 from leakyhurwitz.enumeration import (compute_H, count_covers,
                                       count_linear_extensions,
                                       enumerate_covers, enumerate_types,
-                                      linear_extensions, solve_weights_tree,
-                                      weight_bound)
-from leakyhurwitz.exactarith import LinForm
+                                      linear_extensions, weight_bound)
 from leakyhurwitz.intersections import psi_integral
 from leakyhurwitz.vertexdata import (FixtureTable, MissingVertexData, VertexKey,
                                      default_fixtures, oracle_from)
@@ -35,7 +33,9 @@ def test_enumerate_types_six_trees():
     for t in types:
         assert t.num_vertices == 2
         assert len(t.edges) == 1
-        wide = next(v for v in range(2) if t.valence(v) == 4)
+        valence = [len(ends) + sum(v in edge for edge in t.edges)
+                   for v, ends in enumerate(t.vertex_ends)]
+        wide = valence.index(4)
         assert 1 in t.vertex_ends[wide]
         assert len(t.vertex_ends[wide]) == 3
 
@@ -61,21 +61,27 @@ def test_compiled_type_cache_is_bounded():
     assert compiled_for(1, 3, (1, 0, 0)) is compiled_for(1, 3, (1, 0, 0))
 
 
-def _compiled_forms(n, c):
-    pairs = iter(c.cuts)
-    return tuple(LinForm.of({i + 1: 1 for i in range(n) if mask >> i & 1},
-                            k=-cut) for mask, cut in zip(pairs, pairs))
+def _assert_balanced(p):
+    for t, edges in enumeration._weighted_types(p):
+        order = next(linear_extensions(t.num_vertices,
+                                       [(a, b) for a, b, _ in edges]),
+                     tuple(range(t.num_vertices)))
+        cover = CoverGraph(t.vertex_genus, t.vertex_ends, edges, order)
+        assert all(_balance_residual(p, cover, v) == 0
+                   for v in range(cover.num_vertices))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_compiled_tree_forms_match_solve_weights_tree(n):
+def test_compiled_flows_balance_genus0(n):
     # every psi vector with |e| <= 2, so every genus-0 type of these n
+    rng = random.Random(n)
     for e in itertools.product(range(3), repeat=n):
         if sum(e) > min(2, n - 3):
             continue
-        p = Problem.of(0, 0, (0,) * n, e)
-        for c in enumeration._compiled_for(0, n, e):
-            assert _compiled_forms(n, c) == solve_weights_tree(p, c.type)
+        for k in range(-2, 3):
+            x = [rng.randint(-6, 6) for _ in range(n - 1)]
+            x.append(k * (n - 2) - sum(x))
+            _assert_balanced(Problem.of(0, k, x, e))
 
 
 @given(st.sampled_from((1, 2)), st.integers(-2, 2),
@@ -88,13 +94,7 @@ def test_compiled_flows_balance_higher_genus(g, k, head, data):
     for i in data.draw(st.lists(st.integers(0, n - 1),
                                 max_size=min(2, 2 * g - 3 + n))):
         e[i] += 1
-    p = Problem.of(g, k, x, e)
-    for w, arcs in enumeration._weighted_types(p):
-        order = next(linear_extensions(w.num_vertices, arcs),
-                     tuple(range(w.num_vertices)))
-        cover = CoverGraph(w.vertex_genus, w.vertex_ends, w.edges, order)
-        assert all(_balance_residual(p, cover, v) == 0
-                   for v in range(cover.num_vertices))
+    _assert_balanced(Problem.of(g, k, x, e))
 
 
 def _first_missing_key(p, table):
@@ -128,30 +128,6 @@ def test_enumerate_types_idempotent():
     second = enumerate_types(GOLDEN)
     assert first == second
     assert len(set(first)) == len(first)
-
-
-def test_solve_weights_tree_forms():
-    p = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
-    types = enumerate_types(p)
-    target = next(t for t in types if t.vertex_ends == ((1, 2, 3), (4, 5)))
-    (form,) = solve_weights_tree(p, target)
-    flow = form if dict(form.coeffs)[1] > 0 else -form
-    assert flow == LinForm.of({1: 1, 2: 1, 3: 1}, k=-2)
-
-
-def test_solve_weights_tree_caterpillar():
-    p = Problem.of(0, 1, (4, 1, -2, -1))
-    types = enumerate_types(p)
-    target = next(t for t in types if t.vertex_ends == ((1, 2), (3, 4)))
-    (form,) = solve_weights_tree(p, target)
-    flow = form if dict(form.coeffs)[1] > 0 else -form
-    assert flow == LinForm.of({1: 1, 2: 1}, k=-1)
-
-
-def test_solve_weights_tree_rejects_cycles():
-    cyclic = next(t for t in enumerate_types(GOLDEN) if len(t.edges) == 2)
-    with pytest.raises(ValueError):
-        solve_weights_tree(GOLDEN, cyclic)
 
 
 def test_count_linear_extensions_basics():
@@ -302,9 +278,10 @@ def test_zero_weight_marking_any_leak():
 
 
 def _orderable_weights(p):
-    return [w for wt, arcs in enumeration._weighted_types(p)
-            if count_linear_extensions(wt.num_vertices, arcs)
-            for _, _, w in wt.edges]
+    return [w for t, edges in enumeration._weighted_types(p)
+            if count_linear_extensions(t.num_vertices,
+                                       [(a, b) for a, b, _ in edges])
+            for _, _, w in edges]
 
 
 @given(st.sampled_from((1, 2)), st.integers(-2, 2),
