@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import Problem, ProblemError, validate_problem
-from .enumeration import (CombinatorialType, count_linear_extensions,
-                          _compile, _types_for)
+from .enumeration import CombinatorialType, count_linear_extensions, _types_for
 from .exactarith import LinForm, Poly
 
 ZERO = "Zero"
@@ -84,27 +83,25 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
 
 
 class _TreeSystem:
-    """Tree types of a genus-0 problem, each with its compiled weight forms
-    and folded vertex multinomials.
+    """Tree types of a genus-0 problem, each with its edge weight forms.
 
-    Each entry reads one ``_compile`` of the type: the cut (mask, c) of an
-    edge becomes the form sum_{i in mask} x_i - k c, and the multiplier is
-    the type's ``genus0_factor``.  The per-(k, orientation) linear-extension
-    counts and form products are memoized; they are reused across every
-    evaluation point.  So is each chamber's normal-form polynomial, keyed by
-    k and the chamber's wall signs.
+    Each entry pairs a record of ``_types_for(0, n, e)`` with its forms: the
+    cut (mask, c) of an edge becomes the form sum_{i in mask} x_i - k c, and
+    the multiplier is the record's ``genus0_factor``.  The per-(k,
+    orientation) linear-extension counts and form products are memoized;
+    they are reused across every evaluation point.  So is each chamber's
+    normal-form polynomial, keyed by k and the chamber's wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...]):
         self.n = n
-        self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...], int]] = []
+        self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...]]] = []
         for t in _types_for(0, n, e):
-            c = _compile(t, e)
-            pairs = iter(c.cuts)
+            pairs = iter(t.cuts)
             forms = tuple(
                 LinForm.of({i + 1: 1 for i in range(n) if mask >> i & 1}, k=-cut)
                 for mask, cut in zip(pairs, pairs))
-            self.entries.append((t, forms, c.genus0_factor))
+            self.entries.append((t, forms))
         self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, tuple[bool, ...]], Poly] = {}
 
@@ -113,11 +110,11 @@ class _TreeSystem:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        t, forms, mult = self.entries[idx]
+        t, forms = self.entries[idx]
         arcs = [(a, b) if s > 0 else (b, a)
                 for (a, b), s in zip(t.edges, signs)]
         le = count_linear_extensions(t.num_vertices, arcs)
-        product = Poly.const(self.n, mult)
+        product = Poly.const(self.n, t.genus0_factor)
         if le:
             for form, s in zip(forms, signs):
                 signed = form if s > 0 else -form
@@ -137,7 +134,7 @@ class _TreeSystem:
         poly = self._chambers.get(key)
         if poly is None:
             parts = []
-            for idx, (_, forms, _) in enumerate(self.entries):
+            for idx, (_, forms) in enumerate(self.entries):
                 signs = tuple(1 if f.evaluate(x0, k) > 0 else -1 for f in forms)
                 le, product = self.contribution(idx, signs, k)
                 if le:

@@ -167,6 +167,8 @@ def cmd_wallcross(args) -> int:
         n = len(args.psi)
     else:
         raise ProblemError("wallcross needs -n or -e to fix the marking count")
+    if n < 3:
+        raise ProblemError(f"unstable marking count: n = {n} must be at least 3")
     e = args.psi if args.psi is not None else (0,) * n
     k = args.leak
     p = validate_problem(Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e))

@@ -16,15 +16,15 @@ The pipeline runs in three stages:
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
 
-Each type is compiled once (``_compile``), and that one derivation feeds
-counting, listing and the genus-0 chamber polynomials of ``chambers``.  A
-tree edge's flow is the cut expression S[mask] - k c of the markings
-``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
-being the subset sums of x; cycle edges add the unit flows of the free
-weights.  In genus 0 a vertex factor is a multinomial that ignores the
-flows, so the compiled type folds them into one integer.  Counting a
-problem is then integer arithmetic, with the vertex oracle consulted for
-genus >= 1 vertices only.
+``_types_for`` compiles each type once, as it finds it (``_compile``), and
+caches that one record per type: it feeds counting, listing and the genus-0
+chamber polynomials of ``chambers``.  A tree edge's flow is the cut
+expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
+2g(v) - 2 + val(v) on its tail side, S being the subset sums of x; cycle
+edges add the unit flows of the free weights.  In genus 0 a vertex factor
+is a multinomial that ignores the flows, so the record folds them into one
+integer.  Counting a problem is then integer arithmetic, with the vertex
+oracle consulted for genus >= 1 vertices only.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -43,17 +42,36 @@ from .vertexdata import (VertexKey, VertexOracle, genus0_vertex_mult,
                          oracle_from)
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
-    """Unweighted decorated multigraph in canonical form.
+class CombinatorialType(NamedTuple):
+    """A decorated multigraph in canonical form, compiled once for counting,
+    listing and chambers, all in small integers.
 
     ``edges`` lists unordered pairs (u, v) with u < v, repeated with
     multiplicity and sorted; parallel edges are therefore adjacent.
+
+    ``cuts`` holds a pair (mask, c) per edge, flattened.  The edge's flow,
+    in its stored (u, v) direction and with every free weight at 0, is the
+    cut expression ``S[mask] - k * c``: ``mask`` is the set of markings (bit
+    i-1 for marking i) on the tail side of the spanning-tree cut through the
+    edge, ``c`` the sum of mu(v) = 2g(v) - 2 + val(v) over that side and
+    ``S`` the subset sums of x; the head side has the complementary mask and
+    2g-2+n - c.  Free (non-tree) edges hold mask 0 and c 0.
+
+    ``units`` are the flows of one unit on each free edge, ``runs`` the
+    (start, stop) index ranges of parallel edges, ``genus0_factor`` the
+    product of the genus-0 vertex multinomials, and ``higher`` one (genus,
+    marking indices, inbound edges, outbound edges, psi) record per
+    genus >= 1 vertex, in vertex order.
     """
 
     vertex_genus: tuple[int, ...]
     vertex_ends: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
+    cuts: tuple[int, ...]
+    units: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[int, int], ...]
+    genus0_factor: int
+    higher: tuple[tuple, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -120,8 +138,8 @@ def _edge_multisets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int],
 
 
 def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
-                    edges: Sequence[tuple[int, int]]) -> CombinatorialType:
-    """Relabel vertices canonically.
+                    edges: Sequence[tuple[int, int]]) -> tuple:
+    """Relabel vertices canonically: the (genera, ends, edges) triple.
 
     Marked vertices are pinned by their smallest marking; only unmarked
     vertices of equal genus are interchangeable, and the lexicographically
@@ -162,16 +180,14 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
             for v, pos in position.items():
                 best_perm[pos] = v
     assert best_perm is not None and best_edges is not None
-    return CombinatorialType(
-        vertex_genus=tuple(genera[v] for v in best_perm),
-        vertex_ends=tuple(tuple(ends[v]) for v in best_perm),
-        edges=best_edges)
+    return (tuple(genera[v] for v in best_perm),
+            tuple(tuple(ends[v]) for v in best_perm), best_edges)
 
 
 @functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
     V = 2 * g - 2 + n - sum(e)
-    found: dict[CombinatorialType, CombinatorialType] = {}
+    found: set[tuple] = set()
     if V >= 1:
         for blocks in _end_partitions(n, V):
             psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
@@ -193,18 +209,15 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                 for edges in _edge_multisets(tuple(degs)):
                     if not is_connected(V, edges):
                         continue
-                    t = _canonical_type(genera, blocks, edges)
-                    found.setdefault(t, t)
+                    found.add(_canonical_type(genera, blocks, edges))
     # the types repeat a few small tuples many times: keep one copy of each
     shared: dict = {}
 
     def one(item):
         return shared.setdefault(item, item)
 
-    return tuple(CombinatorialType(one(t.vertex_genus), one(t.vertex_ends),
-                                   tuple(map(one, t.edges)))
-                 for t in sorted(found, key=lambda t: (t.vertex_genus,
-                                                       t.vertex_ends, t.edges)))
+    return tuple(_compile(one(genera), one(ends), tuple(map(one, edges)), e)
+                 for genera, ends, edges in sorted(found))
 
 
 def enumerate_types(p: Problem) -> list[CombinatorialType]:
@@ -213,39 +226,13 @@ def enumerate_types(p: Problem) -> list[CombinatorialType]:
     return list(_types_for(p.genus, p.n, p.e))
 
 
-class _Compiled(NamedTuple):
-    """A type compiled once for counting, listing and chambers, all in
-    small integers.
-
-    ``cuts`` holds a pair (mask, c) per edge, flattened.  The edge's flow,
-    in its stored (u, v) direction and with every free weight at 0, is the
-    cut expression ``S[mask] - k * c``: ``mask`` is the set of markings (bit
-    i-1 for marking i) on the tail side of the spanning-tree cut through the
-    edge, ``c`` the sum of mu(v) = 2g(v) - 2 + val(v) over that side and
-    ``S`` the subset sums of x; the head side has the complementary mask and
-    2g-2+n - c.  Free (non-tree) edges hold mask 0 and c 0.
-
-    ``units`` are the flows of one unit on each free edge, ``runs`` the
-    (start, stop) index ranges of parallel edges, ``genus0_factor`` the
-    product of the genus-0 vertex multinomials, and ``higher`` one (genus,
-    marking indices, inbound edges, outbound edges, psi) record per
-    genus >= 1 vertex, in vertex order.
-    """
-
-    type: CombinatorialType
-    cuts: tuple[int, ...]
-    units: tuple[tuple[int, ...], ...]
-    runs: tuple[tuple[int, int], ...]
-    genus0_factor: int
-    higher: tuple[tuple, ...]
-
-
-def _compile(t: CombinatorialType, e: tuple[int, ...]) -> _Compiled:
-    V, edges = t.num_vertices, t.edges
+def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
+             edges: tuple[tuple[int, int], ...],
+             e: tuple[int, ...]) -> CombinatorialType:
+    V = len(genera)
     order, parent_edge, inc = _spanning_structure(V, edges)
-    side_mask = [sum(1 << (i - 1) for i in ends) for ends in t.vertex_ends]
-    side_mu = [2 * t.vertex_genus[v] - 2 + len(inc[v]) + len(t.vertex_ends[v])
-               for v in range(V)]
+    side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
+    side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
     full, total = (1 << len(e)) - 1, sum(side_mu)
     cuts = [0] * (2 * len(edges))
     for v in reversed(order[1:]):  # leaves first: side_* of v is its subtree
@@ -273,24 +260,18 @@ def _compile(t: CombinatorialType, e: tuple[int, ...]) -> _Compiled:
         i = j
     genus0_factor = Fraction(1)
     higher = []
-    for v, (genus, ends) in enumerate(zip(t.vertex_genus, t.vertex_ends)):
-        psi = tuple(e[i - 1] for i in ends)
+    for v, (genus, marks) in enumerate(zip(genera, ends)):
+        psi = tuple(e[i - 1] for i in marks)
         if genus == 0:
-            genus0_factor *= genus0_vertex_mult(len(inc[v]) + len(ends), psi)
+            genus0_factor *= genus0_vertex_mult(len(inc[v]) + len(marks), psi)
         else:
-            higher.append((genus, tuple(i - 1 for i in ends),
+            higher.append((genus, tuple(i - 1 for i in marks),
                            tuple(i for i in inc[v] if edges[i][1] == v),
                            tuple(i for i in inc[v] if edges[i][0] == v),
                            psi + (0,) * len(inc[v])))
     # each genus-0 factor is a multinomial, so the product is an integer
-    return _Compiled(t, tuple(cuts), units, tuple(runs),
-                     int(genus0_factor), tuple(higher))
-
-
-@functools.lru_cache(maxsize=128)
-def _compiled_for(g: int, n: int, e: tuple[int, ...]) -> tuple[_Compiled, ...]:
-    """The types of ``_types_for(g, n, e)``, in its order, each compiled."""
-    return tuple(_compile(t, e) for t in _types_for(g, n, e))
+    return CombinatorialType(genera, ends, edges, tuple(cuts), units,
+                             tuple(runs), int(genus0_factor), tuple(higher))
 
 
 def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -415,9 +396,9 @@ def linear_extensions(num_vertices: int,
     yield from rec()
 
 
-def _admissible_flows(p: Problem, compiled: Sequence[_Compiled]
-                      ) -> Iterator[tuple[_Compiled, list[int]]]:
-    """Each compiled type of p with each of its integer flow vectors that
+def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
+                      ) -> Iterator[tuple[CombinatorialType, list[int]]]:
+    """Each type of p with each of its integer flow vectors that
     has no zero flow and is canonical on parallel edges; with cycles, also
     none above :func:`weight_bound`."""
     sums = [0]  # sums[mask]: the degrees of the markings in mask
@@ -426,30 +407,30 @@ def _admissible_flows(p: Problem, compiled: Sequence[_Compiled]
     k = p.k
     bound = weight_bound(p)
     values = [v for v in range(-bound, bound + 1) if v != 0]
-    for c in compiled:
-        pairs = iter(c.cuts)
+    for t in types:
+        pairs = iter(t.cuts)
         base = [sums[m] - k * cut for m, cut in zip(pairs, pairs)]
-        if not c.units:
+        if not t.units:
             if all(base):
-                yield c, base
+                yield t, base
             continue
         # every flow is affine in the free weights: base + sum_j w_j * unit_j
-        for combo in itertools.product(values, repeat=len(c.units)):
+        for combo in itertools.product(values, repeat=len(t.units)):
             flows = base
-            for w, unit in zip(combo, c.units):
+            for w, unit in zip(combo, t.units):
                 flows = [f + w * u for f, u in zip(flows, unit)]
             if (all(f and -bound <= f <= bound for f in flows)
-                    and _canonical_parallel(c.runs, flows)):
-                yield c, flows
+                    and _canonical_parallel(t.runs, flows)):
+                yield t, flows
 
 
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
     """Each weighted type of p: its type and its edges (u, v, weight),
     oriented from u to v along the positive flows."""
     validate_problem(p)
-    for c, flows in _admissible_flows(p, _compiled_for(p.genus, p.n, p.e)):
-        yield c.type, tuple((a, b, f) if f > 0 else (b, a, -f)
-                            for (a, b), f in zip(c.type.edges, flows))
+    for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
+        yield t, tuple((a, b, f) if f > 0 else (b, a, -f)
+                       for (a, b), f in zip(t.edges, flows))
 
 
 def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
@@ -478,7 +459,7 @@ def count_covers(p: Problem, oracle: VertexOracle | None = None
 
     A multiplicity never reads the vertex order, so each weighted type
     counts once per linear extension.  Its multiplicity comes from the
-    compiled type: the edge-weight product and |Aut| are integers, the
+    type's record: the edge-weight product and |Aut| are integers, the
     genus-0 vertex factors are folded into one integer, and the oracle is
     consulted for the genus >= 1 vertices only, in vertex order.  A
     ``Fraction`` is built only where a fixture value or |Aut| > 1 enters.
@@ -486,23 +467,22 @@ def count_covers(p: Problem, oracle: VertexOracle | None = None
     oracle = oracle if oracle is not None else oracle_from()
     validate_problem(p)
     whole, rest, count = 0, Fraction(0), 0
-    for c, flows in _admissible_flows(p, _compiled_for(p.genus, p.n, p.e)):
-        t = c.type
+    for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         orders = count_linear_extensions(
             t.num_vertices,
             [(a, b) if f > 0 else (b, a) for (a, b), f in zip(t.edges, flows)])
         if not orders:  # a cyclic orientation is no cover: look up no vertex
             continue
         count += orders
-        term = orders * c.genus0_factor * abs(math.prod(flows))
+        term = orders * t.genus0_factor * abs(math.prod(flows))
         aut = 1
-        for i, j in c.runs:
+        for i, j in t.runs:
             aut *= math.prod(map(math.factorial, Counter(flows[i:j]).values()))
-        if aut == 1 and not c.higher:
+        if aut == 1 and not t.higher:
             whole += term
             continue
         term = Fraction(term, aut)
-        for genus, ends, ins, outs, psi in c.higher:
+        for genus, ends, ins, outs, psi in t.higher:
             degrees = ([p.x[i] for i in ends] + [flows[i] for i in ins]
                        + [-flows[i] for i in outs])
             term *= oracle(VertexKey(genus, p.k, tuple(degrees), psi))

@@ -44,7 +44,7 @@ def psi_integral(n: int, e: tuple[int, ...] | list[int]) -> Fraction:
     return genus0_vertex_mult(n, e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _psi_kappa(n: int, e_sorted: tuple[int, ...], f: int) -> Fraction:
     if f == 0:
         return psi_integral(n, e_sorted)

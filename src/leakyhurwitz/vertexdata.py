@@ -9,6 +9,7 @@ hard error rather than a silently wrong number.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -130,17 +131,12 @@ def load_fixtures(path: str | Path) -> FixtureTable:
     return _table_from_rows(rows)
 
 
-_default_table: FixtureTable | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def default_fixtures() -> FixtureTable:
     """The table shipped with the package (covers the worked examples)."""
-    global _default_table
-    if _default_table is None:
-        text = resources.files("leakyhurwitz").joinpath(
-            "data/default_fixtures.json").read_text()
-        _default_table = _table_from_rows(json.loads(text))
-    return _default_table
+    text = resources.files("leakyhurwitz").joinpath(
+        "data/default_fixtures.json").read_text()
+    return _table_from_rows(json.loads(text))
 
 
 def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> Fraction:

@@ -1,8 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import leakyhurwitz.chambers as chambers
+import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.chambers import (POSITIVE, ZERO, Wall, WallError, _TreeSystem,
                                    _tree_system, chamber_polynomial, classify,
                                    flanking_points, wall_crossing,
@@ -111,10 +114,40 @@ def test_tree_system_cache_is_bounded():
     assert _tree_system(EXPP.n, EXPP.e) is _tree_system(EXPP.n, EXPP.e)
 
 
+def test_tree_system_holds_the_type_records():
+    _tree_system.cache_clear()
+    entries = _tree_system(EXPP.n, EXPP.e).entries
+    types = enumeration._types_for(0, EXPP.n, EXPP.e)
+    assert len(entries) == len(types)
+    assert all(entries[i][0] is types[i] for i in range(len(types)))
+
+
+def test_counts_and_chambers_compile_each_type_once(monkeypatch):
+    calls = Counter()
+    compile_type = enumeration._compile
+
+    def counted(*args):
+        calls[args] += 1
+        return compile_type(*args)
+
+    for owner in (enumeration, chambers):  # wherever the name is imported
+        if hasattr(owner, "_compile"):
+            monkeypatch.setattr(owner, "_compile", counted)
+    p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
+    for cached in (*vars(enumeration).values(), _tree_system):
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    compute_H(p)
+    chamber_polynomial(p)
+    assert len(calls) == len(enumeration._types_for(0, p.n, p.e)) > 1
+    assert set(calls.values()) == {1}
+
+
 def _tree_entry(n, e, ends):
     """The edge forms, as flows in the stored (u, v) directions, and the
     vertex multiplier of the tree type with these marking blocks."""
-    return next((forms, mult) for t, forms, mult in _tree_system(n, e).entries
+    return next((forms, t.genus0_factor)
+                for t, forms in _tree_system(n, e).entries
                 if t.vertex_ends == ends)
 
 

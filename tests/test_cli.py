@@ -180,6 +180,12 @@ def test_negative_leading_list_values(capsys):
      "error: unstable marking count: n = -3 must be at least 3\n"),
     (("walls", "-n", "0"), 2,
      "error: unstable marking count: n = 0 must be at least 3\n"),
+    (("wallcross", "-n", "0", "--subset", "1"), 2,
+     "error: unstable marking count: n = 0 must be at least 3\n"),
+    (("wallcross", "-n", "-5", "--subset", "1"), 2,
+     "error: unstable marking count: n = -5 must be at least 3\n"),
+    (("wallcross", "-e", "", "--subset", "1,2"), 2,
+     "error: unstable marking count: n = 0 must be at least 3\n"),
 ])
 def test_input_errors_exit_codes(capsys, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)

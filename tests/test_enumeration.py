@@ -50,15 +50,12 @@ def test_enumerate_types_golden():
 
 
 def test_type_cache_is_bounded():
+    # the one type cache holds the compiled records
     types_for = enumeration._types_for
     assert types_for.cache_info().maxsize == 128
-    assert types_for(1, 3, (1, 0, 0)) is types_for(1, 3, (1, 0, 0))
-
-
-def test_compiled_type_cache_is_bounded():
-    compiled_for = enumeration._compiled_for
-    assert compiled_for.cache_info().maxsize == 128
-    assert compiled_for(1, 3, (1, 0, 0)) is compiled_for(1, 3, (1, 0, 0))
+    types = types_for(1, 3, (1, 0, 0))
+    assert types is types_for(1, 3, (1, 0, 0))
+    assert all(len(t.cuts) == 2 * len(t.edges) for t in types)
 
 
 def _assert_balanced(p):

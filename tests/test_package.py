@@ -1,5 +1,6 @@
-"""Package hygiene: every public name resolves, and no module keeps an
-import that it never uses (the leftovers that deletions tend to leave)."""
+"""Package hygiene: every public name resolves, no module keeps an import
+that it never uses (the leftovers that deletions tend to leave), and every
+module cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,39 @@ def test_unused_import_check_sees_a_leftover():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """The functions whose ``lru_cache`` or ``cache`` decorator passes no
+    finite integer ``maxsize``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = getattr(target, "attr", getattr(target, "id", None))
+            if name not in ("lru_cache", "cache"):
+                continue
+            sizes = ([kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                     + call.args[:1]) if call else []
+            if not (sizes and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                found.append(node.name)
+    return found
+
+
+def test_cache_bound_check_sees_an_unbounded_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=8)\ndef a(): pass\n"
+              "@lru_cache(16)\ndef b(): pass\n"
+              "@lru_cache(maxsize=None)\ndef c(): pass\n"
+              "@functools.lru_cache\ndef d(): pass\n"
+              "@cache\ndef e(): pass\n")
+    assert _unbounded_caches(source) == ["c", "d", "e"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_caches_are_bounded(path):
+    assert _unbounded_caches(path.read_text()) == []
