@@ -50,9 +50,16 @@ def test_enumerate_types_golden():
 
 
 def test_type_cache_is_bounded():
-    # the one type cache holds the compiled records
     types_for = enumeration._types_for
     assert types_for.cache_info().maxsize == 128
+    assert types_for(1, 3, (1, 0, 0)) is types_for(1, 3, (1, 0, 0))
+
+
+def test_compiled_type_cache_is_bounded():
+    # the one type cache holds the compiled records: no second cache
+    types_for = enumeration._types_for
+    assert types_for.cache_info().maxsize == 128
+    assert not hasattr(enumeration, "_compiled_for")
     types = types_for(1, 3, (1, 0, 0))
     assert types is types_for(1, 3, (1, 0, 0))
     assert all(len(t.cuts) == 2 * len(t.edges) for t in types)
