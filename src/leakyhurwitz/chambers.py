@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covers import Problem, ProblemError, validate_problem
+from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, count_linear_extensions, _types_for
 from .exactarith import LinForm, Poly
 
@@ -36,7 +36,7 @@ POSITIVE = "Positive"
 
 
 class WallError(ValueError):
-    """A reference point on a wall, or flanking points straddling extra walls."""
+    """A reference point on a wall, or a wall foreign to the problem."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,6 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
     Evaluating the result at any integer point of the chamber equals the
     cover count there.
     """
-    validate_problem(p)
     if p.genus != 0:
         raise ProblemError("chamber polynomials exist for genus 0 only")
     x0 = tuple(p.x) if at is None else tuple(at)
@@ -216,13 +215,11 @@ def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
     for part, cut_sign in ((I, -1), (comp, 1)):
         limit = tuple(z[i - 1] for i in part) + (0,)
         ref = tuple(x_plus[i - 1] for i in part) + (cut_sign * delta_plus,)
-        m = len(part) + 1
-        if m >= 4:
-            for w in walls(m):
-                at_limit = w.form.evaluate(limit, k)
-                at_ref = w.form.evaluate(ref, k)
-                if at_limit == 0 or at_ref == 0 or (at_limit > 0) != (at_ref > 0):
-                    return None
+        for w in walls(len(part) + 1):
+            at_limit = w.form.evaluate(limit, k)
+            at_ref = w.form.evaluate(ref, k)
+            if at_limit == 0 or at_ref == 0 or (at_limit > 0) != (at_ref > 0):
+                return None
         refs.append(ref)
     return tuple(refs)
 
@@ -263,47 +260,27 @@ def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int,
     return x_plus, x_minus
 
 
-def wall_crossing(p: Problem, wall: Wall,
-                  x_plus: Sequence | None = None,
-                  x_minus: Sequence | None = None) -> Poly:
-    """Difference of the chamber polynomials flanking the wall, normal form.
-
-    When the flanking points are supplied they must straddle this wall only;
-    otherwise suitable points are derived from the wall itself.
-    """
-    validate_problem(p)
+def _check_crossing(p: Problem, wall: Wall) -> None:
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
-    if (x_plus is None) != (x_minus is None):
-        raise WallError("supply both flanking points or neither")
-    if x_plus is None:
-        x_plus, x_minus = flanking_points(p, wall)
-    dp = wall.form.evaluate(x_plus, p.k)
-    dm = wall.form.evaluate(x_minus, p.k)
-    if not (dp > 0 > dm):
-        raise WallError(
-            f"flanking points must satisfy delta(x+) > 0 > delta(x-), "
-            f"got {dp} and {dm}")
-    for w in walls(p.n):
-        if w.subset == wall.subset:
-            continue
-        vp = w.form.evaluate(x_plus, p.k)
-        vm = w.form.evaluate(x_minus, p.k)
-        if vp == 0 or vm == 0:
-            raise WallError(f"flanking point lies on the wall {list(w.subset)}")
-        if (vp > 0) != (vm > 0):
-            raise WallError(
-                f"flanking points straddle the extra wall {list(w.subset)}")
-    plus = chamber_polynomial(p, at=x_plus)
-    minus = chamber_polynomial(p, at=x_minus)
-    return plus - minus
+    if wall not in _walls_of(p.n):
+        raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
+
+
+def wall_crossing(p: Problem, wall: Wall) -> Poly:
+    """Difference of the chamber polynomials flanking the wall, normal form.
+
+    The points x+- = z +- (e_a - e_b) of ``_flanking``, z on the wall, a in
+    its subset and b not, have delta = +-1, and agree in sign on every other
+    wall: ``_flanking`` keeps no other candidate."""
+    _check_crossing(p, wall)
+    x_plus, x_minus = flanking_points(p, wall)
+    return chamber_polynomial(p, at=x_plus) - chamber_polynomial(p, at=x_minus)
 
 
 def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     """Closed form binom(r; r1, r2) * delta * P_I * P_Ic, in normal form."""
-    validate_problem(p)
-    if p.genus != 0:
-        raise ProblemError("wall crossings are computed for genus 0 only")
+    _check_crossing(p, wall)
     n, k = p.n, p.k
     I = wall.subset
     comp = tuple(i for i in range(1, n + 1) if i not in I)
@@ -347,7 +324,6 @@ def _vanishing_subset_scan(m: Sequence[int], e: Sequence[int]) -> bool:
 
 def classify(p: Problem) -> str:
     """Decide whether the genus-0 count is Zero or strictly Positive."""
-    validate_problem(p)
     if p.genus != 0:
         raise ProblemError("the vanishing classification applies to genus 0 only")
     if p.k == 0:

@@ -14,7 +14,7 @@ import sys
 
 from .chambers import (Wall, WallError, chamber_polynomial, classify,
                        wall_crossing, wall_crossing_formula, walls)
-from .covers import Problem, ProblemError, validate_problem, weighted_cover_to_json
+from .covers import Problem, ProblemError, weighted_cover_to_json
 from .enumeration import count_covers, enumerate_covers
 from .exactarith import LinForm, rat_str
 from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
@@ -97,7 +97,7 @@ def _problem(args) -> Problem:
             f"-n {args.markings} disagrees with the profile length "
             f"{len(args.profile)}")
     e = args.psi if args.psi is not None else (0,) * len(args.profile)
-    return validate_problem(Problem.of(args.genus, args.leak, args.profile, e))
+    return Problem.of(args.genus, args.leak, args.profile, e)
 
 
 def _oracle(args):
@@ -171,7 +171,7 @@ def cmd_wallcross(args) -> int:
         raise ProblemError(f"unstable marking count: n = {n} must be at least 3")
     e = args.psi if args.psi is not None else (0,) * n
     k = args.leak
-    p = validate_problem(Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e))
+    p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e)
     wall = Wall.of(n, subset)
     computed = wall_crossing(p, wall)
     closed = wall_crossing_formula(p, wall)

@@ -23,10 +23,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactarith import rat_str
-from .vertexdata import VertexKey
+from .vertexdata import VertexKey, VertexOracle
 
 
 class ProblemError(ValueError):
@@ -39,7 +39,7 @@ class CoverError(ValueError):
 
 @dataclass(frozen=True)
 class Problem:
-    """Input record (g, k, x, e); n is the length of x."""
+    """Input record (g, k, x, e), validated as it is built; n = len(x)."""
 
     genus: int
     k: int
@@ -49,6 +49,7 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
         object.__setattr__(self, "e", tuple(self.e))
+        validate_problem(self)
 
     @staticmethod
     def of(genus: int, k: int, x: Sequence[int],
@@ -243,12 +244,12 @@ class WeightedCover:
     cover: CoverGraph
     aut: int
     edge_product: Fraction
-    vertex_mults: tuple[Fraction, ...]
+    vertex_mults: tuple[int | Fraction, ...]
     multiplicity: Fraction
 
 
 def assemble_multiplicity(p: Problem, c: CoverGraph,
-                          oracle: Callable[[VertexKey], Fraction]) -> WeightedCover:
+                          oracle: VertexOracle) -> WeightedCover:
     """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults)."""
     aut = automorphism_order(c)
     edge_product = Fraction(1)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .covers import (CoverGraph, Problem, WeightedCover,
-                     assemble_multiplicity, is_connected, validate_problem)
+                     assemble_multiplicity, is_connected)
 from .vertexdata import (VertexKey, VertexOracle, genus0_vertex_mult,
                          oracle_from)
 
@@ -179,7 +179,6 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
             best_perm = [0] * V
             for v, pos in position.items():
                 best_perm[pos] = v
-    assert best_perm is not None and best_edges is not None
     return (tuple(genera[v] for v in best_perm),
             tuple(tuple(ends[v]) for v in best_perm), best_edges)
 
@@ -188,28 +187,27 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
     V = 2 * g - 2 + n - sum(e)
     found: set[tuple] = set()
-    if V >= 1:
-        for blocks in _end_partitions(n, V):
-            psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
-            for genera in _genus_vectors(V, g):
-                h1 = g - sum(genera)
-                degs = []
-                ok = True
-                for v in range(V):
-                    val = psi_sums[v] + 3 - 2 * genera[v]
-                    d = val - len(blocks[v])
-                    if d < 0 or val < 1 or (V > 1 and d == 0):
-                        ok = False
-                        break
-                    degs.append(d)
-                if not ok or sum(degs) % 2:
+    for blocks in _end_partitions(n, V):
+        psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
+        for genera in _genus_vectors(V, g):
+            h1 = g - sum(genera)
+            degs = []
+            ok = True
+            for v in range(V):
+                val = psi_sums[v] + 3 - 2 * genera[v]
+                d = val - len(blocks[v])
+                if d < 0 or val < 1 or (V > 1 and d == 0):
+                    ok = False
+                    break
+                degs.append(d)
+            if not ok or sum(degs) % 2:
+                continue
+            if sum(degs) // 2 != V - 1 + h1:
+                continue
+            for edges in _edge_multisets(tuple(degs)):
+                if not is_connected(V, edges):
                     continue
-                if sum(degs) // 2 != V - 1 + h1:
-                    continue
-                for edges in _edge_multisets(tuple(degs)):
-                    if not is_connected(V, edges):
-                        continue
-                    found.add(_canonical_type(genera, blocks, edges))
+                found.add(_canonical_type(genera, blocks, edges))
     # the types repeat a few small tuples many times: keep one copy of each
     shared: dict = {}
 
@@ -222,7 +220,6 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
 
 def enumerate_types(p: Problem) -> list[CombinatorialType]:
     """All combinatorial types for p, each isomorphism class exactly once."""
-    validate_problem(p)
     return list(_types_for(p.genus, p.n, p.e))
 
 
@@ -258,7 +255,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
         if j - i > 1:
             runs.append((i, j))
         i = j
-    genus0_factor = Fraction(1)
+    genus0_factor = 1
     higher = []
     for v, (genus, marks) in enumerate(zip(genera, ends)):
         psi = tuple(e[i - 1] for i in marks)
@@ -269,9 +266,8 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
                            tuple(i for i in inc[v] if edges[i][1] == v),
                            tuple(i for i in inc[v] if edges[i][0] == v),
                            psi + (0,) * len(inc[v])))
-    # each genus-0 factor is a multinomial, so the product is an integer
     return CombinatorialType(genera, ends, edges, tuple(cuts), units,
-                             tuple(runs), int(genus0_factor), tuple(higher))
+                             tuple(runs), genus0_factor, tuple(higher))
 
 
 def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -427,7 +423,6 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
     """Each weighted type of p: its type and its edges (u, v, weight),
     oriented from u to v along the positive flows."""
-    validate_problem(p)
     for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         yield t, tuple((a, b, f) if f > 0 else (b, a, -f)
                        for (a, b), f in zip(t.edges, flows))
@@ -465,7 +460,6 @@ def count_covers(p: Problem, oracle: VertexOracle | None = None
     ``Fraction`` is built only where a fixture value or |Aut| > 1 enters.
     """
     oracle = oracle if oracle is not None else oracle_from()
-    validate_problem(p)
     whole, rest, count = 0, Fraction(0), 0
     for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         orders = count_linear_extensions(

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from .exactarith import parse_rat, rat_str
 
-VertexOracle = Callable[["VertexKey"], Fraction]
+VertexOracle = Callable[["VertexKey"], int | Fraction]
 
 
 class FixtureError(ValueError):
@@ -67,15 +67,15 @@ class VertexKey:
                 f"degrees={list(self.degrees)}, psi={list(self.psi)})")
 
 
-def genus0_vertex_mult(valence: int, psi: Iterable[int]) -> Fraction:
-    """(valence - 3)! / prod(psi_i!) for a genus-0 vertex."""
+def genus0_vertex_mult(valence: int, psi: Iterable[int]) -> int:
+    """(valence - 3)! / prod(psi_i!) for a genus-0 vertex; a multinomial."""
     psi = tuple(psi)
     if valence < 3 or sum(psi) != valence - 3:
         raise ValueError(f"bad genus-0 vertex: valence {valence}, psi {psi}")
     denom = 1
     for p in psi:
         denom *= math.factorial(p)
-    return Fraction(math.factorial(valence - 3), denom)
+    return math.factorial(valence - 3) // denom
 
 
 class FixtureTable:
@@ -103,10 +103,14 @@ def _table_from_rows(rows) -> FixtureTable:
     entries: dict[VertexKey, Fraction] = {}
     for row in rows:
         try:
-            key = VertexKey(genus=int(row["genus"]), k=int(row["k"]),
-                            degrees=tuple(int(d) for d in row["degrees"]),
-                            psi=tuple(int(p) for p in row["psi"]))
-            value = parse_rat(str(row["value"]))
+            genus, k, degrees, psi, value = (
+                row[field] for field in ("genus", "k", "degrees", "psi", "value"))
+            if not (type(degrees) is list and type(psi) is list
+                    and all(type(v) is int for v in (genus, k, *degrees, *psi))
+                    and type(value) in (int, str)):
+                raise TypeError('genus, k, degrees, psi need ints, value int or "p/q"')
+            key = VertexKey(genus, k, tuple(degrees), tuple(psi))
+            value = parse_rat(str(value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise FixtureError(f"bad fixture row {row!r}: {exc}") from exc
         # turning a vertex around (k -> -k, degrees -> -degrees) keeps its value
@@ -139,12 +143,12 @@ def default_fixtures() -> FixtureTable:
     return _table_from_rows(json.loads(text))
 
 
-def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> Fraction:
+def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> int | Fraction:
     """Multiplicity for one vertex signature.
 
-    Genus 0 is computed directly and never consults the table (nor k or the
-    degrees).  Genus >= 1 is a table lookup and raises
-    :class:`MissingVertexData` when absent.
+    Genus 0 is the int :func:`genus0_vertex_mult` and never consults the
+    table (nor k or the degrees).  Genus >= 1 is a table lookup, a
+    ``Fraction``, and raises :class:`MissingVertexData` when absent.
     """
     if key.genus == 0:
         return genus0_vertex_mult(key.valence, key.psi)

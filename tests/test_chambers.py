@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -201,37 +202,32 @@ def test_wall_crossing_example():
     assert wall_crossing_formula(EXPP, wall) == diff
 
 
-def test_wall_crossing_with_explicit_points():
-    wall = Wall.of(5, (1, 2, 3))
-    x_plus, x_minus = flanking_points(EXPP, wall)
-    assert wall.form.evaluate(x_plus, 1) > 0 > wall.form.evaluate(x_minus, 1)
-    assert wall_crossing(EXPP, wall, x_plus, x_minus) == wall_crossing(EXPP, wall)
+def test_flanking_points_straddle_their_wall_alone():
+    # wall_crossing trusts these points unchecked: x+- = z +- (e_a - e_b)
+    # with z on the wall gives delta = +-1, and _flanking keeps no candidate
+    # that is on, or changes sign across, any other wall
+    for n in range(4, 8):
+        for k in range(-2, 3):
+            p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
+            for wall in walls(n):
+                x_plus, x_minus = flanking_points(p, wall)
+                assert sum(x_plus) == sum(x_minus) == k * (n - 2)
+                assert wall.form.evaluate(x_plus, k) == 1
+                assert wall.form.evaluate(x_minus, k) == -1
+                for other in walls(n):
+                    if other != wall:
+                        assert (other.form.evaluate(x_plus, k)
+                                * other.form.evaluate(x_minus, k)) > 0
 
 
-def test_wall_crossing_rejects_bad_points():
-    wall = Wall.of(5, (1, 2, 3))
-    x_plus, x_minus = flanking_points(EXPP, wall)
-    with pytest.raises(WallError):
-        wall_crossing(EXPP, wall, x_minus, x_plus)
-
-
-def test_wall_crossing_rejects_extra_wall_with_warm_memo():
-    wall = Wall.of(5, (1, 2, 3))
-    wall_crossing(EXPP, wall)
-    x_plus, _ = flanking_points(EXPP, wall)
-    signs = _wall_signs(EXPP, x_plus)
-    straddling = None
-    for head in itertools.product(range(-6, 7), repeat=4):
-        x = head + (3 - sum(head),)
-        if wall.form.evaluate(x, 1) >= 0 or 0 in (
-                w.form.evaluate(x, 1) for w in walls(5)):
-            continue
-        if any(a != b for a, b, w in zip(_wall_signs(EXPP, x), signs, walls(5))
-               if w != wall):
-            straddling = x
-            break
-    with pytest.raises(WallError, match="straddle the extra wall"):
-        wall_crossing(EXPP, wall, x_plus, straddling)
+@pytest.mark.parametrize("wall", [Wall.of(6, (2, 5)), Wall.of(6, (1, 2, 3, 4)),
+                                  Wall.of(5, (1, 2, 3))])
+def test_wall_of_another_marking_count_is_a_wall_error(wall):
+    p = Problem.of(0, 1, (2, 0, 0, 0))
+    for crossing in (wall_crossing, wall_crossing_formula):
+        with pytest.raises(WallError,
+                           match=re.escape(f"{wall.subset} is no wall for n = 4")):
+            crossing(p, wall)
 
 
 def test_wall_crossing_k0_two_chambers():

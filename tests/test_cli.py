@@ -260,6 +260,17 @@ def test_fixture_zero_denominator_exit2(capsys, tmp_path):
     assert err.startswith("error: bad fixture row")
 
 
+def test_fixture_float_degree_exit2(capsys, tmp_path):
+    # read as 7, the row would silently replace the builtin 35/24
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps([
+        {"genus": 1, "k": 1, "degrees": [7.9, -5], "psi": [1, 0], "value": "9"}]))
+    code, out, err = run_cli(capsys, "number", "-g", "1", "-k", "1",
+                             "-x", "7,-3,-1", "-e", "1,0,0", "--fixtures", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad fixture row")
+
+
 def test_selftest_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as err:
         main(["selftest"])

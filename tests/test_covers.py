@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -40,15 +41,30 @@ def test_validate_problem_stability():
 
 def test_validate_problem_distinct_diagnostics():
     messages = set()
-    bad = [Problem.of(0, 1, (7, -3, -1)),
-           Problem.of(0, 1, (3, -1, -1), (1, 0, 0)),
-           Problem.of(0, 0, (0, 0)),
-           Problem.of(0, 0, (0, 0, 0), (-1, 1, 0))]
-    for p in bad:
+    bad = [(0, 1, (7, -3, -1), None),
+           (0, 1, (3, -1, -1), (1, 0, 0)),
+           (0, 0, (0, 0), None),
+           (0, 0, (0, 0, 0), (-1, 1, 0))]
+    for record in bad:
         with pytest.raises(ProblemError) as err:
-            validate_problem(p)
+            validate_problem(Problem.of(*record))
         messages.add(str(err.value))
     assert len(messages) == len(bad)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Problem(0, 1, (7, -3, -1), (0, 0, 0)), "degree"),
+    (lambda: Problem(-1, 0, (0, 0, 0), (0, 0, 0)), "genus -1"),
+    (lambda: Problem.of(0, 0, (0, 0, 0), (0, 0)), "length 2"),
+    (lambda: Problem.of(0, 0, (1, -1)), "unstable"),
+    (lambda: Problem.of(0, 1, (3, -1, -1), (1, 0, 0)), "psi budget"),
+    (lambda: Problem.of(0, 0, (0, 0, 0), (-1, 1, 0)), "nonnegative"),
+    (lambda: dataclasses.replace(GOLDEN, k=2), "degree"),
+])
+def test_problem_validates_as_it_is_built(build, match):
+    # no invalid Problem exists, so no function taking one checks it again
+    with pytest.raises(ProblemError, match=match):
+        build()
 
 
 def test_check_cover_golden_covers():

@@ -1,10 +1,13 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from leakyhurwitz.vertexdata import (FixtureError, FixtureTable, MissingVertexData,
-                                     VertexKey, default_fixtures, load_fixtures,
+                                     VertexKey, default_fixtures,
+                                     genus0_vertex_mult, load_fixtures,
                                      oracle_from, vertex_mult)
 
 
@@ -15,6 +18,21 @@ def test_genus0_multinomial():
     assert vertex_mult(key) == 6  # 3!/1
     key = VertexKey(genus=0, k=2, degrees=(0,) * 5, psi=(2, 0, 0, 0, 0))
     assert vertex_mult(key) == 1  # 2!/2!
+
+
+def test_genus0_multinomial_is_an_int():
+    # sum(psi) = valence - 3 makes (valence-3)!/prod(psi_i!) a multinomial;
+    # every psi vector is a composition of valence - 3, read off its bars
+    for valence in range(3, 11):
+        slots = 2 * valence - 4
+        for bars in itertools.combinations(range(slots), valence - 1):
+            ends = (-1,) + bars + (slots,)
+            psi = tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+            assert sum(psi) == valence - 3
+            value = genus0_vertex_mult(valence, psi)
+            assert type(value) is int
+            assert value == Fraction(math.factorial(valence - 3),
+                                     math.prod(map(math.factorial, psi)))
 
 
 def test_genus0_ignores_k_and_degrees():
@@ -89,6 +107,24 @@ def test_load_fixtures_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(FixtureError):
+        load_fixtures(path)
+
+
+GOOD_ROW = {"genus": 1, "k": 1, "degrees": [7, -5], "psi": [1, 0],
+            "value": "35/24"}
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("degrees", [7.9, -5]), ("genus", 1.5), ("k", True), ("degrees", "12"),
+    ("psi", [1, None]), ("psi", 1), ("value", 1.5), ("value", None)])
+def test_load_fixtures_rejects_coerced_fields(tmp_path, field, bad):
+    # int() would read 7.9 as 7, 1.5 as 1, true as 1 and "12" as (1, 2)
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps([GOOD_ROW]))
+    assert load_fixtures(path).get(VertexKey(1, 1, (7, -5), (1, 0))) == \
+        Fraction(35, 24)
+    path.write_text(json.dumps([dict(GOOD_ROW, **{field: bad})]))
+    with pytest.raises(FixtureError, match="bad fixture row"):
         load_fixtures(path)
 
 
