@@ -83,18 +83,19 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
 
 
 class _TreeSystem:
-    """Tree types of a genus-0 problem, each with its edge weight forms.
+    """Tree types of a genus-0 problem at one leak k, each with its edge
+    weight forms.
 
     Each entry pairs a record of ``_types_for(0, n, e)`` with its forms: the
     cut (mask, c) of an edge becomes the form sum_{i in mask} x_i - k c, and
-    the multiplier is the record's ``genus0_factor``.  The per-(k,
-    orientation) linear-extension counts and form products are memoized;
-    they are reused across every evaluation point.  So is each chamber's
-    normal-form polynomial, keyed by k and the chamber's wall signs.
+    the multiplier is the record's ``genus0_factor``.  The per-orientation
+    linear-extension counts and form products are memoized; they are reused
+    across every evaluation point.  So is each chamber's normal-form
+    polynomial, keyed by the chamber's wall signs.
     """
 
-    def __init__(self, n: int, e: tuple[int, ...]):
-        self.n = n
+    def __init__(self, n: int, e: tuple[int, ...], k: int):
+        self.n, self.k = n, k
         self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...]]] = []
         for t in _types_for(0, n, e):
             pairs = iter(t.cuts)
@@ -103,10 +104,10 @@ class _TreeSystem:
                 for mask, cut in zip(pairs, pairs))
             self.entries.append((t, forms))
         self._cache: dict[tuple, tuple[int, Poly]] = {}
-        self._chambers: dict[tuple[int, tuple[bool, ...]], Poly] = {}
+        self._chambers: dict[tuple[bool, ...], Poly] = {}
 
-    def contribution(self, idx: int, signs: tuple[int, ...], k: int) -> tuple[int, Poly]:
-        key = (idx, signs, k)
+    def contribution(self, idx: int, signs: tuple[int, ...]) -> tuple[int, Poly]:
+        key = (idx, signs)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -118,36 +119,36 @@ class _TreeSystem:
         if le:
             for form, s in zip(forms, signs):
                 signed = form if s > 0 else -form
-                product = product * signed.as_poly(self.n, k)
+                product = product * signed.as_poly(self.n, self.k)
         result = (le, product)
         self._cache[key] = result
         return result
 
-    def polynomial(self, k: int, x0: Sequence, chamber: tuple[bool, ...]) -> Poly:
+    def polynomial(self, x0: Sequence, chamber: tuple[bool, ...]) -> Poly:
         """Normal-form polynomial of the chamber that contains x0.
 
         ``chamber`` holds the wall signs at x0.  Every tree edge form is plus
         or minus a wall form on the degree hyperplane, so they fix the sign
         of every edge form and hence the polynomial.
         """
-        key = (k, chamber)
-        poly = self._chambers.get(key)
+        poly = self._chambers.get(chamber)
         if poly is None:
+            k = self.k
             parts = []
             for idx, (_, forms) in enumerate(self.entries):
                 signs = tuple(1 if f.evaluate(x0, k) > 0 else -1 for f in forms)
-                le, product = self.contribution(idx, signs, k)
+                le, product = self.contribution(idx, signs)
                 if le:
                     parts.append((product, le))
             poly = Poly.weighted_sum(self.n, parts).substitute_degree(
                 k * (self.n - 2))
-            self._chambers[key] = poly
+            self._chambers[chamber] = poly
         return poly
 
 
 @functools.lru_cache(maxsize=128)
-def _tree_system(n: int, e: tuple[int, ...]) -> _TreeSystem:
-    return _TreeSystem(n, e)
+def _tree_system(n: int, e: tuple[int, ...], k: int) -> _TreeSystem:
+    return _TreeSystem(n, e, k)
 
 
 def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
@@ -176,7 +177,7 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
             raise WallError(
                 f"reference point {list(x0)} lies on the wall {list(w.subset)}")
         chamber.append(value > 0)
-    return _tree_system(p.n, p.e).polynomial(p.k, x0, tuple(chamber))
+    return _tree_system(p.n, p.e, p.k).polynomial(x0, tuple(chamber))
 
 
 def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
@@ -224,14 +225,10 @@ def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
     return tuple(refs)
 
 
-def _find_flanking(p: Problem, wall: Wall):
+@functools.lru_cache(maxsize=1024)
+def _find_flanking(n: int, k: int, wall: Wall):
     """Flanking points and subproblem references; they depend on n, k and
     the wall only, so every psi vector shares them."""
-    return _flanking(p.n, p.k, wall)
-
-
-@functools.lru_cache(maxsize=1024)
-def _flanking(n: int, k: int, wall: Wall):
     all_walls = walls(n)
     for attempt in range(400):
         z, x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
@@ -256,7 +253,7 @@ def _flanking(n: int, k: int, wall: Wall):
 def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic generic integer points with delta = +1 and -1 that agree
     in sign on every other wall and induce generic subproblem references."""
-    x_plus, x_minus, _ = _find_flanking(p, wall)
+    x_plus, x_minus, _ = _find_flanking(p.n, p.k, wall)
     return x_plus, x_minus
 
 
@@ -270,9 +267,9 @@ def _check_crossing(p: Problem, wall: Wall) -> None:
 def wall_crossing(p: Problem, wall: Wall) -> Poly:
     """Difference of the chamber polynomials flanking the wall, normal form.
 
-    The points x+- = z +- (e_a - e_b) of ``_flanking``, z on the wall, a in
-    its subset and b not, have delta = +-1, and agree in sign on every other
-    wall: ``_flanking`` keeps no other candidate."""
+    The points x+- = z +- (e_a - e_b) of ``_find_flanking``, z on the wall,
+    a in its subset and b not, have delta = +-1, and agree in sign on every
+    other wall: ``_find_flanking`` keeps no other candidate."""
     _check_crossing(p, wall)
     x_plus, x_minus = flanking_points(p, wall)
     return chamber_polynomial(p, at=x_plus) - chamber_polynomial(p, at=x_minus)
@@ -294,7 +291,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    _, _, refs = _find_flanking(p, wall)
+    _, _, refs = _find_flanking(n, k, wall)
 
     factors: list[Poly] = []
     for part, ref in zip((I, comp), refs):

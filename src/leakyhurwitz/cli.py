@@ -18,7 +18,7 @@ from .covers import Problem, ProblemError, weighted_cover_to_json
 from .enumeration import count_covers, enumerate_covers
 from .exactarith import LinForm, rat_str
 from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
-                         load_fixtures, oracle_from)
+                         load_fixtures)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -100,12 +100,11 @@ def _problem(args) -> Problem:
     return Problem.of(args.genus, args.leak, args.profile, e)
 
 
-def _oracle(args):
+def _fixtures(args):
+    """The builtin table, extended and overridden by the user's file."""
     table = default_fixtures()
     path = args.fixtures or os.environ.get(FIXTURES_ENV)
-    if path:
-        table = table.merged(load_fixtures(path))
-    return oracle_from(table)
+    return {**table, **load_fixtures(path)} if path else table
 
 
 def _emit(args, payload, table_lines) -> None:
@@ -117,14 +116,14 @@ def _emit(args, payload, table_lines) -> None:
 
 
 def cmd_number(args) -> int:
-    total, count = count_covers(_problem(args), _oracle(args))
+    total, count = count_covers(_problem(args), _fixtures(args))
     _emit(args, {"H": rat_str(total), "covers": count},
           [f"H = {rat_str(total)} ({count} covers)"])
     return EXIT_OK
 
 
 def cmd_covers(args) -> int:
-    covers = enumerate_covers(_problem(args), _oracle(args))
+    covers = enumerate_covers(_problem(args), _fixtures(args))
     if not args.keep_zero:
         covers = [wc for wc in covers if wc.multiplicity != 0]
     records = [weighted_cover_to_json(wc) for wc in covers]

@@ -23,10 +23,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from . import vertexdata
 from .exactarith import rat_str
-from .vertexdata import VertexKey, VertexOracle
+from .vertexdata import VertexKey
 
 
 class ProblemError(ValueError):
@@ -219,7 +220,7 @@ def automorphism_order(c: CoverGraph) -> int:
 
 
 def vertex_key_of(p: Problem, c: CoverGraph, v: int) -> VertexKey:
-    """Local signature of vertex v for the multiplicity oracle."""
+    """Local signature of vertex v, the key of its vertex factor."""
     degrees: list[int] = []
     psi: list[int] = []
     for i in c.vertex_ends[v]:
@@ -243,25 +244,27 @@ class WeightedCover:
 
     cover: CoverGraph
     aut: int
-    edge_product: Fraction
+    edge_product: int
     vertex_mults: tuple[int | Fraction, ...]
     multiplicity: Fraction
 
 
 def assemble_multiplicity(p: Problem, c: CoverGraph,
-                          oracle: VertexOracle) -> WeightedCover:
-    """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults)."""
+                          fixtures: Mapping[VertexKey, Fraction] | None = None
+                          ) -> WeightedCover:
+    """multiplicity = (1 / aut) * prod(edge weights) * prod(vertex mults),
+    each vertex factor read by :func:`vertexdata.vertex_mult` from
+    ``fixtures`` (``None``: the builtin table)."""
+    table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     aut = automorphism_order(c)
-    edge_product = Fraction(1)
-    for _, _, w in c.edges:
-        edge_product *= w
-    mults = tuple(oracle(vertex_key_of(p, c, v)) for v in range(c.num_vertices))
-    scalar = Fraction(1, aut)
+    edge_product = math.prod(w for _, _, w in c.edges)
+    mults = tuple(vertexdata.vertex_mult(vertex_key_of(p, c, v), table)
+                  for v in range(c.num_vertices))
+    multiplicity = Fraction(edge_product, aut)
     for m in mults:
-        scalar *= m
+        multiplicity *= m
     return WeightedCover(cover=c, aut=aut, edge_product=edge_product,
-                         vertex_mults=mults,
-                         multiplicity=edge_product * scalar)
+                         vertex_mults=mults, multiplicity=multiplicity)
 
 
 def cover_to_json(c: CoverGraph) -> dict:

@@ -23,8 +23,8 @@ expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
 2g(v) - 2 + val(v) on its tail side, S being the subset sums of x; cycle
 edges add the unit flows of the free weights.  In genus 0 a vertex factor
 is a multinomial that ignores the flows, so the record folds them into one
-integer.  Counting a problem is then integer arithmetic, with the vertex
-oracle consulted for genus >= 1 vertices only.
+integer.  Counting a problem is then integer arithmetic, with the fixture
+table read (by ``vertexdata.vertex_mult``) for genus >= 1 vertices only.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from . import vertexdata
 from .covers import (CoverGraph, Problem, WeightedCover,
                      assemble_multiplicity, is_connected)
-from .vertexdata import (VertexKey, VertexOracle, genus0_vertex_mult,
-                         oracle_from)
+from .vertexdata import VertexKey, genus0_vertex_mult
 
 
 class CombinatorialType(NamedTuple):
@@ -428,19 +428,20 @@ def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
                        for (a, b), f in zip(t.edges, flows))
 
 
-def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
+def enumerate_covers(p: Problem,
+                     fixtures: Mapping[VertexKey, Fraction] | None = None
                      ) -> list[WeightedCover]:
     """All covers for p up to isomorphism, each with its exact multiplicity.
 
     Every linear extension of a weighted type's orientation is a distinct
     cover (its own placement of vertices over the target line).  Each
-    multiplicity is assembled vertex by vertex, the oracle consulted for
-    every vertex.
+    multiplicity is assembled vertex by vertex from ``fixtures`` (``None``:
+    the builtin table).
     """
-    oracle = oracle if oracle is not None else oracle_from()
+    table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     out = [assemble_multiplicity(
                p, CoverGraph(t.vertex_genus, t.vertex_ends, edges, order),
-               oracle)
+               table)
            for t, edges in _weighted_types(p)
            for order in linear_extensions(t.num_vertices,
                                           [(a, b) for a, b, _ in edges])]
@@ -448,18 +449,20 @@ def enumerate_covers(p: Problem, oracle: VertexOracle | None = None
     return out
 
 
-def count_covers(p: Problem, oracle: VertexOracle | None = None
+def count_covers(p: Problem,
+                 fixtures: Mapping[VertexKey, Fraction] | None = None
                  ) -> tuple[Fraction, int]:
-    """(H, number of covers) for p.
+    """(H, number of covers) for p, the vertex factors above genus 0 read
+    from ``fixtures`` (``None``: the builtin table).
 
     A multiplicity never reads the vertex order, so each weighted type
     counts once per linear extension.  Its multiplicity comes from the
     type's record: the edge-weight product and |Aut| are integers, the
-    genus-0 vertex factors are folded into one integer, and the oracle is
-    consulted for the genus >= 1 vertices only, in vertex order.  A
-    ``Fraction`` is built only where a fixture value or |Aut| > 1 enters.
+    genus-0 vertex factors are folded into one integer, and the table is
+    read for the genus >= 1 vertices only, in vertex order.  A ``Fraction``
+    is built only where a fixture value or |Aut| > 1 enters.
     """
-    oracle = oracle if oracle is not None else oracle_from()
+    table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
     for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         orders = count_linear_extensions(
@@ -479,12 +482,14 @@ def count_covers(p: Problem, oracle: VertexOracle | None = None
         for genus, ends, ins, outs, psi in t.higher:
             degrees = ([p.x[i] for i in ends] + [flows[i] for i in ins]
                        + [-flows[i] for i in outs])
-            term *= oracle(VertexKey(genus, p.k, tuple(degrees), psi))
+            term *= vertexdata.vertex_mult(
+                VertexKey(genus, p.k, tuple(degrees), psi), table)
         rest += term
     return whole + rest, count
 
 
-def compute_H(p: Problem, oracle: VertexOracle | None = None) -> Fraction:
+def compute_H(p: Problem,
+              fixtures: Mapping[VertexKey, Fraction] | None = None) -> Fraction:
     """The descendant count: the sum of the multiplicities over all covers,
     as :func:`count_covers` assembles it."""
-    return count_covers(p, oracle)[0]
+    return count_covers(p, fixtures)[0]

@@ -2,9 +2,10 @@
 
 A genus-0 vertex contributes a multinomial coefficient depending only on its
 valence and local psi exponents.  Higher-genus vertex values are data, not
-code: they come from a fixture table keyed by the full local signature
-(genus, leak, signed local degrees, psi exponents), and a missing key is a
-hard error rather than a silently wrong number.
+code: they come from a fixture table, a read-only mapping keyed by the full
+local signature (genus, leak, signed local degrees, psi exponents), and a
+missing key is a hard error rather than a silently wrong number.
+:func:`vertex_mult` is the one reader of that table.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .exactarith import parse_rat, rat_str
-
-VertexOracle = Callable[["VertexKey"], int | Fraction]
 
 
 class FixtureError(ValueError):
@@ -78,26 +78,7 @@ def genus0_vertex_mult(valence: int, psi: Iterable[int]) -> int:
     return math.factorial(valence - 3) // denom
 
 
-class FixtureTable:
-    """Immutable lookup table VertexKey -> Fraction."""
-
-    def __init__(self, entries: dict[VertexKey, Fraction] | None = None):
-        self._entries = dict(entries or {})
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: VertexKey) -> Fraction | None:
-        return self._entries.get(key)
-
-    def merged(self, other: "FixtureTable") -> "FixtureTable":
-        """New table where ``other`` wins on shared keys."""
-        out = dict(self._entries)
-        out.update(other._entries)
-        return FixtureTable(out)
-
-
-def _table_from_rows(rows) -> FixtureTable:
+def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
     if not isinstance(rows, list):
         raise FixtureError("fixture file must contain a JSON list")
     entries: dict[VertexKey, Fraction] = {}
@@ -123,10 +104,10 @@ def _table_from_rows(rows) -> FixtureTable:
                     f"{rat_str(entries[known])} vs {rat_str(value)}"
                     + ("" if known == key else f" for its turned-around {key}"))
         entries[key] = value
-    return FixtureTable(entries)
+    return entries
 
 
-def load_fixtures(path: str | Path) -> FixtureTable:
+def load_fixtures(path: str | Path) -> dict[VertexKey, Fraction]:
     """Load a fixture table, rejecting duplicate keys with differing values."""
     try:
         rows = json.loads(Path(path).read_text())
@@ -136,19 +117,22 @@ def load_fixtures(path: str | Path) -> FixtureTable:
 
 
 @functools.lru_cache(maxsize=1)
-def default_fixtures() -> FixtureTable:
-    """The table shipped with the package (covers the worked examples)."""
+def default_fixtures() -> Mapping[VertexKey, Fraction]:
+    """The table shipped with the package (covers the worked examples),
+    read-only, since every caller shares the one cached copy."""
     text = resources.files("leakyhurwitz").joinpath(
         "data/default_fixtures.json").read_text()
-    return _table_from_rows(json.loads(text))
+    return MappingProxyType(_table_from_rows(json.loads(text)))
 
 
-def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> int | Fraction:
+def vertex_mult(key: VertexKey, fixtures: Mapping[VertexKey, Fraction] | None = None
+                ) -> int | Fraction:
     """Multiplicity for one vertex signature.
 
     Genus 0 is the int :func:`genus0_vertex_mult` and never consults the
-    table (nor k or the degrees).  Genus >= 1 is a table lookup, a
-    ``Fraction``, and raises :class:`MissingVertexData` when absent.
+    table (nor k or the degrees).  Genus >= 1 is a lookup in ``fixtures``
+    (``None`` means the builtin table), a ``Fraction``, and raises
+    :class:`MissingVertexData` when absent.
     """
     if key.genus == 0:
         return genus0_vertex_mult(key.valence, key.psi)
@@ -157,15 +141,3 @@ def vertex_mult(key: VertexKey, fixtures: FixtureTable | None = None) -> int | F
     if value is None:
         raise MissingVertexData(key)
     return value
-
-
-def oracle_from(fixtures: FixtureTable | None = None) -> VertexOracle:
-    """Bind :func:`vertex_mult` to one fixture table.
-
-    The counting path (``count_covers``, ``compute_H``) consults an oracle
-    for genus >= 1 keys only and takes genus-0 factors from
-    :func:`genus0_vertex_mult` itself; the listing path consults it for
-    every vertex.
-    """
-    table = fixtures if fixtures is not None else default_fixtures()
-    return lambda key: vertex_mult(key, table)

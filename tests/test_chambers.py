@@ -112,15 +112,35 @@ def test_reference_point_faults_are_problem_errors(at, match):
 
 def test_tree_system_cache_is_bounded():
     assert _tree_system.cache_info().maxsize == 128
-    assert _tree_system(EXPP.n, EXPP.e) is _tree_system(EXPP.n, EXPP.e)
+    assert _tree_system(EXPP.n, EXPP.e, EXPP.k) is \
+        _tree_system(EXPP.n, EXPP.e, EXPP.k)
 
 
 def test_tree_system_holds_the_type_records():
     _tree_system.cache_clear()
-    entries = _tree_system(EXPP.n, EXPP.e).entries
+    entries = _tree_system(EXPP.n, EXPP.e, EXPP.k).entries
     types = enumeration._types_for(0, EXPP.n, EXPP.e)
     assert len(entries) == len(types)
     assert all(entries[i][0] is types[i] for i in range(len(types)))
+
+
+def test_tree_system_memos_hold_one_leak():
+    # one system per (n, e, k): querying many leaks on one (n, e) opens new
+    # systems in the bounded cache instead of growing the memos of one
+    _tree_system.cache_clear()
+    e = (0,) * 4
+    leaks = range(1, 301)
+    for k in leaks:  # x1 + x_j is 2k or 2k + 2, off every wall x1 + x_j = k
+        chamber_polynomial(Problem.of(0, k, (2 * k + 1, -1, 1, -1), e))
+    info = _tree_system.cache_info()
+    assert info.currsize == info.maxsize == 128
+    for k in leaks[-128:]:
+        hits = _tree_system.cache_info().hits
+        system = _tree_system(4, e, k)
+        assert _tree_system.cache_info().hits == hits + 1
+        assert system.k == k
+        assert len(system._chambers) == 1
+        assert len(system._cache) == len(system.entries) == 3
 
 
 def test_counts_and_chambers_compile_each_type_once(monkeypatch):
@@ -148,7 +168,7 @@ def _tree_entry(n, e, ends):
     """The edge forms, as flows in the stored (u, v) directions, and the
     vertex multiplier of the tree type with these marking blocks."""
     return next((forms, t.genus0_factor)
-                for t, forms in _tree_system(n, e).entries
+                for t, forms in _tree_system(n, e, 0).entries
                 if t.vertex_ends == ends)
 
 
@@ -179,7 +199,7 @@ def test_chamber_memo_one_polynomial_per_chamber():
     first = chamber_polynomial(pa)
     assert chamber_polynomial(pb) is first
     chamber = tuple(s > 0 for s in _wall_signs(EXPP, b))
-    assert _TreeSystem(5, EXPP.e).polynomial(1, b, chamber) == first
+    assert _TreeSystem(5, EXPP.e, 1).polynomial(b, chamber) == first
     for p in (pa, pb):
         assert first.eval(p.x[:-1]) == compute_H(p)
     # equal wall signs at another leak are another chamber polynomial
@@ -204,7 +224,7 @@ def test_wall_crossing_example():
 
 def test_flanking_points_straddle_their_wall_alone():
     # wall_crossing trusts these points unchecked: x+- = z +- (e_a - e_b)
-    # with z on the wall gives delta = +-1, and _flanking keeps no candidate
+    # with z on the wall gives delta = +-1, and _find_flanking keeps no candidate
     # that is on, or changes sign across, any other wall
     for n in range(4, 8):
         for k in range(-2, 3):

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from leakyhurwitz.cli import main
+from leakyhurwitz.vertexdata import VertexKey, default_fixtures
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,20 @@ def test_fixtures_env_fallback(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "number", "-g", "1", "-k", "3", "-x", "9,-3")
     assert code == 0
     assert json.loads(out)["covers"] >= 1
+
+
+def test_fixtures_file_overrides_builtin_row(capsys, tmp_path):
+    # the user's row replaces the builtin -1/24 of this key for this run only
+    key = VertexKey(1, 1, (1,), (0,))
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([
+        {"genus": 1, "k": 1, "degrees": [1], "psi": [0], "value": 7}]))
+    golden = ("number", "-g", "1", "-k", "1", "-x", "7,-3,-1", "-e", "1,0,0")
+    code, out, _ = run_cli(capsys, *golden, "--fixtures", str(extra))
+    assert (code, json.loads(out)["H"]) == (0, "475/24")
+    assert default_fixtures()[key] == Fraction(-1, 24)
+    code, out, _ = run_cli(capsys, *golden)
+    assert (code, json.loads(out)["H"]) == (0, "51/4")
 
 
 def test_covers_golden_records(capsys):

@@ -13,8 +13,8 @@ from leakyhurwitz.enumeration import (compute_H, count_covers,
                                       enumerate_covers, enumerate_types,
                                       linear_extensions, weight_bound)
 from leakyhurwitz.intersections import psi_integral
-from leakyhurwitz.vertexdata import (FixtureTable, MissingVertexData, VertexKey,
-                                     default_fixtures, oracle_from)
+from leakyhurwitz.vertexdata import (MissingVertexData, VertexKey,
+                                     default_fixtures)
 
 GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
 
@@ -103,19 +103,19 @@ def test_compiled_flows_balance_higher_genus(g, k, head, data):
 
 def _first_missing_key(p, table):
     with pytest.raises(MissingVertexData) as exc:
-        count_covers(p, oracle_from(table))
+        count_covers(p, table)
     key = exc.value.key
     return key.genus, key.k, key.degrees, key.psi
 
 
 def test_count_covers_first_missing_key():
     # the keys that a vertex-by-vertex assembly meets first, in its order
-    empty = FixtureTable()
+    empty = {}
     assert _first_missing_key(GOLDEN, empty) == (1, 1, (1,), (0,))
     assert _first_missing_key(GOLDEN.turned_around(), empty) == (
         1, -1, (-1,), (0,))
     first = VertexKey(1, 1, (1,), (0,))
-    partial = FixtureTable({first: default_fixtures().get(first)})
+    partial = {first: default_fixtures()[first]}
     assert _first_missing_key(GOLDEN, partial) == (1, 1, (-5, 7), (0, 1))
     # two genus-1 vertices on one type: the lower-numbered one is read first
     assert _first_missing_key(Problem.of(2, 0, (-1, 1, 0), (1, 1, 0)),
@@ -124,7 +124,7 @@ def test_count_covers_first_missing_key():
                               empty) == (1, 0, (-1, 1), (0, 1))
     # no genus >= 1 vertex of these carries a nonzero flow: nothing is read
     for p in (Problem.of(2, 0, (20, -20)), Problem.of(2, 0, (-20, 20))):
-        assert count_covers(p, oracle_from(empty)) == (Fraction(20385062), 532)
+        assert count_covers(p, empty) == (Fraction(20385062), 532)
 
 
 def test_enumerate_types_idempotent():
@@ -180,7 +180,7 @@ def test_enumerate_covers_golden_multiset():
 
 def test_enumerate_covers_missing_fixture():
     with pytest.raises(MissingVertexData):
-        enumerate_covers(GOLDEN, oracle_from(FixtureTable()))
+        enumerate_covers(GOLDEN, {})
 
 
 def test_enumerate_covers_chamber_point():
@@ -197,13 +197,12 @@ def test_enumerate_covers_trivial():
 
 
 def test_outputs_revalidate_and_recompute():
-    oracle = oracle_from()
     problems = [GOLDEN,
                 Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0)),
                 Problem.of(1, 2, (8, -4)),
                 Problem.of(0, 0, (3, 2, -1, -4))]
     for p in problems:
-        for wc in enumerate_covers(p, oracle):
+        for wc in enumerate_covers(p):
             check_cover(p, wc.cover)
             cover = wc.cover
             h1 = len(cover.edges) - cover.num_vertices + 1

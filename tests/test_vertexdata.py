@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from leakyhurwitz.vertexdata import (FixtureError, FixtureTable, MissingVertexData,
-                                     VertexKey, default_fixtures,
-                                     genus0_vertex_mult, load_fixtures,
-                                     oracle_from, vertex_mult)
+from leakyhurwitz.vertexdata import (FixtureError, MissingVertexData, VertexKey,
+                                     default_fixtures, genus0_vertex_mult,
+                                     load_fixtures, vertex_mult)
 
 
 def test_genus0_multinomial():
@@ -38,8 +37,7 @@ def test_genus0_multinomial_is_an_int():
 def test_genus0_ignores_k_and_degrees():
     a = VertexKey(genus=0, k=5, degrees=(9, -2, -1), psi=(0, 0, 0))
     b = VertexKey(genus=0, k=-3, degrees=(1, 1, 1), psi=(0, 0, 0))
-    empty = FixtureTable()
-    assert vertex_mult(a, empty) == vertex_mult(b, empty) == 1
+    assert vertex_mult(a, {}) == vertex_mult(b, {}) == 1
 
 
 def test_default_fixture_entries():
@@ -47,6 +45,14 @@ def test_default_fixture_entries():
     assert table.get(VertexKey(1, 1, (7, -5), (1, 0))) == Fraction(35, 24)
     assert table.get(VertexKey(1, 1, (1,), (0,))) == Fraction(-1, 24)
     assert table.get(VertexKey(1, 2, (2,), (0,))) == Fraction(-1, 24)
+
+
+def test_default_fixtures_are_read_only():
+    # one cached table serves every caller, so no caller may change it
+    key = VertexKey(1, 1, (1,), (0,))
+    with pytest.raises(TypeError):
+        default_fixtures()[key] = 1
+    assert default_fixtures()[key] == Fraction(-1, 24)
 
 
 def test_key_canonicalization():
@@ -59,7 +65,7 @@ def test_key_canonicalization():
 def test_missing_key_error_carries_key():
     key = VertexKey(1, 9, (4, -2), (1, 0))
     with pytest.raises(MissingVertexData) as err:
-        vertex_mult(key, FixtureTable())
+        vertex_mult(key, {})
     assert err.value.key == key
     assert "genus=1" in str(err.value)
 
@@ -134,19 +140,3 @@ def test_load_fixtures_zero_denominator(tmp_path):
         {"genus": 1, "k": 3, "degrees": [3], "psi": [0], "value": "1/0"}]))
     with pytest.raises(FixtureError, match="bad fixture row"):
         load_fixtures(path)
-
-
-def test_merged_tables_override():
-    base = default_fixtures()
-    override = FixtureTable({VertexKey(1, 1, (1,), (0,)): Fraction(7)})
-    merged = base.merged(override)
-    assert merged.get(VertexKey(1, 1, (1,), (0,))) == Fraction(7)
-    assert merged.get(VertexKey(1, 1, (7, -5), (1, 0))) == Fraction(35, 24)
-    # the original is untouched
-    assert base.get(VertexKey(1, 1, (1,), (0,))) == Fraction(-1, 24)
-
-
-def test_oracle_from_binds_table():
-    oracle = oracle_from(FixtureTable())
-    with pytest.raises(MissingVertexData):
-        oracle(VertexKey(1, 1, (1,), (0,)))
