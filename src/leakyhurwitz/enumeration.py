@@ -7,11 +7,14 @@ The pipeline runs in three stages:
    the genus decomposition, deduplicated by a canonical certificate;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
-   edge contributes one free integer weight, scanned over [-B, B] with the
-   proven bound B = max(P, N) of ``weight_bound`` (P and N the positive and
-   negative degree totals): an edge crossing a position cut points right, so
-   its weight is at most the cut flow, which is at most P for k >= 0 and N
-   for k <= 0;
+   edge contributes one free integer weight, bounded by the proven
+   B = max(P, N) of ``weight_bound`` (P and N the positive and negative
+   degree totals): an edge crossing a position cut points right, so its
+   weight is at most the cut flow, which is at most P for k >= 0 and N for
+   k <= 0.  The free weights are fixed one at a time, each over the
+   interval that keeps the edges it settles within [-B, B]
+   (``_admissible_flows``), which yields exactly what a scan of the box
+   [-B, B]^h would, in the same order;
 3. positions: every linear extension of the orientation induced by positive
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
@@ -347,13 +350,21 @@ def count_linear_extensions(num_vertices: int,
                             arcs: Sequence[tuple[int, int]]) -> int:
     """Number of total orders extending the arc relation.
 
-    Dynamic programming over downward-closed vertex subsets; a cyclic
-    relation admits no extension and counts 0.
+    The count depends only on each vertex's set of predecessors, so it is
+    memoized on those sets (``_count_extensions``).
     """
-    V = num_vertices
-    preds = [0] * V
+    preds = [0] * num_vertices
     for a, b in arcs:
         preds[b] |= 1 << a
+    return _count_extensions(tuple(preds))
+
+
+@functools.lru_cache(maxsize=1024)
+def _count_extensions(preds: tuple[int, ...]) -> int:
+    """Dynamic programming over downward-closed vertex subsets, ``preds[v]``
+    the bit mask of v's predecessors; a cyclic relation admits no extension
+    and counts 0."""
+    V = len(preds)
     full = (1 << V) - 1
     counts = [0] * (full + 1)
     counts[0] = 1
@@ -396,13 +407,41 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                       ) -> Iterator[tuple[CombinatorialType, list[int]]]:
     """Each type of p with each of its integer flow vectors that
     has no zero flow and is canonical on parallel edges; with cycles, also
-    none above :func:`weight_bound`."""
+    none above :func:`weight_bound`.
+
+    Every flow is affine in the free weights: base + sum_j w_j * units[j].
+    The weights are fixed one at a time, in unit order.  An edge that unit
+    j moves and no later unit moves is settled once w_j is fixed, and its
+    unit entry is +-1, so |flow| <= B cuts w_j down to an interval; each
+    level walks its interval upwards, skipping 0 as the box does.  Every
+    skipped prefix settles an edge above B, so no completion of it passes
+    the final test, which every complete vector still takes.  The vectors
+    yielded are thus those of the box of nonzero weights in [-B, B]^h that
+    pass it, in the box's lexicographic order.
+    """
     sums = [0]  # sums[mask]: the degrees of the markings in mask
     for v in p.x:
         sums += [s + v for s in sums]
     k = p.k
     bound = weight_bound(p)
-    values = [v for v in range(-bound, bound + 1) if v != 0]
+
+    def walk(t, settled, j, flows):
+        lo, hi = -bound, bound
+        for i, u in settled[j]:  # |flows[i] + w * u| <= bound, u = +-1
+            lo = max(lo, -bound - u * flows[i])
+            hi = min(hi, bound - u * flows[i])
+        unit = t.units[j]
+        last = j + 1 == len(t.units)
+        for w in range(lo, hi + 1):
+            if not w:
+                continue
+            nxt = [f + w * u for f, u in zip(flows, unit)]
+            if not last:
+                yield from walk(t, settled, j + 1, nxt)
+            elif (all(f and -bound <= f <= bound for f in nxt)
+                    and _canonical_parallel(t.runs, nxt)):
+                yield t, nxt
+
     for t in types:
         pairs = iter(t.cuts)
         base = [sums[m] - k * cut for m, cut in zip(pairs, pairs)]
@@ -410,14 +449,12 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
             if all(base):
                 yield t, base
             continue
-        # every flow is affine in the free weights: base + sum_j w_j * unit_j
-        for combo in itertools.product(values, repeat=len(t.units)):
-            flows = base
-            for w, unit in zip(combo, t.units):
-                flows = [f + w * u for f, u in zip(flows, unit)]
-            if (all(f and -bound <= f <= bound for f in flows)
-                    and _canonical_parallel(t.runs, flows)):
-                yield t, flows
+        settled: list[list[tuple[int, int]]] = [[] for _ in t.units]
+        for i, column in enumerate(zip(*t.units)):
+            moving = [j for j, u in enumerate(column) if u]
+            if moving:
+                settled[moving[-1]].append((i, column[moving[-1]]))
+        yield from walk(t, settled, 0, base)
 
 
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:

@@ -169,6 +169,24 @@ def test_count_linear_extensions_vs_brute_force(n, data):
     assert len(listed) == len(set(listed)) == _brute_extensions(n, arcs)
 
 
+def test_count_linear_extensions_memo():
+    # random relations, cyclic ones included; the memo keys on predecessor
+    # sets, so arc order and repeated arcs give the same count
+    assert enumeration._count_extensions.cache_info().maxsize == 1024
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        arcs = [(a, b) for a, b in ((rng.randrange(n), rng.randrange(n))
+                                    for _ in range(rng.randint(0, 8)))
+                if a != b]
+        count = count_linear_extensions(n, arcs)
+        assert count == _brute_extensions(n, arcs)
+        assert count == len(list(linear_extensions(n, arcs)))
+        shuffled = arcs + arcs[:rng.randint(0, len(arcs))]
+        rng.shuffle(shuffled)
+        assert count_linear_extensions(n, shuffled) == count
+
+
 def test_enumerate_covers_golden_multiset():
     covers = enumerate_covers(GOLDEN)
     assert len(covers) == 5
@@ -309,6 +327,25 @@ def test_weight_bound_is_reached():
     assert max(_orderable_weights(p)) == weight_bound(p) == 20
 
 
+@pytest.mark.parametrize("g, n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
+                                  (2, 3), (3, 1), (3, 2)])
+def test_units_are_fundamental_cycles(g, n):
+    # the walk's intervals need unit entries in {-1, 0, 1}, and unit j
+    # to be 1 on its own free edge and 0 on the other free edges
+    for e in ((0,) * n, (1,) + (0,) * (n - 1)):
+        if (g, e) == (3, (0, 0)):
+            continue  # 0.6 s of type enumeration; (1, 0) has three cycles
+        for t in enumeration._types_for(g, n, e):
+            _, parent_edge, _ = enumeration._spanning_structure(
+                t.num_vertices, t.edges)
+            free = sorted(set(range(len(t.edges))) - set(parent_edge.values()))
+            assert len(free) == len(t.units)
+            for j, unit in enumerate(t.units):
+                assert set(unit) <= {-1, 0, 1}
+                assert [unit[i] for i in free] == [int(i == free[j])
+                                                   for i in free]
+
+
 def _listed(p):
     covers = enumerate_covers(p)
     return sum((wc.multiplicity for wc in covers), Fraction(0)), len(covers)
@@ -337,6 +374,52 @@ GENUS1_FAMILY = [Problem.of(1, k, (span + k, -(span - k)))
     Problem.of(2, 0, (5, 5, -10)), Problem.of(2, 0, (20, -20))], ids=str)
 def test_count_covers_matches_listing_higher_genus(p):
     assert count_covers(p) == _listed(p)
+
+
+def _box_scan(p, types):
+    # the scan of the whole box [-B, B]^h that the interval walk replaced
+    sums = [0]
+    for v in p.x:
+        sums += [s + v for s in sums]
+    bound = enumeration.weight_bound(p)
+    values = [v for v in range(-bound, bound + 1) if v != 0]
+    for t in types:
+        pairs = iter(t.cuts)
+        base = [sums[m] - p.k * c for m, c in zip(pairs, pairs)]
+        if not t.units:
+            if all(base):
+                yield t, base
+            continue
+        for combo in itertools.product(values, repeat=len(t.units)):
+            flows = base
+            for w, unit in zip(combo, t.units):
+                flows = [f + w * u for f, u in zip(flows, unit)]
+            if (all(f and -bound <= f <= bound for f in flows)
+                    and enumeration._canonical_parallel(t.runs, flows)):
+                yield t, flows
+
+
+GENUS2_N2 = [Problem.of(2, -1, (-3, -1)), Problem.of(2, 0, (7, -7)),
+             Problem.of(2, 1, (8, -4)), Problem.of(2, 2, (6, 2))]
+WALKED = [*GENUS1_FAMILY, *GENUS2_N2,
+          Problem.of(2, -1, (2, -3, -4)), Problem.of(2, 0, (3, -1, -2)),
+          Problem.of(2, 1, (3, 3, -1)), Problem.of(2, 2, (6, 5, -1)),
+          Problem.of(3, 0, (3, -3), (1, 0))]  # three free weights
+
+
+@pytest.mark.parametrize("p, widen", [
+    *((p, False) for p in WALKED),
+    *((p, True) for p in (*GENUS1_FAMILY, *GENUS2_N2))], ids=str)
+def test_admissible_flows_walk_is_box_scan(p, widen):
+    # the same (type, flows) sequence, in the same order; widened as in
+    # test_weight_bound_holds_under_wider_scan
+    with pytest.MonkeyPatch.context() as mp:
+        if widen:
+            bound = weight_bound(p)
+            mp.setattr(enumeration, "weight_bound", lambda q: 2 * bound + 2)
+        types = enumeration._types_for(p.genus, p.n, p.e)
+        assert (list(enumeration._admissible_flows(p, types))
+                == list(_box_scan(p, types)))
 
 
 GENUS2_LEAKY = [(Problem.of(2, 1, (3, 3, -1)), Fraction(18671, 192), 157),
