@@ -1,12 +1,13 @@
 """Genus-0 chamber polynomials, walls, wall crossings, and the vanishing test.
 
-For genus 0 every cover is a tree, each tree edge weight is the affine form
-delta_I = sum_{i in I} x_i - k (|I| - 1) of the marking split I it induces,
-and the count is polynomial on every chamber cut out by those forms.  The
-chamber polynomial sums, over all tree types, the number of vertex
-interlacings times the product of the (sign-corrected) weight forms times
-the vertex multinomials, and is normalized by eliminating x_n against the
-degree constraint.
+For genus 0 every cover is a tree.  An edge cutting off the markings I has
+weight |delta_I|, delta_I = sum_{i in I} x_i - k (|I| - 1), and both sides of
+the cut hold two markings or more, so delta_I is plus or minus a wall form.
+The count is polynomial on every chamber the walls cut out, and the chamber's
+wall signs fix each edge's orientation and weight.  The chamber polynomial
+sums, over all tree types, the number of vertex interlacings times the
+product of the edge weights times the vertex multinomials, and is normalized
+by eliminating x_n against the degree constraint.
 
 Crossing a wall delta = 0 changes the polynomial by
 
@@ -25,7 +26,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, count_linear_extensions, _types_for
@@ -52,9 +53,11 @@ class Wall:
 
     @staticmethod
     def of(n: int, subset: Sequence[int]) -> "Wall":
-        I = tuple(sorted(set(subset)))
+        I = tuple(sorted(subset))
         if n < 4:
             raise WallError(f"n = {n} markings have no walls: walls need n >= 4")
+        if len(set(I)) < len(I):
+            raise WallError(f"wall subset {tuple(subset)} repeats a marking")
         if not 2 <= len(I) <= n - 2:
             raise WallError(f"wall subset {I} must have size 2..{n - 2}")
         if any(i < 1 or i > n for i in I):
@@ -83,66 +86,60 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
 
 
 class _TreeSystem:
-    """Tree types of a genus-0 problem at one leak k, each with its edge
-    weight forms.
+    """Tree types of a genus-0 problem at one leak k, each edge read as a wall.
 
-    Each entry pairs a record of ``_types_for(0, n, e)`` with its forms: the
-    cut (mask, c) of an edge becomes the form sum_{i in mask} x_i - k c, and
-    the multiplier is the record's ``genus0_factor``.  The per-orientation
-    linear-extension counts and form products are memoized; they are reused
-    across every evaluation point.  So is each chamber's normal-form
-    polynomial, keyed by the chamber's wall signs.
+    Each entry pairs a record of ``_types_for(0, n, e)`` with one (wall index,
+    side) per edge: the edge's cut (mask, c) has c = |mask| - 1, so its form
+    sum_{i in mask} x_i - k c is the wall's form (side +1) when mask is the
+    wall's subset, and minus it on the degree hyperplane (side -1) when mask
+    is the complement.  At wall sign s the edge points along its stored
+    (u, v) when s * side > 0 and weighs s * (wall form) = |delta|.  Linear
+    extensions and weight products are memoized per type and edge wall
+    signs, chamber polynomials per wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
         self.n, self.k = n, k
-        self.entries: list[tuple[CombinatorialType, tuple[LinForm, ...]]] = []
-        for t in _types_for(0, n, e):
-            pairs = iter(t.cuts)
-            forms = tuple(
-                LinForm.of({i + 1: 1 for i in range(n) if mask >> i & 1}, k=-cut)
-                for mask, cut in zip(pairs, pairs))
-            self.entries.append((t, forms))
+        full = (1 << n) - 1
+        sides: dict[int, tuple[int, int]] = {}
+        for i, w in enumerate(_walls_of(n)):
+            mask = sum(1 << (j - 1) for j in w.subset)
+            sides[mask], sides[full ^ mask] = (i, 1), (i, -1)
+        self.wall_polys = tuple(w.form.as_poly(n, k) for w in _walls_of(n))
+        self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
+            (t, tuple(sides[mask] for mask in t.cuts[::2]))
+            for t in _types_for(0, n, e)]
         self._cache: dict[tuple, tuple[int, Poly]] = {}
-        self._chambers: dict[tuple[bool, ...], Poly] = {}
+        self._chambers: dict[tuple[int, ...], Poly] = {}
 
     def contribution(self, idx: int, signs: tuple[int, ...]) -> tuple[int, Poly]:
         key = (idx, signs)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        t, forms = self.entries[idx]
-        arcs = [(a, b) if s > 0 else (b, a)
-                for (a, b), s in zip(t.edges, signs)]
-        le = count_linear_extensions(t.num_vertices, arcs)
-        product = Poly.const(self.n, t.genus0_factor)
-        if le:
-            for form, s in zip(forms, signs):
-                signed = form if s > 0 else -form
-                product = product * signed.as_poly(self.n, self.k)
-        result = (le, product)
-        self._cache[key] = result
-        return result
+        if cached is None:
+            t, edge_walls = self.entries[idx]
+            arcs = [(a, b) if s * side > 0 else (b, a)
+                    for (a, b), s, (_, side) in zip(t.edges, signs, edge_walls)]
+            le = count_linear_extensions(t.num_vertices, arcs)
+            # each weight s * (wall form) gives its sign s to the constant
+            product = Poly.const(self.n, t.genus0_factor * math.prod(signs))
+            if le:
+                for i, _ in edge_walls:
+                    product = product * self.wall_polys[i]
+            cached = self._cache[key] = (le, product)
+        return cached
 
-    def polynomial(self, x0: Sequence, chamber: tuple[bool, ...]) -> Poly:
-        """Normal-form polynomial of the chamber that contains x0.
-
-        ``chamber`` holds the wall signs at x0.  Every tree edge form is plus
-        or minus a wall form on the degree hyperplane, so they fix the sign
-        of every edge form and hence the polynomial.
-        """
+    def polynomial(self, chamber: tuple[int, ...]) -> Poly:
+        """Normal-form polynomial of the chamber with these wall signs."""
         poly = self._chambers.get(chamber)
         if poly is None:
-            k = self.k
             parts = []
-            for idx, (_, forms) in enumerate(self.entries):
-                signs = tuple(1 if f.evaluate(x0, k) > 0 else -1 for f in forms)
-                le, product = self.contribution(idx, signs)
+            for idx, (_, edge_walls) in enumerate(self.entries):
+                le, product = self.contribution(
+                    idx, tuple(chamber[i] for i, _ in edge_walls))
                 if le:
                     parts.append((product, le))
-            poly = Poly.weighted_sum(self.n, parts).substitute_degree(
-                k * (self.n - 2))
-            self._chambers[chamber] = poly
+            poly = self._chambers[chamber] = Poly.weighted_sum(
+                self.n, parts).substitute_degree(self.k * (self.n - 2))
         return poly
 
 
@@ -170,14 +167,19 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
         raise ProblemError(
             f"reference point off the degree hyperplane: sum = {sum(x0)}, "
             f"expected {expected}")
-    chamber = []  # the sign of every wall form at x0, True when positive
-    for w in walls(p.n):
-        value = w.form.evaluate(x0, p.k)
-        if value == 0:
-            raise WallError(
-                f"reference point {list(x0)} lies on the wall {list(w.subset)}")
-        chamber.append(value > 0)
-    return _tree_system(p.n, p.e, p.k).polynomial(x0, tuple(chamber))
+    chamber = tuple(_signs(p.n, p.k, x0))
+    if 0 in chamber:
+        wall = _walls_of(p.n)[chamber.index(0)]
+        raise WallError(
+            f"reference point {list(x0)} lies on the wall {list(wall.subset)}")
+    return _tree_system(p.n, p.e, p.k).polynomial(chamber)
+
+
+def _signs(n: int, k: int, point: Sequence) -> Iterator[int]:
+    """The sign, -1, 0 or +1, of each wall form of n markings at point, lazily."""
+    for w in _walls_of(n):
+        value = w.form.evaluate(point, k)
+        yield (value > 0) - (value < 0)
 
 
 def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
@@ -211,16 +213,14 @@ def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
     """
     I = wall.subset
     comp = tuple(i for i in range(1, n + 1) if i not in I)
-    delta_plus = wall.form.evaluate(x_plus, k)
     refs = []
-    for part, cut_sign in ((I, -1), (comp, 1)):
+    # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other
+    for part, cut in ((I, -1), (comp, 1)):
         limit = tuple(z[i - 1] for i in part) + (0,)
-        ref = tuple(x_plus[i - 1] for i in part) + (cut_sign * delta_plus,)
-        for w in walls(len(part) + 1):
-            at_limit = w.form.evaluate(limit, k)
-            at_ref = w.form.evaluate(ref, k)
-            if at_limit == 0 or at_ref == 0 or (at_limit > 0) != (at_ref > 0):
-                return None
+        ref = tuple(x_plus[i - 1] for i in part) + (cut,)
+        m = len(ref)
+        if not all(a * b > 0 for a, b in zip(_signs(m, k, limit), _signs(m, k, ref))):
+            return None
         refs.append(ref)
     return tuple(refs)
 
@@ -229,24 +229,13 @@ def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
 def _find_flanking(n: int, k: int, wall: Wall):
     """Flanking points and subproblem references; they depend on n, k and
     the wall only, so every psi vector shares them."""
-    all_walls = walls(n)
     for attempt in range(400):
         z, x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
-        ok = True
-        for w in all_walls:
-            if w.subset == wall.subset:
-                continue
-            vp = w.form.evaluate(x_plus, k)
-            vm = w.form.evaluate(x_minus, k)
-            if vp == 0 or vm == 0 or (vp > 0) != (vm > 0):
-                ok = False
-                break
-        if not ok:
-            continue
-        refs = _subproblem_refs(n, k, wall, z, x_plus)
-        if refs is None:
-            continue
-        return x_plus, x_minus, refs
+        pairs = zip(_walls_of(n), _signs(n, k, x_plus), _signs(n, k, x_minus))
+        if all(a * b > 0 for w, a, b in pairs if w.subset != wall.subset):
+            refs = _subproblem_refs(n, k, wall, z, x_plus)
+            if refs is not None:
+                return x_plus, x_minus, refs
     raise WallError(f"no generic flanking points found for wall {wall.subset}")
 
 

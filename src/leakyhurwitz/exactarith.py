@@ -5,9 +5,9 @@ pin down the canonical ``"p/q"`` string format used everywhere else (the
 denominator is omitted when it equals 1).
 
 A :class:`LinForm` is an integer-coefficient affine expression in profile
-variables x1..xn plus the leak parameter k.  Tree edge weights and walls are
-stored in this shape, so evaluating one at an integer point always gives an
-integer.
+variables x1..xn plus the leak parameter k.  Walls, whose forms are also the
+genus-0 tree edge weights, are stored in this shape, so evaluating one at an
+integer point always gives an integer.
 
 A :class:`Poly` is a sparse multivariate polynomial over the rationals,
 stored as a dict from exponent tuples to nonzero coefficients (the zero
@@ -64,10 +64,6 @@ class LinForm:
             merged[i] = merged.get(i, 0) + c
         cleaned = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
         return LinForm(cleaned, k, const)
-
-    def __neg__(self) -> "LinForm":
-        return LinForm(tuple((i, -c) for i, c in self.coeffs),
-                       -self.k_coeff, -self.const)
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
         """Evaluate at a profile and leak; x must cover all indices used."""

@@ -78,6 +78,12 @@ def genus0_vertex_mult(valence: int, psi: Iterable[int]) -> int:
     return math.factorial(valence - 3) // denom
 
 
+def _turned_around(key: VertexKey) -> VertexKey:
+    """The key of the vertex turned around (k -> -k, degrees -> -degrees),
+    which has the same value."""
+    return VertexKey(key.genus, -key.k, tuple(-d for d in key.degrees), key.psi)
+
+
 def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
     if not isinstance(rows, list):
         raise FixtureError("fixture file must contain a JSON list")
@@ -94,10 +100,7 @@ def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
             value = parse_rat(str(value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise FixtureError(f"bad fixture row {row!r}: {exc}") from exc
-        # turning a vertex around (k -> -k, degrees -> -degrees) keeps its value
-        mirror = VertexKey(key.genus, -key.k, tuple(-d for d in key.degrees),
-                           key.psi)
-        for known in (key, mirror):
+        for known in (key, _turned_around(key)):
             if known in entries and entries[known] != value:
                 raise FixtureError(
                     f"conflicting fixture values for {known}: "
@@ -131,13 +134,16 @@ def vertex_mult(key: VertexKey, fixtures: Mapping[VertexKey, Fraction] | None = 
 
     Genus 0 is the int :func:`genus0_vertex_mult` and never consults the
     table (nor k or the degrees).  Genus >= 1 is a lookup in ``fixtures``
-    (``None`` means the builtin table), a ``Fraction``, and raises
-    :class:`MissingVertexData` when absent.
+    (``None`` means the builtin table), a ``Fraction``, of the key or else
+    of its turned-around key, and raises :class:`MissingVertexData`, naming
+    the key asked for, when both are absent.
     """
     if key.genus == 0:
         return genus0_vertex_mult(key.valence, key.psi)
     table = fixtures if fixtures is not None else default_fixtures()
     value = table.get(key)
+    if value is None:
+        value = table.get(_turned_around(key))
     if value is None:
         raise MissingVertexData(key)
     return value

@@ -41,6 +41,8 @@ def test_wall_subset_bounds():
         Wall.of(4, (1,))
     with pytest.raises(WallError):
         Wall.of(4, (1, 2, 3))
+    with pytest.raises(WallError, match=re.escape("(1, 1, 2) repeats a marking")):
+        Wall.of(4, (1, 1, 2))
 
 
 def test_chamber_polynomial_example():
@@ -122,6 +124,28 @@ def test_tree_system_holds_the_type_records():
     types = enumeration._types_for(0, EXPP.n, EXPP.e)
     assert len(entries) == len(types)
     assert all(entries[i][0] is types[i] for i in range(len(types)))
+    # each edge names the wall of its tail-side markings, side +1, or of
+    # their complement, side -1
+    wall_list = walls(EXPP.n)
+    for t, edge_walls in entries:
+        assert len(edge_walls) == len(t.edges)
+        for mask, (i, side) in zip(t.cuts[::2], edge_walls):
+            tail = tuple(j for j in range(1, EXPP.n + 1) if mask >> (j - 1) & 1)
+            assert Wall.of(EXPP.n, tail) == wall_list[i]
+            assert (wall_list[i].subset == tail) == (side == 1)
+
+
+def test_genus0_cuts_are_walls():
+    # the cut (mask, c) of a tree edge is the wall of mask: c = |mask| - 1,
+    # and both sides hold at least two markings
+    for n in range(4, 8):
+        for e in itertools.product(range(n - 2), repeat=n):
+            if sum(e) > n - 3:
+                continue
+            for t in enumeration._types_for(0, n, e):
+                for mask, c in zip(t.cuts[::2], t.cuts[1::2]):
+                    size = bin(mask).count("1")
+                    assert c == size - 1 and 2 <= size <= n - 2, (n, e, t)
 
 
 def test_tree_system_memos_hold_one_leak():
@@ -139,6 +163,7 @@ def test_tree_system_memos_hold_one_leak():
         system = _tree_system(4, e, k)
         assert _tree_system.cache_info().hits == hits + 1
         assert system.k == k
+        assert system.wall_polys == tuple(w.form.as_poly(4, k) for w in walls(4))
         assert len(system._chambers) == 1
         assert len(system._cache) == len(system.entries) == 3
 
@@ -165,31 +190,33 @@ def test_counts_and_chambers_compile_each_type_once(monkeypatch):
 
 
 def _tree_entry(n, e, ends):
-    """The edge forms, as flows in the stored (u, v) directions, and the
-    vertex multiplier of the tree type with these marking blocks."""
-    return next((forms, t.genus0_factor)
-                for t, forms in _tree_system(n, e, 0).entries
+    """The (wall subset, side) of each edge, in the stored (u, v) directions,
+    and the vertex multiplier of the tree type with these marking blocks."""
+    wall_list = walls(n)
+    return next((tuple((wall_list[i].subset, side) for i, side in edge_walls),
+                 t.genus0_factor)
+                for t, edge_walls in _tree_system(n, e, 0).entries
                 if t.vertex_ends == ends)
 
 
 def test_tree_system_forms():
-    assert _tree_entry(5, EXPP.e, ((1, 2, 3), (4, 5))) == (
-        (LinForm.of({1: 1, 2: 1, 3: 1}, k=-2),), 1)
+    # the tail side {1, 2, 3} is the wall's subset
+    assert _tree_entry(5, EXPP.e, ((1, 2, 3), (4, 5))) == ((((1, 2, 3), 1),), 1)
     # a valence-5 vertex with psi (1, 1, 0, 0): 2! / (1! 1!)
     assert _tree_entry(6, (1, 1, 0, 0, 0, 0), ((1, 2, 3, 4), (5, 6))) == (
-        (LinForm.of({1: 1, 2: 1, 3: 1, 4: 1}, k=-3),), 2)
+        (((1, 2, 3, 4), 1),), 2)
 
 
 def test_tree_system_caterpillar():
-    assert _tree_entry(4, (0,) * 4, ((1, 2), (3, 4))) == (
-        (LinForm.of({1: 1, 2: 1}, k=-1),), 1)
-    # edges (0, 2) and (1, 2): the tail of each is its leaf
+    assert _tree_entry(4, (0,) * 4, ((1, 2), (3, 4))) == ((((1, 2), 1),), 1)
+    # edges (0, 2) and (1, 2): the tail of each is its leaf, so the second
+    # edge's tail {3, 4} is the complement of the wall {1, 2, 5}
     assert _tree_entry(5, (0,) * 5, ((1, 2), (3, 4), (5,))) == (
-        (LinForm.of({1: 1, 2: 1}, k=-1), LinForm.of({3: 1, 4: 1}, k=-1)), 1)
-    # edges (0, 1) and (0, 2): the tail side of each holds the other leaf
+        (((1, 2), 1), ((1, 2, 5), -1)), 1)
+    # edges (0, 1) and (0, 2): the tail side of each holds the other leaf,
+    # {1, 4, 5} and {1, 2, 3}
     assert _tree_entry(5, (0,) * 5, ((1,), (2, 3), (4, 5))) == (
-        (LinForm.of({1: 1, 4: 1, 5: 1}, k=-2),
-         LinForm.of({1: 1, 2: 1, 3: 1}, k=-2)), 1)
+        (((1, 4, 5), 1), ((1, 2, 3), 1)), 1)
 
 
 def test_chamber_memo_one_polynomial_per_chamber():
@@ -198,8 +225,7 @@ def test_chamber_memo_one_polynomial_per_chamber():
     pa, pb = Problem.of(0, 1, a, EXPP.e), Problem.of(0, 1, b, EXPP.e)
     first = chamber_polynomial(pa)
     assert chamber_polynomial(pb) is first
-    chamber = tuple(s > 0 for s in _wall_signs(EXPP, b))
-    assert _TreeSystem(5, EXPP.e, 1).polynomial(b, chamber) == first
+    assert _TreeSystem(5, EXPP.e, 1).polynomial(_wall_signs(EXPP, b)) == first
     for p in (pa, pb):
         assert first.eval(p.x[:-1]) == compute_H(p)
     # equal wall signs at another leak are another chamber polynomial
@@ -325,6 +351,28 @@ def test_polynomiality_random_larger():
         p = Problem.of(0, k, x, e)
         assert compute_H(p) == chamber_polynomial(p).eval(x[:-1])
         hits += 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_chamber_polynomials_match_counts_off_the_walls(n):
+    # chamber polynomials against the enumerator, an independent path, at
+    # seeded signed points off every wall: every leak -2..2, at e = 0 and
+    # with one psi (n = 7 with one psi only, as e = 0 there is slow)
+    rng = random.Random(f"chambers-vs-counts:{n}")
+    for k in range(-2, 3):
+        for psi in ((False, True) if n < 7 else (True,)):
+            e = [0] * n
+            if psi:
+                e[rng.randrange(n)] = 1
+            hits = 0
+            while hits < (3 if n < 7 else 2):
+                x = [rng.randint(-6, 6) for _ in range(n - 1)]
+                x.append(k * (n - 2) - sum(x))
+                if any(w.form.evaluate(x, k) == 0 for w in walls(n)):
+                    continue
+                p = Problem.of(0, k, x, e)
+                assert chamber_polynomial(p).eval(x[:-1]) == compute_H(p), p
+                hits += 1
 
 
 def test_classify_examples():

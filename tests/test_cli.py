@@ -66,6 +66,18 @@ def test_fixtures_env_fallback(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["covers"] >= 1
 
 
+def test_fixture_row_serves_its_turned_around_vertex(capsys, tmp_path):
+    # the row's key (genus 1, k 0, degrees (-3, 3), psi (0, 1)) and its
+    # turn-around (psi (1, 0)) are one value, whichever one a cover asks for
+    only = tmp_path / "only.json"
+    only.write_text(json.dumps([
+        {"genus": 1, "k": 0, "degrees": [-3, 3], "psi": [0, 1], "value": "1/3"}]))
+    for x in ("3,-3", "-3,3"):
+        assert run_cli(capsys, "number", "-g", "1", "-k", "0", "-x", x,
+                       "-e", "1,0", "--fixtures", str(only)) == (
+            0, json.dumps({"H": "1/3", "covers": 1}, indent=2) + "\n", "")
+
+
 def test_fixtures_file_overrides_builtin_row(capsys, tmp_path):
     # the user's row replaces the builtin -1/24 of this key for this run only
     key = VertexKey(1, 1, (1,), (0,))
@@ -192,6 +204,8 @@ def test_negative_leading_list_values(capsys):
      "error: reference point [1, 0, -1, 1, 2] lies on the wall [1, 2]\n"),
     (("wallcross", "-n", "3", "--subset", "1,2"), 4,
      "error: n = 3 markings have no walls: walls need n >= 4\n"),
+    (("wallcross", "-n", "4", "--subset", "1,1,2"), 4,
+     "error: wall subset (1, 1, 2) repeats a marking\n"),
     (("walls", "-n", "-3"), 2,
      "error: unstable marking count: n = -3 must be at least 3\n"),
     (("walls", "-n", "0"), 2,

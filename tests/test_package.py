@@ -1,8 +1,9 @@
 """Package hygiene: every public name resolves, no module keeps an import
-that it never uses (the leftovers that deletions tend to leave), and every
-module cache is bounded."""
+or a private function or class that it never uses (the leftovers that
+deletions tend to leave), and every module cache is bounded."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,40 @@ def test_unused_import_check_sees_a_leftover():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute, or imported
+    within node."""
+    return Counter(ref.id if isinstance(ref, ast.Name)
+                   else ref.attr if isinstance(ref, ast.Attribute) else ref.name
+                   for ref in ast.walk(node)
+                   if isinstance(ref, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def _unreferenced_privates(sources: list[str]) -> list[str]:
+    """The private top-level functions and classes of the sources that no
+    source names outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum(map(_references, trees), Counter())
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and everywhere[node.name] == _references(node)[node.name]]
+
+
+def test_unreferenced_private_check_sees_a_leftover():
+    sources = ["def _used(): pass\ndef _left(): return _left()\n"
+               "class _Gone: pass\ndef __getattr__(name): pass\n",
+               "from a import _used\nimport a\nprint(a._Alias)\n"
+               "class _Alias: pass\n"]
+    assert _unreferenced_privates(sources) == ["_left", "_Gone"]
+
+
+def test_no_unreferenced_privates():
+    package = Path(leakyhurwitz.__file__).parent
+    assert _unreferenced_privates(
+        [path.read_text() for path in sorted(package.glob("*.py"))]) == []
 
 
 def _unbounded_caches(source: str) -> list[str]:

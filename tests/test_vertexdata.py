@@ -68,6 +68,8 @@ def test_missing_key_error_carries_key():
         vertex_mult(key, {})
     assert err.value.key == key
     assert "genus=1" in str(err.value)
+    # a table holding only the turned-around key serves this one
+    assert vertex_mult(key, {VertexKey(1, -9, (-4, 2), (1, 0)): 5}) == 5
 
 
 def test_load_fixtures_empty_and_conflict(tmp_path):
