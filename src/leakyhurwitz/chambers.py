@@ -195,55 +195,31 @@ def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
             z[i - 1] = rng.randint(-spread, spread)
     z[a - 1] = k * (len(I) - 1) - sum(z[i - 1] for i in I if i != a)
     z[b - 1] = k * (n - 2) - sum(z[i - 1] for i in range(1, n + 1) if i != b)
-    x_plus = list(z)
-    x_minus = list(z)
-    x_plus[a - 1] += 1
-    x_plus[b - 1] -= 1
-    x_minus[a - 1] -= 1
-    x_minus[b - 1] += 1
-    return z, tuple(x_plus), tuple(x_minus)
-
-
-def _subproblem_refs(n: int, k: int, wall: Wall, z, x_plus):
-    """Reference points for the two cut-off subproblems near the wall.
-
-    Returns None when the induced points are non-generic for the
-    subproblems or drift across a subproblem wall between the wall point
-    and the perturbed point.
-    """
-    I = wall.subset
-    comp = tuple(i for i in range(1, n + 1) if i not in I)
-    refs = []
-    # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other
-    for part, cut in ((I, -1), (comp, 1)):
-        limit = tuple(z[i - 1] for i in part) + (0,)
-        ref = tuple(x_plus[i - 1] for i in part) + (cut,)
-        m = len(ref)
-        if not all(a * b > 0 for a, b in zip(_signs(m, k, limit), _signs(m, k, ref))):
-            return None
-        refs.append(ref)
-    return tuple(refs)
+    step = [(i == a) - (i == b) for i in range(1, n + 1)]
+    return (tuple(c + d for c, d in zip(z, step)),
+            tuple(c - d for c, d in zip(z, step)))
 
 
 @functools.lru_cache(maxsize=1024)
 def _find_flanking(n: int, k: int, wall: Wall):
-    """Flanking points and subproblem references; they depend on n, k and
-    the wall only, so every psi vector shares them."""
+    """The flanking points (x+, x-) of the wall; they depend on n, k and the
+    wall only, so every psi vector shares them."""
     for attempt in range(400):
-        z, x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
+        x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
         pairs = zip(_walls_of(n), _signs(n, k, x_plus), _signs(n, k, x_minus))
         if all(a * b > 0 for w, a, b in pairs if w.subset != wall.subset):
-            refs = _subproblem_refs(n, k, wall, z, x_plus)
-            if refs is not None:
-                return x_plus, x_minus, refs
+            return x_plus, x_minus
     raise WallError(f"no generic flanking points found for wall {wall.subset}")
 
 
 def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic generic integer points with delta = +1 and -1 that agree
-    in sign on every other wall and induce generic subproblem references."""
-    x_plus, x_minus, _ = _find_flanking(p.n, p.k, wall)
-    return x_plus, x_minus
+    in sign on every other wall.  Read off x+, the subproblem references of
+    ``wall_crossing_formula`` need no check: a subproblem wall, read on the
+    side without the severed edge, is a J with 2 <= |J| < |part|, another
+    wall of the full problem with the same form delta_J, nonzero with one
+    sign at x+, at x- and so at their mean z, the wall point."""
+    return _find_flanking(p.n, p.k, wall)
 
 
 def _check_crossing(p: Problem, wall: Wall) -> None:
@@ -280,13 +256,14 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    _, _, refs = _find_flanking(n, k, wall)
+    x_plus, _ = _find_flanking(n, k, wall)
 
     factors: list[Poly] = []
-    for part, ref in zip((I, comp), refs):
+    # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other
+    for part, cut in ((I, -1), (comp, 1)):
+        ref = tuple(x_plus[i - 1] for i in part) + (cut,)
         sub_e = tuple(p.e[i - 1] for i in part) + (0,)
-        sub_problem = Problem.of(0, k, ref, sub_e)
-        sub_poly = chamber_polynomial(sub_problem)
+        sub_poly = chamber_polynomial(Problem.of(0, k, ref, sub_e))
         # the normal form dropped the cut variable, so substituting the
         # surviving markings alone reproduces the factor exactly
         factors.append(sub_poly.compose([Poly.variable(n, i) for i in part]))
@@ -296,20 +273,14 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     return product.substitute_degree(k * (n - 2))
 
 
-def _vanishing_subset_scan(m: Sequence[int], e: Sequence[int]) -> bool:
-    """True when sum_I e_i < sum_I m_i - |I| + 1 for every subset I.
-
-    The worst subset collects the indices with positive excess
-    e_i - m_i + 1, so the scan reduces to a single pass.
-    """
-    excess = 0
-    for mi, ei in zip(m, e):
-        excess += max(0, ei - mi + 1)
-    return excess == 0
-
-
 def classify(p: Problem) -> str:
-    """Decide whether the genus-0 count is Zero or strictly Positive."""
+    """Decide whether the genus-0 count is Zero or strictly Positive.
+
+    For k > 0 (else turned around) it is Zero exactly when k is even,
+    x = m k/2 in positive integers m and sum_I e_i < sum_I m_i - |I| + 1
+    for every subset I: sum_I (e_i - m_i + 1) <= 0, and the singletons need
+    e_i < m_i, which makes every term of every sum <= 0.
+    """
     if p.genus != 0:
         raise ProblemError("the vanishing classification applies to genus 0 only")
     if p.k == 0:
@@ -320,9 +291,6 @@ def classify(p: Problem) -> str:
     if q.k % 2 != 0:
         return POSITIVE
     half = q.k // 2
-    m = []
-    for v in q.x:
-        if v <= 0 or v % half != 0:
-            return POSITIVE
-        m.append(v // half)
-    return ZERO if _vanishing_subset_scan(m, q.e) else POSITIVE
+    if any(v <= 0 or v % half for v in q.x):
+        return POSITIVE
+    return ZERO if all(ei < v // half for v, ei in zip(q.x, q.e)) else POSITIVE

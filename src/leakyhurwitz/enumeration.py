@@ -4,7 +4,11 @@ The pipeline runs in three stages:
 
 1. combinatorial types: decorated multigraphs (vertex genera, marking
    partition, edge multiset) satisfying the valence law, connectivity and
-   the genus decomposition, deduplicated by a canonical certificate;
+   the genus decomposition, deduplicated by a canonical certificate.  Only
+   the edge degrees d(v) = val(v) - |ends(v)| >= 1 (>= 0 on a lone vertex)
+   are tested: the valence law makes sum_v d(v) = |e| + 3V - 2(g - h1) - n,
+   h1 = g - sum_v g(v), that is 2(V - 1 + h1) as V = 2g - 2 + n - |e|; and
+   val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
    edge contributes one free integer weight, bounded by the proven
@@ -144,70 +148,49 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
                     edges: Sequence[tuple[int, int]]) -> tuple:
     """Relabel vertices canonically: the (genera, ends, edges) triple.
 
-    Marked vertices are pinned by their smallest marking; only unmarked
-    vertices of equal genus are interchangeable, and the lexicographically
-    smallest edge encoding over those swaps is chosen.
+    Marked vertices are pinned by their smallest marking; runs of unmarked
+    vertices of equal genus are interchangeable, and the smallest edge tuple
+    over their permutations wins.  A run has one genus and no ends, so the
+    genera and ends in position order do not depend on the permutation.
     """
     V = len(genera)
-
-    def base_key(v: int):
-        if ends[v]:
-            return (0, ends[v][0], 0)
-        return (1, genera[v], 0)
-
-    base = sorted(range(V), key=base_key)
-    groups: list[list[int]] = []
-    for pos, v in enumerate(base):
-        if (pos > 0 and not ends[v] and not ends[base[pos - 1]]
-                and genera[v] == genera[base[pos - 1]]):
-            groups[-1].append(pos)
-        else:
-            groups.append([pos])
-
-    best_edges: tuple[tuple[int, int], ...] | None = None
-    best_perm: list[int] | None = None
-    swappable = [g for g in groups if len(g) > 1]
-    fixed_positions = {v: pos for pos, v in enumerate(base)}
+    base = sorted(range(V),
+                  key=lambda v: (0, ends[v][0]) if ends[v] else (1, genera[v]))
+    position = {v: pos for pos, v in enumerate(base)}
+    placed = [(position[a], position[b]) for a, b in edges]
+    unmarked = [pos for pos, v in enumerate(base) if not ends[v]]
+    runs = [run for run in (tuple(group) for _, group in itertools.groupby(
+                unmarked, key=lambda pos: genera[base[pos]]))
+            if len(run) > 1]
+    best: tuple[tuple[int, int], ...] | None = None
+    label = list(range(V))
     for assignment in itertools.product(
-            *(itertools.permutations(g) for g in swappable)):
-        position = dict(fixed_positions)
-        for group, perm in zip(swappable, assignment):
-            for pos, new_pos in zip(group, perm):
-                position[base[pos]] = new_pos
+            *(itertools.permutations(run) for run in runs)):
+        for run, perm in zip(runs, assignment):
+            for pos, new_pos in zip(run, perm):
+                label[pos] = new_pos
         relabeled = tuple(sorted(
-            (min(position[a], position[b]), max(position[a], position[b]))
-            for a, b in edges))
-        if best_edges is None or relabeled < best_edges:
-            best_edges = relabeled
-            best_perm = [0] * V
-            for v, pos in position.items():
-                best_perm[pos] = v
-    return (tuple(genera[v] for v in best_perm),
-            tuple(tuple(ends[v]) for v in best_perm), best_edges)
+            (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
+            for a, b in placed))
+        if best is None or relabeled < best:
+            best = relabeled
+    return (tuple(genera[v] for v in base),
+            tuple(tuple(ends[v]) for v in base), best)
 
 
 @functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
     V = 2 * g - 2 + n - sum(e)
+    least = 1 if V > 1 else 0  # a connected graph's vertices have edges
     found: set[tuple] = set()
     for blocks in _end_partitions(n, V):
         psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
         for genera in _genus_vectors(V, g):
-            h1 = g - sum(genera)
-            degs = []
-            ok = True
-            for v in range(V):
-                val = psi_sums[v] + 3 - 2 * genera[v]
-                d = val - len(blocks[v])
-                if d < 0 or val < 1 or (V > 1 and d == 0):
-                    ok = False
-                    break
-                degs.append(d)
-            if not ok or sum(degs) % 2:
+            degs = tuple(psi_sums[v] + 3 - 2 * genera[v] - len(blocks[v])
+                         for v in range(V))
+            if any(d < least for d in degs):
                 continue
-            if sum(degs) // 2 != V - 1 + h1:
-                continue
-            for edges in _edge_multisets(tuple(degs)):
+            for edges in _edge_multisets(degs):
                 if not is_connected(V, edges):
                     continue
                 found.add(_canonical_type(genera, blocks, edges))

@@ -85,6 +85,9 @@ def _turned_around(key: VertexKey) -> VertexKey:
 
 
 def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
+    """The table of the rows, each under its key and its turned-around key,
+    so a table merged over it replaces both; a row no vertex reads (genus
+    below 1, a negative psi) is rejected."""
     if not isinstance(rows, list):
         raise FixtureError("fixture file must contain a JSON list")
     entries: dict[VertexKey, Fraction] = {}
@@ -96,6 +99,8 @@ def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
                     and all(type(v) is int for v in (genus, k, *degrees, *psi))
                     and type(value) in (int, str)):
                 raise TypeError('genus, k, degrees, psi need ints, value int or "p/q"')
+            if genus < 1 or any(e < 0 for e in psi):
+                raise ValueError("genus must be >= 1 and psi nonnegative")
             key = VertexKey(genus, k, tuple(degrees), tuple(psi))
             value = parse_rat(str(value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -107,6 +112,8 @@ def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
                     f"{rat_str(entries[known])} vs {rat_str(value)}"
                     + ("" if known == key else f" for its turned-around {key}"))
         entries[key] = value
+    for key, value in list(entries.items()):
+        entries.setdefault(_turned_around(key), value)
     return entries
 
 
@@ -135,8 +142,9 @@ def vertex_mult(key: VertexKey, fixtures: Mapping[VertexKey, Fraction] | None = 
     Genus 0 is the int :func:`genus0_vertex_mult` and never consults the
     table (nor k or the degrees).  Genus >= 1 is a lookup in ``fixtures``
     (``None`` means the builtin table), a ``Fraction``, of the key or else
-    of its turned-around key, and raises :class:`MissingVertexData`, naming
-    the key asked for, when both are absent.
+    of its turned-around key (a loaded table holds both; any other mapping
+    may hold one), and raises :class:`MissingVertexData`, naming the key
+    asked for, when both are absent.
     """
     if key.genus == 0:
         return genus0_vertex_mult(key.valence, key.psi)

@@ -266,6 +266,31 @@ def test_flanking_points_straddle_their_wall_alone():
                                 * other.form.evaluate(x_minus, k)) > 0
 
 
+def test_subproblem_references_are_generic():
+    # wall_crossing_formula reads each cut-off subproblem's reference off x+
+    # unchecked: the part's markings and the severed edge's -1 (I side) or
+    # +1 (other side).  It lies off every subproblem wall, with the signs of
+    # the wall point z = (x+ + x-) / 2 restricted to the part (edge at 0)
+    walls_met = 0
+    for n in range(4, 8):
+        for k in range(-2, 3):
+            p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
+            for wall in walls(n):
+                x_plus, x_minus = flanking_points(p, wall)
+                comp = tuple(i for i in range(1, n + 1) if i not in wall.subset)
+                for part, cut in ((wall.subset, -1), (comp, 1)):
+                    ref = tuple(x_plus[i - 1] for i in part) + (cut,)
+                    limit = tuple((x_plus[i - 1] + x_minus[i - 1]) // 2
+                                  for i in part) + (0,)
+                    m = len(ref)
+                    assert sum(ref) == sum(limit) == k * (m - 2)
+                    for sub_wall in walls(m):
+                        walls_met += 1
+                        assert (sub_wall.form.evaluate(ref, k)
+                                * sub_wall.form.evaluate(limit, k)) > 0
+    assert walls_met == 6100
+
+
 @pytest.mark.parametrize("wall", [Wall.of(6, (2, 5)), Wall.of(6, (1, 2, 3, 4)),
                                   Wall.of(5, (1, 2, 3))])
 def test_wall_of_another_marking_count_is_a_wall_error(wall):
@@ -393,19 +418,27 @@ def test_classify_matches_count_at_leak_zero():
     assert compute_H(scattered) > 0
 
 
-def test_classify_subset_scan_matches_brute_force():
+def test_classify_matches_the_subset_definition():
+    # at even k = 2h > 0 and x = h m, classify says Zero exactly when
+    # sum_I e_i < sum_I m_i - |I| + 1 for every nonempty subset I; x and k
+    # turned around ask the same
     rng = random.Random(29)
-    for _ in range(200):
-        n = rng.randint(3, 6)
-        m = [rng.randint(1, 4) for _ in range(n)]
-        e = [rng.randint(0, 3) for _ in range(n)]
-        fast = all(ei < mi for mi, ei in zip(m, e))
-        brute = True
-        for r in range(n + 1):
-            for subset in itertools.combinations(range(n), r):
-                if sum(e[i] for i in subset) >= sum(m[i] for i in subset) - r + 1:
-                    brute = False
-        assert fast == brute
+    zeros = 0
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        cuts = sorted(rng.sample(range(1, 2 * (n - 2)), n - 1))
+        m = [b - a for a, b in zip([0] + cuts, cuts + [2 * (n - 2)])]
+        e = [0] * n
+        for _ in range(rng.randint(0, n - 3)):
+            e[rng.randrange(n)] += 1
+        literal = all(sum(e[i] for i in subset) < sum(m[i] for i in subset) - r + 1
+                      for r in range(1, n + 1)
+                      for subset in itertools.combinations(range(n), r))
+        h, sign = rng.randint(1, 3), rng.choice((1, -1))
+        p = Problem.of(0, sign * 2 * h, [sign * h * mi for mi in m], e)
+        assert (classify(p) == ZERO) == literal, (m, e)
+        zeros += literal
+    assert 0 < zeros < 300
 
 
 def test_classify_agrees_with_count_small_grid():

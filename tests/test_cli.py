@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.cli import main
 from leakyhurwitz.vertexdata import VertexKey, default_fixtures
@@ -90,6 +93,30 @@ def test_fixtures_file_overrides_builtin_row(capsys, tmp_path):
     assert default_fixtures()[key] == Fraction(-1, 24)
     code, out, _ = run_cli(capsys, *golden)
     assert (code, json.loads(out)["H"]) == (0, "51/4")
+
+
+def test_fixtures_file_overrides_both_orientations(capsys, tmp_path):
+    # the user's row replaces the builtin row of its key and of its
+    # turned-around key, so the turned-around problem gets the same count
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps([
+        {"genus": 1, "k": 1, "degrees": [1], "psi": [0], "value": 7}]))
+    for k, x in (("1", "7,-3,-1"), ("-1", "-7,3,1")):
+        code, out, _ = run_cli(capsys, "number", "-g", "1", "-k", k, "-x", x,
+                               "-e", "1,0,0", "--fixtures", str(extra))
+        assert (code, json.loads(out)["H"]) == (0, "475/24")
+
+
+def test_genus0_fixture_row_exit2(capsys, tmp_path):
+    # no genus-0 vertex reads the table, so the row would be silently unused
+    genus0 = tmp_path / "genus0.json"
+    genus0.write_text(json.dumps([
+        {"genus": 0, "k": 1, "degrees": [2, -1, -1], "psi": [0, 0, 0],
+         "value": 99}]))
+    code, out, err = run_cli(capsys, "number", "-k", "1", "-x", "2,-1,0",
+                             "--fixtures", str(genus0))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad fixture row")
 
 
 def test_covers_golden_records(capsys):
@@ -322,3 +349,53 @@ def test_fixtures_only_where_read(capsys, command):
               "--fixtures", "missing.json"])
     assert err.value.code == 2
     assert "unrecognized arguments: --fixtures" in capsys.readouterr().err
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed command line: any of the six commands, genus <= 1, at
+    most five markings, small entries, and -n, -e and --subset lengths that
+    may not match the profile; most profiles meet the degree law."""
+    command = draw(st.sampled_from(["number", "covers", "polynomial", "walls",
+                                    "wallcross", "classify"]))
+    k = draw(st.integers(-3, 3))
+    argv = [command, "-k", str(k)]
+    if command == "walls":
+        return argv + ["-n", str(draw(st.integers(0, 6)))]
+    n = draw(st.one_of(st.integers(3, 5), st.integers(0, 5)))
+    if command == "wallcross":
+        argv += ["--subset", _csv(draw(st.one_of(
+            st.lists(st.integers(1, max(n, 1)), max_size=n, unique=True),
+            st.lists(st.integers(-1, 6), max_size=5))))]
+    else:
+        g = draw(st.one_of(st.integers(0, 1), st.integers(-1, 1)))
+        x = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        if x and draw(st.integers(0, 3)):
+            x[-1] = k * (2 * g - 2 + n) - sum(x[:-1])
+        argv += ["-g", str(g), "-x", _csv(x)]
+    markings = draw(st.sampled_from([None, None, n, n + 1]))
+    if markings is not None:
+        argv += ["-n", str(markings)]
+    psi = draw(st.one_of(st.none(),
+                         st.lists(st.sampled_from([0, 0, 1]), min_size=n, max_size=n),
+                         st.lists(st.integers(0, 3), max_size=5)))
+    if psi is not None:
+        argv += ["-e", _csv(psi)]
+    if command == "covers" and draw(st.booleans()):
+        argv.append("--keep-zero")
+    return argv + ["--format", draw(st.sampled_from(["json", "table"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_every_command_line_ends_in_an_exit_code(argv):
+    # whatever the problem, main reports it by an exit code and never raises
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert (code == 0) == (err.getvalue() == ""), argv

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,65 @@ def test_compiled_type_cache_is_bounded():
     types = types_for(1, 3, (1, 0, 0))
     assert types is types_for(1, 3, (1, 0, 0))
     assert all(len(t.cuts) == 2 * len(t.edges) for t in types)
+
+
+def _canonical_type_with_perm(genera, ends, edges):
+    """The canonical relabelling as it was computed while it tracked the
+    winning permutation: an independent oracle for ``_canonical_type``."""
+    V = len(genera)
+    base = sorted(range(V), key=lambda v: (0, ends[v][0], 0) if ends[v]
+                  else (1, genera[v], 0))
+    groups = []
+    for pos, v in enumerate(base):
+        if (pos > 0 and not ends[v] and not ends[base[pos - 1]]
+                and genera[v] == genera[base[pos - 1]]):
+            groups[-1].append(pos)
+        else:
+            groups.append([pos])
+    best_edges = best_perm = None
+    swappable = [g for g in groups if len(g) > 1]
+    for assignment in itertools.product(
+            *(itertools.permutations(g) for g in swappable)):
+        position = {v: pos for pos, v in enumerate(base)}
+        for group, perm in zip(swappable, assignment):
+            for pos, new_pos in zip(group, perm):
+                position[base[pos]] = new_pos
+        relabeled = tuple(sorted(
+            (min(position[a], position[b]), max(position[a], position[b]))
+            for a, b in edges))
+        if best_edges is None or relabeled < best_edges:
+            best_edges = relabeled
+            best_perm = [0] * V
+            for v, pos in position.items():
+                best_perm[pos] = v
+    return (tuple(genera[v] for v in best_perm),
+            tuple(tuple(ends[v]) for v in best_perm), best_edges)
+
+
+def test_canonical_type_matches_permutation_tracking_oracle():
+    # every labelled multigraph of every vertex layout, including layouts
+    # with one and with two runs of swappable unmarked vertices; each layout
+    # also meets the degree sum that _types_for no longer tests
+    layouts = runs_seen = 0
+    for g, e in [(0, (0,) * 6), (0, (0,) * 7), (0, (1,) + (0,) * 6),
+                 (2, (0,)), (2, (0, 0)), (2, (0, 0, 0)),
+                 (3, ()), (3, (0,)), (3, (1, 0))]:
+        n = len(e)
+        V = 2 * g - 2 + n - sum(e)
+        for blocks in enumeration._end_partitions(n, V):
+            for genera in enumeration._genus_vectors(V, g):
+                degs = tuple(sum(e[i - 1] for i in blocks[v]) + 3
+                             - 2 * genera[v] - len(blocks[v]) for v in range(V))
+                if min(degs) < 1:
+                    continue
+                assert sum(degs) == 2 * (V - 1 + g - sum(genera))
+                layouts += 1
+                unmarked = Counter(gv for gv, b in zip(genera, blocks) if not b)
+                runs_seen |= 1 << sum(m > 1 for m in unmarked.values())
+                for edges in enumeration._edge_multisets(degs):
+                    assert (enumeration._canonical_type(genera, blocks, edges)
+                            == _canonical_type_with_perm(genera, blocks, edges))
+    assert layouts == 610 and runs_seen == 0b111
 
 
 def _assert_balanced(p):

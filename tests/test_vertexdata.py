@@ -108,7 +108,9 @@ def test_load_fixtures_duplicate_consistent_ok(tmp_path):
         {"genus": 1, "k": 1, "degrees": [1], "psi": [0], "value": "-1/24"},
         {"genus": 1, "k": 1, "degrees": [1], "psi": [0], "value": "-1/24"},
     ]))
-    assert len(load_fixtures(path)) == 1
+    # one key, stored with its turned-around key
+    assert load_fixtures(path) == {VertexKey(1, 1, (1,), (0,)): Fraction(-1, 24),
+                                   VertexKey(1, -1, (-1,), (0,)): Fraction(-1, 24)}
 
 
 def test_load_fixtures_parse_error(tmp_path):
@@ -142,3 +144,15 @@ def test_load_fixtures_zero_denominator(tmp_path):
         {"genus": 1, "k": 3, "degrees": [3], "psi": [0], "value": "1/0"}]))
     with pytest.raises(FixtureError, match="bad fixture row"):
         load_fixtures(path)
+
+
+@pytest.mark.parametrize("field, bad", [("genus", 0), ("genus", -1),
+                                        ("psi", [1, -1])])
+def test_load_fixtures_rejects_rows_no_vertex_reads(tmp_path, field, bad):
+    # genus 0 never consults the table and psi is nonnegative, so such a row
+    # could never be read
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps([dict(GOOD_ROW, **{field: bad})]))
+    with pytest.raises(FixtureError, match="bad fixture row"):
+        load_fixtures(path)
+
