@@ -7,7 +7,7 @@ from .covers import (CoverGraph, CoverError, Problem, ProblemError,
                      WeightedCover, assemble_multiplicity, automorphism_order,
                      check_cover, validate_problem)
 from .enumeration import (CombinatorialType, compute_H, count_linear_extensions,
-                          enumerate_covers, enumerate_types)
+                          enumerate_covers)
 from .exactarith import LinForm, Poly, parse_rat, rat_str
 from .intersections import psi_integral, psi_kappa_integral, recursion_rhs
 from .vertexdata import (FixtureError, MissingVertexData, VertexKey,
@@ -19,8 +19,8 @@ __all__ = [
     "VertexKey", "Wall", "WallError", "WeightedCover", "ZERO",
     "assemble_multiplicity", "automorphism_order", "chamber_polynomial",
     "check_cover", "classify", "compute_H", "count_linear_extensions",
-    "default_fixtures", "enumerate_covers", "enumerate_types",
-    "flanking_points", "load_fixtures", "parse_rat", "psi_integral",
-    "psi_kappa_integral", "rat_str", "recursion_rhs", "validate_problem",
-    "vertex_mult", "wall_crossing", "wall_crossing_formula", "walls",
+    "default_fixtures", "enumerate_covers", "flanking_points",
+    "load_fixtures", "parse_rat", "psi_integral", "psi_kappa_integral",
+    "rat_str", "recursion_rhs", "validate_problem", "vertex_mult",
+    "wall_crossing", "wall_crossing_formula", "walls",
 ]

@@ -6,8 +6,8 @@ the cut hold two markings or more, so delta_I is plus or minus a wall form.
 The count is polynomial on every chamber the walls cut out, and the chamber's
 wall signs fix each edge's orientation and weight.  The chamber polynomial
 sums, over all tree types, the number of vertex interlacings times the
-product of the edge weights times the vertex multinomials, and is normalized
-by eliminating x_n against the degree constraint.
+product of the edge weights times the vertex multinomials, and is built in
+normal form: on the degree hyperplane, with x_n eliminated.
 
 Crossing a wall delta = 0 changes the polynomial by
 
@@ -77,12 +77,10 @@ def walls(n: int) -> list[Wall]:
 
 @functools.lru_cache(maxsize=32)
 def _walls_of(n: int) -> tuple[Wall, ...]:
-    seen: dict[tuple[int, ...], Wall] = {}
-    for size in range(2, n - 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            w = Wall.of(n, subset)
-            seen.setdefault(w.subset, w)
-    return tuple(seen[key] for key in sorted(seen))
+    # of I and its complement, Wall.of keeps the smaller: the one holding 1
+    subsets = sorted((1,) + rest for size in range(1, n - 2)
+                     for rest in itertools.combinations(range(2, n + 1), size))
+    return tuple(Wall.of(n, subset) for subset in subsets)
 
 
 class _TreeSystem:
@@ -93,19 +91,27 @@ class _TreeSystem:
     sum_{i in mask} x_i - k c is the wall's form (side +1) when mask is the
     wall's subset, and minus it on the degree hyperplane (side -1) when mask
     is the complement.  At wall sign s the edge points along its stored
-    (u, v) when s * side > 0 and weighs s * (wall form) = |delta|.  Linear
-    extensions and weight products are memoized per type and edge wall
-    signs, chamber polynomials per wall signs.
+    (u, v) when s * side > 0 and weighs s * (wall form) = |delta|.  All
+    polynomials are built in normal form, in x1..x_{n-1}: a wall subset I
+    holding n enters as minus its complement's form, which omits x_n, as
+    delta_I + delta_{I^c} = sum x - k(|I| - 1) - k(n - |I| - 1) = 0 on the
+    degree hyperplane sum x = k(n - 2).  Linear extensions and weight
+    products are memoized per type and edge wall signs, chamber polynomials
+    per wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
-        self.n, self.k = n, k
+        self.n = n
         full = (1 << n) - 1
         sides: dict[int, tuple[int, int]] = {}
         for i, w in enumerate(_walls_of(n)):
             mask = sum(1 << (j - 1) for j in w.subset)
             sides[mask], sides[full ^ mask] = (i, 1), (i, -1)
-        self.wall_polys = tuple(w.form.as_poly(n, k) for w in _walls_of(n))
+        self.wall_polys = tuple(
+            (w.form if n not in w.subset else LinForm.of(
+                {j: -1 for j in range(1, n) if j not in w.subset},
+                k=n - len(w.subset) - 1)).as_poly(n - 1, k)
+            for w in _walls_of(n))
         self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
             (t, tuple(sides[mask] for mask in t.cuts[::2]))
             for t in _types_for(0, n, e)]
@@ -121,7 +127,7 @@ class _TreeSystem:
                     for (a, b), s, (_, side) in zip(t.edges, signs, edge_walls)]
             le = count_linear_extensions(t.num_vertices, arcs)
             # each weight s * (wall form) gives its sign s to the constant
-            product = Poly.const(self.n, t.genus0_factor * math.prod(signs))
+            product = Poly.const(self.n - 1, t.genus0_factor * math.prod(signs))
             if le:
                 for i, _ in edge_walls:
                     product = product * self.wall_polys[i]
@@ -138,8 +144,7 @@ class _TreeSystem:
                     idx, tuple(chamber[i] for i, _ in edge_walls))
                 if le:
                     parts.append((product, le))
-            poly = self._chambers[chamber] = Poly.weighted_sum(
-                self.n, parts).substitute_degree(self.k * (self.n - 2))
+            poly = self._chambers[chamber] = Poly.weighted_sum(self.n - 1, parts)
         return poly
 
 

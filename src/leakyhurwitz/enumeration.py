@@ -204,11 +204,6 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                  for genera, ends, edges in sorted(found))
 
 
-def enumerate_types(p: Problem) -> list[CombinatorialType]:
-    """All combinatorial types for p, each isomorphism class exactly once."""
-    return list(_types_for(p.genus, p.n, p.e))
-
-
 def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
              edges: tuple[tuple[int, int], ...],
              e: tuple[int, ...]) -> CombinatorialType:
@@ -231,8 +226,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
         side_mu[parent] += side_mu[v]
     tree_idx = set(parent_edge.values())
     free_idx = [i for i in range(len(edges)) if i not in tree_idx]
-    units = tuple(tuple(_solve_flows(V, edges, [0] * V,
-                                     {i: int(i == j) for i in free_idx},
+    units = tuple(tuple(_solve_flows(edges, {i: int(i == j) for i in free_idx},
                                      order, parent_edge, inc))
                   for j in free_idx)
     runs, i = [], 0
@@ -285,17 +279,17 @@ def _spanning_structure(V: int, edges: Sequence[tuple[int, int]]):
     return order, parent_edge, inc
 
 
-def _solve_flows(V: int, edges: Sequence[tuple[int, int]], net: Sequence,
-                 fixed: dict[int, int], order, parent_edge, inc) -> list:
+def _solve_flows(edges: Sequence[tuple[int, int]], fixed: dict[int, int],
+                 order, parent_edge, inc) -> list:
     """Solve the balance system for the tree flows, leaf to root.
 
-    ``net[v]`` is the required net outflow at v; flows are signed relative
-    to the stored (u, v) direction.
+    Every vertex has net outflow 0; flows are signed relative to the stored
+    (u, v) direction.
     """
     flows: dict[int, int] = dict(fixed)
     for v in reversed(order[1:]):
         e = parent_edge[v]
-        acc = net[v]
+        acc = 0
         for idx in inc[v]:
             if idx == e:
                 continue

@@ -15,16 +15,17 @@ polynomial stores no terms).  An integral coefficient is stored as an ``int``
 and any other as a ``Fraction``, so genus-0 arithmetic, whose coefficients
 are all integers, runs on plain ints.  Profiles live on the hyperplane
 x1 + ... + xn = total for a problem-specific integer, so polynomial
-identities are only meaningful modulo that relation; ``substitute_degree``
-eliminates the last variable against it and serves as the canonical normal
-form for equality checks.
+identities are only meaningful modulo that relation; the canonical normal
+form eliminates x_n against it.  ``substitute_degree`` composes onto the
+hyperplane coordinates through ``compose``, the one substitution routine.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 
@@ -249,26 +250,15 @@ class Poly:
         return total
 
     def substitute_degree(self, total: int) -> "Poly":
-        """Eliminate the last variable against x1 + ... + xn = total.
-
-        Returns the normal form in one fewer variable, the canonical
-        representative of this polynomial on the degree hyperplane.
-        """
-        n = self.nvars
-        if n < 1:
+        """Eliminate the last variable against x1 + ... + xn = total: the
+        normal form, composed with x1..x_{n-1} and total - x1 - ... - x_{n-1}."""
+        m = self.nvars - 1
+        if m < 0:
             raise ValueError("no variable to eliminate")
-        m = n - 1
-        # x_n = total - x_1 - ... - x_{n-1}
-        last = Poly.const(m, total)
-        for i in range(1, m + 1):
-            last = last - Poly.variable(m, i)
-        max_pow = max((exp[-1] for exp in self.terms), default=0)
-        powers = [Poly.const(m, 1)]
-        for _ in range(max_pow):
-            powers.append(powers[-1] * last)
-        return Poly.weighted_sum(
-            m, ((Poly._of(m, {exp[:-1]: 1}) * powers[exp[-1]], coeff)
-                for exp, coeff in self.terms.items()))
+        coords = [Poly.variable(m, i) for i in range(1, m + 1)]
+        last = Poly.weighted_sum(
+            m, [(Poly.const(m, total), 1)] + [(x, -1) for x in coords])
+        return self.compose(coords + [last])
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for variable x_{i+1}; args share a variable space."""
@@ -280,23 +270,16 @@ class Poly:
         for a in args:
             if a.nvars != m:
                 raise ValueError("substitution polynomials in different variable counts")
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in cache:
-                if e == 0:
-                    cache[key] = Poly.const(m, 1)
-                else:
-                    cache[key] = power(i, e - 1) * args[i]
-            return cache[key]
+        # powers[i][e - 1] = args[i] ** e, for every e the terms reach
+        powers = [[a] for a in args]
+        for exp in self.terms:
+            for row, a, e in zip(powers, args, exp):
+                while len(row) < e:
+                    row.append(row[-1] * a)
 
         def monomial(exp: tuple[int, ...]) -> Poly:
-            term = Poly.const(m, 1)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            return term
+            factors = [row[e - 1] for row, e in zip(powers, exp) if e]
+            return functools.reduce(mul, factors) if factors else Poly.const(m, 1)
 
         return Poly.weighted_sum(
             m, ((monomial(exp), coeff) for exp, coeff in self.terms.items()))

@@ -31,6 +31,27 @@ def test_walls_counts():
     assert len(walls(6)) == 25
 
 
+def test_walls_match_both_sides_generation():
+    # the walls as once generated: every subset of size 2..n-2 and its
+    # complement, kept once as the side Wall.of stores
+    for n in range(3, 10):
+        seen = {}
+        for size in range(2, n - 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                w = Wall.of(n, subset)
+                seen.setdefault(w.subset, w)
+        assert walls(n) == [seen[key] for key in sorted(seen)], n
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_hyperplane_wall_polys_are_normal_forms(n):
+    for k in range(-3, 4):
+        system = _TreeSystem(n, (n - 3,) + (0,) * (n - 1), k)
+        assert system.wall_polys == tuple(
+            w.form.as_poly(n, k).substitute_degree(k * (n - 2))
+            for w in walls(n)), (n, k)
+
+
 def test_walls_canonical_subset():
     w = Wall.of(5, (3, 4, 5))
     assert w.subset == (1, 2)
@@ -162,8 +183,12 @@ def test_tree_system_memos_hold_one_leak():
         hits = _tree_system.cache_info().hits
         system = _tree_system(4, e, k)
         assert _tree_system.cache_info().hits == hits + 1
-        assert system.k == k
-        assert system.wall_polys == tuple(w.form.as_poly(4, k) for w in walls(4))
+        assert not hasattr(system, "k")
+        # the walls x1 + x_j at n = 4, on the hyperplane in x1..x3:
+        # x1 + x2 - k, x1 + x3 - k, and -(x2 + x3 - k) for x1 + x4
+        x1, x2, x3 = (Poly.variable(3, i) for i in (1, 2, 3))
+        assert system.wall_polys == (x1 + x2 - k, x1 + x3 - k, -(x2 + x3 - k))
+        assert all(p.nvars == 3 for p in system.wall_polys)
         assert len(system._chambers) == 1
         assert len(system._cache) == len(system.entries) == 3
 

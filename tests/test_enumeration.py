@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.covers import (CoverGraph, Problem, _balance_residual,
                                  check_cover, validate_problem)
-from leakyhurwitz.enumeration import (compute_H, count_covers,
+from leakyhurwitz.enumeration import (_types_for, compute_H, count_covers,
                                       count_linear_extensions,
-                                      enumerate_covers, enumerate_types,
-                                      linear_extensions, weight_bound)
+                                      enumerate_covers, linear_extensions,
+                                      weight_bound)
 from leakyhurwitz.intersections import psi_integral
 from leakyhurwitz.vertexdata import (MissingVertexData, VertexKey,
                                      default_fixtures)
@@ -21,7 +21,8 @@ GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
 
 
 def test_enumerate_types_single_vertex():
-    types = enumerate_types(Problem.of(0, 1, (3, -1, -1)))
+    p = Problem.of(0, 1, (3, -1, -1))
+    types = _types_for(p.genus, p.n, p.e)
     assert len(types) == 1
     assert types[0].num_vertices == 1
     assert types[0].edges == ()
@@ -29,7 +30,7 @@ def test_enumerate_types_single_vertex():
 
 def test_enumerate_types_six_trees():
     p = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
-    types = enumerate_types(p)
+    types = _types_for(p.genus, p.n, p.e)
     assert len(types) == 6
     for t in types:
         assert t.num_vertices == 2
@@ -42,7 +43,7 @@ def test_enumerate_types_six_trees():
 
 
 def test_enumerate_types_golden():
-    types = enumerate_types(GOLDEN)
+    types = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
     assert len(types) == 4
     double_edge = [t for t in types if len(t.edges) == 2]
     genus_vertex = [t for t in types if any(g == 1 for g in t.vertex_genus)]
@@ -188,8 +189,8 @@ def test_count_covers_first_missing_key():
 
 
 def test_enumerate_types_idempotent():
-    first = enumerate_types(GOLDEN)
-    second = enumerate_types(GOLDEN)
+    first = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    second = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
     assert first == second
     assert len(set(first)) == len(first)
 

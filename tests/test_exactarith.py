@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -127,3 +130,37 @@ def test_poly_int_and_fraction_coefficients_agree(terms, point):
 def test_substitute_agrees_on_hyperplane(p, x1, x2, total):
     x3 = total - x1 - x2
     assert p.substitute_degree(total).eval((x1, x2)) == p.eval((x1, x2, x3))
+
+
+def _powers_of_last_oracle(p, total):
+    """Normal form by expanding powers of x_n = total - x_1 - ... - x_{n-1},
+    an algorithm independent of ``compose``."""
+    m = p.nvars - 1
+    last = Poly.const(m, total)
+    for i in range(1, m + 1):
+        last = last - Poly.variable(m, i)
+    max_pow = max((exp[-1] for exp in p.terms), default=0)
+    powers = [Poly.const(m, 1)]
+    for _ in range(max_pow):
+        powers.append(powers[-1] * last)
+    return Poly.weighted_sum(
+        m, ((Poly(m, {exp[:-1]: 1}) * powers[exp[-1]], coeff)
+            for exp, coeff in p.terms.items()))
+
+
+def test_substitute_degree_matches_powers_of_last_oracle():
+    rng = random.Random("substitute-degree")
+    for trial in range(300):
+        nvars = 1 + trial % 6
+        exps = [exp for exp in itertools.product(range(5), repeat=nvars)
+                if sum(exp) <= 4]
+        fractional = trial % 2
+        terms = {}
+        for exp in rng.sample(exps, min(len(exps), rng.randint(1, 8))):
+            c = rng.randint(-9, 9)
+            terms[exp] = Fraction(c, rng.randint(1, 4)) if fractional else c
+        p = Poly(nvars, terms)
+        total = rng.randint(-6, 6)
+        got = p.substitute_degree(total)
+        assert got == _powers_of_last_oracle(p, total), (p, total)
+        assert got.nvars == nvars - 1 and _integral_as_int(got)
