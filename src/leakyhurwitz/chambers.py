@@ -95,9 +95,10 @@ class _TreeSystem:
     polynomials are built in normal form, in x1..x_{n-1}: a wall subset I
     holding n enters as minus its complement's form, which omits x_n, as
     delta_I + delta_{I^c} = sum x - k(|I| - 1) - k(n - |I| - 1) = 0 on the
-    degree hyperplane sum x = k(n - 2).  Linear extensions and weight
-    products are memoized per type and edge wall signs, chamber polynomials
-    per wall signs.
+    degree hyperplane sum x = k(n - 2).  The product of a type's wall
+    polynomials and vertex multinomials is memoized per type, its signed
+    number of linear extensions per type and edge wall signs, and chamber
+    polynomials per wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
@@ -115,23 +116,28 @@ class _TreeSystem:
         self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
             (t, tuple(sides[mask] for mask in t.cuts[::2]))
             for t in _types_for(0, n, e)]
+        self._products: dict[int, Poly] = {}
         self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, ...], Poly] = {}
 
     def contribution(self, idx: int, signs: tuple[int, ...]) -> tuple[int, Poly]:
+        """(scale, product): the type's term in the chamber is scale * product,
+        with product its multinomials times its edges' wall polynomials."""
         key = (idx, signs)
         cached = self._cache.get(key)
         if cached is None:
             t, edge_walls = self.entries[idx]
+            product = self._products.get(idx)
+            if product is None:
+                product = Poly.const(self.n - 1, t.genus0_factor)
+                for i, _ in edge_walls:
+                    product = product * self.wall_polys[i]
+                self._products[idx] = product
             arcs = [(a, b) if s * side > 0 else (b, a)
                     for (a, b), s, (_, side) in zip(t.edges, signs, edge_walls)]
             le = count_linear_extensions(t.num_vertices, arcs)
-            # each weight s * (wall form) gives its sign s to the constant
-            product = Poly.const(self.n - 1, t.genus0_factor * math.prod(signs))
-            if le:
-                for i, _ in edge_walls:
-                    product = product * self.wall_polys[i]
-            cached = self._cache[key] = (le, product)
+            # each weight s * (wall form) gives its sign s to the scale
+            cached = self._cache[key] = (le * math.prod(signs), product)
         return cached
 
     def polynomial(self, chamber: tuple[int, ...]) -> Poly:
@@ -140,10 +146,9 @@ class _TreeSystem:
         if poly is None:
             parts = []
             for idx, (_, edge_walls) in enumerate(self.entries):
-                le, product = self.contribution(
+                scale, product = self.contribution(
                     idx, tuple(chamber[i] for i, _ in edge_walls))
-                if le:
-                    parts.append((product, le))
+                parts.append((product, scale))
             poly = self._chambers[chamber] = Poly.weighted_sum(self.n - 1, parts)
         return poly
 

@@ -8,7 +8,11 @@ The pipeline runs in three stages:
    the edge degrees d(v) = val(v) - |ends(v)| >= 1 (>= 0 on a lone vertex)
    are tested: the valence law makes sum_v d(v) = |e| + 3V - 2(g - h1) - n,
    h1 = g - sum_v g(v), that is 2(V - 1 + h1) as V = 2g - 2 + n - |e|; and
-   val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even;
+   val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even.
+   ``_types_for`` splits this stage in two: a shape stage enumerates and
+   canonicalizes the multigraphs once per shape (genera, number of marked
+   vertices, edge degrees), and a labelling stage gives each marking
+   partition the canonical multigraphs of its shape;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
    edge contributes one free integer weight, bounded by the proven
@@ -23,9 +27,11 @@ The pipeline runs in three stages:
    flows yields one cover, since vertices occupy distinct ordered positions
    on the target line.  ``compute_H`` counts them rather than lists them.
 
-``_types_for`` compiles each type once, as it finds it (``_compile``), and
-caches that one record per type: it feeds counting, listing and the genus-0
-chamber polynomials of ``chambers``.  A tree edge's flow is the cut
+``_types_for`` compiles each type once (``_compile``), and caches that one
+record per type: it feeds counting, listing and the genus-0 chamber
+polynomials of ``chambers``.  What a record takes from its edges alone
+(``_edge_structure``: spanning tree, unit flows, parallel runs) is built
+once per edge tuple and shared.  A tree edge's flow is the cut
 expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
 2g(v) - 2 + val(v) on its tail side, S being the subset sums of x; cycle
 edges add the unit flows of the free weights.  In genus 0 a vertex factor
@@ -180,50 +186,60 @@ def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
 
 @functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
+    """Every combinatorial type of (g, n, e), compiled, in sorted order.
+
+    The multigraphs are enumerated once per shape (genera, m, degs), m the
+    number of non-empty blocks of a marking partition, and then labelled
+    with each partition of that shape.  ``_end_partitions`` puts the m
+    non-empty blocks first, by smallest element, so ``_canonical_type``'s
+    base order keeps them in place and only sorts the unmarked vertices
+    m..V-1 by genus; the runs it permutes are then fixed by genera and m as
+    well.  Its canonical genera and edges thus depend only on (genera, m,
+    edges), its canonical ends are the blocks themselves, and the edges
+    depend on the blocks only through degs.  Edge structures (spanning
+    tree, unit flows, parallel runs) depend only on the canonical edges and
+    are built once per edge tuple.
+    """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
+    shapes: dict[tuple, set[tuple]] = {}
     found: set[tuple] = set()
     for blocks in _end_partitions(n, V):
+        m = sum(1 for part in blocks if part)
         psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
         for genera in _genus_vectors(V, g):
             degs = tuple(psi_sums[v] + 3 - 2 * genera[v] - len(blocks[v])
                          for v in range(V))
             if any(d < least for d in degs):
                 continue
-            for edges in _edge_multisets(degs):
-                if not is_connected(V, edges):
-                    continue
-                found.add(_canonical_type(genera, blocks, edges))
+            shape = shapes.get((genera, m, degs))
+            if shape is None:
+                shape = shapes[genera, m, degs] = {
+                    _canonical_type(genera, blocks, edges)[::2]
+                    for edges in _edge_multisets(degs) if is_connected(V, edges)}
+            found.update((genera_c, blocks, edges_c)
+                         for genera_c, edges_c in shape)
     # the types repeat a few small tuples many times: keep one copy of each
     shared: dict = {}
+    structures: dict = {}
 
     def one(item):
         return shared.setdefault(item, item)
 
-    return tuple(_compile(one(genera), one(ends), tuple(map(one, edges)), e)
+    def structure(edges):
+        if edges not in structures:
+            structures[edges] = _edge_structure(V, tuple(map(one, edges)))
+        return structures[edges]
+
+    return tuple(_compile(one(genera), one(ends), e, structure(edges))
                  for genera, ends, edges in sorted(found))
 
 
-def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
-             edges: tuple[tuple[int, int], ...],
-             e: tuple[int, ...]) -> CombinatorialType:
-    V = len(genera)
+def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
+    """What a type's record takes from its edges alone: the edges, the
+    spanning-tree walk as (vertex, parent edge) pairs leaves first, the
+    incidence, the unit flows of the free edges and the parallel runs."""
     order, parent_edge, inc = _spanning_structure(V, edges)
-    side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
-    side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
-    full, total = (1 << len(e)) - 1, sum(side_mu)
-    cuts = [0] * (2 * len(edges))
-    for v in reversed(order[1:]):  # leaves first: side_* of v is its subtree
-        idx = parent_edge[v]
-        a, b = edges[idx]
-        if a == v:
-            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
-            parent = b
-        else:
-            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
-            parent = a
-        side_mask[parent] |= side_mask[v]
-        side_mu[parent] += side_mu[v]
     tree_idx = set(parent_edge.values())
     free_idx = [i for i in range(len(edges)) if i not in tree_idx]
     units = tuple(tuple(_solve_flows(edges, {i: int(i == j) for i in free_idx},
@@ -235,6 +251,28 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
         if j - i > 1:
             runs.append((i, j))
         i = j
+    walk = tuple((v, parent_edge[v]) for v in reversed(order[1:]))
+    return edges, walk, tuple(map(tuple, inc)), units, tuple(runs)
+
+
+def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
+             e: tuple[int, ...], structure: tuple) -> CombinatorialType:
+    edges, walk, inc, units, runs = structure
+    V = len(genera)
+    side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
+    side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
+    full, total = (1 << len(e)) - 1, sum(side_mu)
+    cuts = [0] * (2 * len(edges))
+    for v, idx in walk:  # leaves first: side_* of v is its subtree
+        a, b = edges[idx]
+        if a == v:
+            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
+            parent = b
+        else:
+            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
+            parent = a
+        side_mask[parent] |= side_mask[v]
+        side_mu[parent] += side_mu[v]
     genus0_factor = 1
     higher = []
     for v, (genus, marks) in enumerate(zip(genera, ends)):
@@ -246,8 +284,8 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
                            tuple(i for i in inc[v] if edges[i][1] == v),
                            tuple(i for i in inc[v] if edges[i][0] == v),
                            psi + (0,) * len(inc[v])))
-    return CombinatorialType(genera, ends, edges, tuple(cuts), units,
-                             tuple(runs), genus0_factor, tuple(higher))
+    return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
+                             genus0_factor, tuple(higher))
 
 
 def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:

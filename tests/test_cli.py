@@ -341,6 +341,24 @@ def test_usage_error_exit2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("bad", [["number"], ["selftest"],
+                                 ["walls", "-n", "x"],
+                                 ["wallcross", "-n", "5", "--subset", "1,2,"],
+                                 ["polynomial", "-x", "1,1", "--keep-zero"]])
+def test_usage_error_leaves_the_next_command_unchanged(capsys, bad):
+    # one process may run many commands: a command line argparse rejects
+    # (exit 2) must not change how the next one reads
+    good = ["wallcross", "-k", "1", "-e", "1,0,0,0,0", "--subset", "1,2",
+            "--format", "table"]
+    alone = run_cli(capsys, *good)
+    assert alone[0] == 0 and alone[1]
+    with pytest.raises(SystemExit) as err:
+        main(bad)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: leakyhurwitz")
+    assert run_cli(capsys, *good) == alone
+
+
 @pytest.mark.parametrize("command", ["polynomial", "classify"])
 def test_fixtures_only_where_read(capsys, command):
     # chamber commands are genus 0 and never read a fixture

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.covers import (CoverGraph, Problem, _balance_residual,
-                                 check_cover, validate_problem)
+                                 check_cover, is_connected, validate_problem)
 from leakyhurwitz.enumeration import (_types_for, compute_H, count_covers,
                                       count_linear_extensions,
                                       enumerate_covers, linear_extensions,
                                       weight_bound)
 from leakyhurwitz.intersections import psi_integral
 from leakyhurwitz.vertexdata import (MissingVertexData, VertexKey,
-                                     default_fixtures)
+                                     default_fixtures, genus0_vertex_mult)
 
 GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
 
@@ -126,6 +126,142 @@ def test_canonical_type_matches_permutation_tracking_oracle():
     assert layouts == 610 and runs_seen == 0b111
 
 
+def _stirling2(n, j):
+    if n == 0 or j == 0:
+        return int(n == j)
+    return j * _stirling2(n - 1, j) + _stirling2(n - 1, j - 1)
+
+
+def test_end_partitions_put_marked_blocks_first():
+    # the shape stage of _types_for relies on this order: the non-empty
+    # blocks by increasing smallest element, then the empty blocks
+    for n in range(9):
+        for blocks in range(n + 2):
+            parts = list(enumeration._end_partitions(n, blocks))
+            assert len(parts) == len(set(parts)) == sum(
+                _stirling2(n, j) for j in range(blocks + 1))
+            for part in parts:
+                assert len(part) == blocks
+                m = sum(1 for b in part if b)
+                assert not any(part[m:])
+                assert [b[0] for b in part[:m]] == sorted(b[0] for b in part[:m])
+                assert sorted(i for b in part for i in b) == list(range(1, n + 1))
+                assert all(list(b) == sorted(b) for b in part)
+
+
+def _random_blocks(rng, n, m, V):
+    """A partition of 1..n into m non-empty blocks, ordered by smallest
+    element as ``_end_partitions`` orders them, padded to V blocks."""
+    order = rng.sample(range(1, n + 1), n)
+    parts = [[i] for i in order[:m]]
+    for i in order[m:]:
+        rng.choice(parts).append(i)
+    return tuple(sorted(tuple(sorted(p)) for p in parts)) + ((),) * (V - m)
+
+
+def test_canonical_type_ignores_which_markings_the_blocks_hold():
+    # _canonical_type's genera and edges depend on the blocks only through
+    # their number m, and its ends are the blocks: the shape stage of
+    # _types_for canonicalizes once per (genera, m, degs)
+    rng = random.Random(15)
+    runs_seen = Counter()
+    for _ in range(600):
+        V = rng.randint(1, 6)
+        m = rng.randint(0, V)
+        genera = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(V))
+        pairs = [(u, v) for u in range(V) for v in range(u + 1, V)]
+        edges = [rng.choice(pairs) for _ in range(rng.randint(0, 9))] if pairs else []
+        unmarked = Counter(genera[m:])
+        for genus, size in unmarked.items():
+            if size > 1:
+                runs_seen[genus >= 2] += 1
+        results = set()
+        for _ in range(4):
+            blocks = _random_blocks(rng, rng.randint(m, m + 4) if m else 0, m, V)
+            canonical = enumeration._canonical_type(genera, blocks, edges)
+            assert canonical[1] == blocks
+            results.add(canonical[::2])
+        assert len(results) == 1, (genera, m, edges)
+    assert runs_seen[False] > 50 and runs_seen[True] > 50
+
+
+def _compile_alone(genera, ends, edges, e):
+    """A type's record as it was compiled before edge structures were shared."""
+    V = len(genera)
+    order, parent_edge, inc = enumeration._spanning_structure(V, edges)
+    side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
+    side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
+    full, total = (1 << len(e)) - 1, sum(side_mu)
+    cuts = [0] * (2 * len(edges))
+    for v in reversed(order[1:]):
+        idx = parent_edge[v]
+        a, b = edges[idx]
+        if a == v:
+            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
+            parent = b
+        else:
+            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
+            parent = a
+        side_mask[parent] |= side_mask[v]
+        side_mu[parent] += side_mu[v]
+    tree_idx = set(parent_edge.values())
+    free_idx = [i for i in range(len(edges)) if i not in tree_idx]
+    units = tuple(tuple(enumeration._solve_flows(
+        edges, {i: int(i == j) for i in free_idx}, order, parent_edge, inc))
+        for j in free_idx)
+    runs, i = [], 0
+    for _, group in itertools.groupby(edges):
+        j = i + len(list(group))
+        if j - i > 1:
+            runs.append((i, j))
+        i = j
+    genus0_factor = 1
+    higher = []
+    for v, (genus, marks) in enumerate(zip(genera, ends)):
+        psi = tuple(e[i - 1] for i in marks)
+        if genus == 0:
+            genus0_factor *= genus0_vertex_mult(len(inc[v]) + len(marks), psi)
+        else:
+            higher.append((genus, tuple(i - 1 for i in marks),
+                           tuple(i for i in inc[v] if edges[i][1] == v),
+                           tuple(i for i in inc[v] if edges[i][0] == v),
+                           psi + (0,) * len(inc[v])))
+    return enumeration.CombinatorialType(
+        genera, ends, edges, tuple(cuts), units, tuple(runs), genus0_factor,
+        tuple(higher))
+
+
+def _types_one_partition_at_a_time(g, n, e):
+    """The types as they were enumerated before shapes: every multigraph of
+    every marking partition canonicalized on its own, each type compiled
+    alone; an independent oracle for ``_types_for``."""
+    V = 2 * g - 2 + n - sum(e)
+    least = 1 if V > 1 else 0
+    found = set()
+    for blocks in enumeration._end_partitions(n, V):
+        psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
+        for genera in enumeration._genus_vectors(V, g):
+            degs = tuple(psi_sums[v] + 3 - 2 * genera[v] - len(blocks[v])
+                         for v in range(V))
+            if any(d < least for d in degs):
+                continue
+            for edges in enumeration._edge_multisets(degs):
+                if is_connected(V, edges):
+                    found.add(enumeration._canonical_type(genera, blocks, edges))
+    return tuple(_compile_alone(*t, e) for t in sorted(found))
+
+
+@pytest.mark.parametrize("g, e", [
+    (0, (0,) * 6), (0, (1, 0, 0, 0, 0, 0)), (0, (0, 1, 0, 0, 0, 1, 0)),
+    (0, (0, 0, 2, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (1, 0, 0, 1)),
+    (1, (0, 2, 0)), (2, (0, 0)), (2, (0, 1, 0)), (3, (0,)), (3, (1, 0))],
+    ids=str)
+def test_types_match_one_partition_at_a_time(g, e):
+    n = len(e)
+    assert (enumeration._types_for.__wrapped__(g, n, e)
+            == _types_one_partition_at_a_time(g, n, e))
+
+
 def _assert_balanced(p):
     for t, edges in enumeration._weighted_types(p):
         order = next(linear_extensions(t.num_vertices,
@@ -189,8 +325,11 @@ def test_count_covers_first_missing_key():
 
 
 def test_enumerate_types_idempotent():
+    # two enumerations, not two reads of the cache
     first = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    _types_for.cache_clear()
     second = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    assert first is not second
     assert first == second
     assert len(set(first)) == len(first)
 
