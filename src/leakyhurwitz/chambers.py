@@ -26,6 +26,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 from .covers import Problem, ProblemError
@@ -95,10 +96,11 @@ class _TreeSystem:
     polynomials are built in normal form, in x1..x_{n-1}: a wall subset I
     holding n enters as minus its complement's form, which omits x_n, as
     delta_I + delta_{I^c} = sum x - k(|I| - 1) - k(n - |I| - 1) = 0 on the
-    degree hyperplane sum x = k(n - 2).  The product of a type's wall
-    polynomials and vertex multinomials is memoized per type, its signed
-    number of linear extensions per type and edge wall signs, and chamber
-    polynomials per wall signs.
+    degree hyperplane sum x = k(n - 2).  The product of each type's wall
+    polynomials and vertex multinomials is built with the system, not
+    memoized: a system is built for a chamber polynomial, which reads every
+    product.  A type's signed number of linear extensions is memoized per
+    type and edge wall signs, and chamber polynomials per wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
@@ -116,7 +118,10 @@ class _TreeSystem:
         self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
             (t, tuple(sides[mask] for mask in t.cuts[::2]))
             for t in _types_for(0, n, e)]
-        self._products: dict[int, Poly] = {}
+        self.products = [
+            functools.reduce(mul, (self.wall_polys[i] for i, _ in edge_walls),
+                             Poly.const(n - 1, t.genus0_factor))
+            for t, edge_walls in self.entries]
         self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, ...], Poly] = {}
 
@@ -127,17 +132,12 @@ class _TreeSystem:
         cached = self._cache.get(key)
         if cached is None:
             t, edge_walls = self.entries[idx]
-            product = self._products.get(idx)
-            if product is None:
-                product = Poly.const(self.n - 1, t.genus0_factor)
-                for i, _ in edge_walls:
-                    product = product * self.wall_polys[i]
-                self._products[idx] = product
             arcs = [(a, b) if s * side > 0 else (b, a)
                     for (a, b), s, (_, side) in zip(t.edges, signs, edge_walls)]
             le = count_linear_extensions(t.num_vertices, arcs)
             # each weight s * (wall form) gives its sign s to the scale
-            cached = self._cache[key] = (le * math.prod(signs), product)
+            cached = self._cache[key] = (le * math.prod(signs),
+                                         self.products[idx])
         return cached
 
     def polynomial(self, chamber: tuple[int, ...]) -> Poly:

@@ -16,7 +16,7 @@ from .chambers import (Wall, WallError, chamber_polynomial, classify,
                        wall_crossing, wall_crossing_formula, walls)
 from .covers import Problem, ProblemError, weighted_cover_to_json
 from .enumeration import count_covers, enumerate_covers
-from .exactarith import LinForm, rat_str
+from .exactarith import rat_str
 from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
                          load_fixtures)
 
@@ -147,14 +147,9 @@ def cmd_polynomial(args) -> int:
 
 def cmd_walls(args) -> int:
     n, k = args.markings, args.leak
-    found = walls(n)
-
-    def baked(form: LinForm) -> str:
-        return str(LinForm.of(dict(form.coeffs), 0, form.const + form.k_coeff * k))
-
-    payload = [{"subset": list(w.subset), "form": baked(w.form)} for w in found]
-    _emit(args, payload,
-          [f"{list(w.subset)}: {baked(w.form)} = 0" for w in found])
+    found = [(list(w.subset), str(w.form.as_poly(n, k))) for w in walls(n)]
+    _emit(args, [{"subset": subset, "form": form} for subset, form in found],
+          [f"{subset}: {form} = 0" for subset, form in found])
     return EXIT_OK
 
 

@@ -219,19 +219,14 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                     for edges in _edge_multisets(degs) if is_connected(V, edges)}
             found.update((genera_c, blocks, edges_c)
                          for genera_c, edges_c in shape)
-    # the types repeat a few small tuples many times: keep one copy of each
-    shared: dict = {}
     structures: dict = {}
-
-    def one(item):
-        return shared.setdefault(item, item)
 
     def structure(edges):
         if edges not in structures:
-            structures[edges] = _edge_structure(V, tuple(map(one, edges)))
+            structures[edges] = _edge_structure(V, edges)
         return structures[edges]
 
-    return tuple(_compile(one(genera), one(ends), e, structure(edges))
+    return tuple(_compile(genera, ends, e, structure(edges))
                  for genera, ends, edges in sorted(found))
 
 

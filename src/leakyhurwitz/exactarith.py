@@ -7,7 +7,8 @@ denominator is omitted when it equals 1).
 A :class:`LinForm` is an integer-coefficient affine expression in profile
 variables x1..xn plus the leak parameter k.  Walls, whose forms are also the
 genus-0 tree edge weights, are stored in this shape, so evaluating one at an
-integer point always gives an integer.
+integer point always gives an integer.  A form has no printer of its own:
+the CLI prints a wall's form through ``as_poly`` and ``Poly.__str__``.
 
 A :class:`Poly` is a sparse multivariate polynomial over the rationals,
 stored as a dict from exponent tuples to nonzero coefficients (the zero
@@ -55,24 +56,17 @@ class LinForm:
     const: int = 0
 
     @staticmethod
-    def of(coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-           k: int = 0, const: int = 0) -> "LinForm":
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: dict[int, int] = {}
-        for i, c in items:
-            if i < 1:
-                raise ValueError(f"variable index {i} must be >= 1")
-            merged[i] = merged.get(i, 0) + c
-        cleaned = tuple(sorted((i, c) for i, c in merged.items() if c != 0))
-        return LinForm(cleaned, k, const)
+    def of(coeffs: Mapping[int, int], k: int = 0, const: int = 0) -> "LinForm":
+        if min(coeffs, default=1) < 1:
+            raise ValueError(f"variable index {min(coeffs)} must be >= 1")
+        return LinForm(tuple(sorted((i, c) for i, c in coeffs.items() if c)),
+                       k, const)
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
-        """Evaluate at a profile and leak; x must cover all indices used."""
+        """Evaluate at a profile and leak; x must cover all indices used
+        (``x[i - 1]`` raises ``IndexError`` otherwise, as i >= 1)."""
         total = self.const + self.k_coeff * k
         for i, c in self.coeffs:
-            if i > len(x):
-                raise IndexError(
-                    f"form uses x{i} but profile has length {len(x)}")
             total += c * x[i - 1]
         return total
 
@@ -86,28 +80,6 @@ class LinForm:
             exp = zero[:i - 1] + (1,) + zero[i:]
             terms[exp] = terms.get(exp, 0) + c
         return Poly._of(nvars, _cleaned(terms))
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for i, c in self.coeffs:
-            parts.append(_term_str(c, f"x{i}", not parts))
-        if self.k_coeff:
-            parts.append(_term_str(self.k_coeff, "k", not parts))
-        if self.const or not parts:
-            parts.append(_term_str(self.const, "", not parts))
-        return "".join(parts)
-
-
-def _term_str(coeff, symbol: str, first: bool) -> str:
-    sign = "-" if coeff < 0 else ("" if first else "+")
-    sep = "" if first else " "
-    lead = f"{sep}{sign}" if first else f" {sign} "
-    mag = abs(coeff)
-    if not symbol:
-        return f"{lead}{mag}"
-    if mag == 1:
-        return f"{lead}{symbol}"
-    return f"{lead}{mag}*{symbol}"
 
 
 def _scalar(value) -> int | Fraction:

@@ -121,7 +121,8 @@ def load_fixtures(path: str | Path) -> dict[VertexKey, Fraction]:
     """Load a fixture table, rejecting duplicate keys with differing values."""
     try:
         rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise FixtureError(f"cannot read fixture file {path}: {exc}") from exc
     return _table_from_rows(rows)
 

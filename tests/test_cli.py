@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -181,6 +182,45 @@ def test_walls_command(capsys):
     assert payload[0] == {"subset": [1, 2], "form": "x1 + x2 - 1"}
 
 
+def _term_str(coeff, symbol, first):
+    sign = "-" if coeff < 0 else ("" if first else "+")
+    lead = sign if first else f" {sign} "
+    mag = abs(coeff)
+    if not symbol:
+        return f"{lead}{mag}"
+    if mag == 1:
+        return f"{lead}{symbol}"
+    return f"{lead}{mag}*{symbol}"
+
+
+def _affine_str(coeffs, const):
+    """The affine form sum c * x_i + const, coefficients nonzero, as the
+    ``walls`` command has always printed it: "x1 + 2*x3 - 4"."""
+    parts = [_term_str(c, f"x{i}", not index)
+             for index, (i, c) in enumerate(coeffs)]
+    if const or not parts:
+        parts.append(_term_str(const, "", not parts))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_walls_bytes(capsys, n, k):
+    # every subset I with 2 <= |I| <= n - 2, stored as whichever of I and its
+    # complement holds 1, in lexicographic order
+    subsets = sorted(I for size in range(2, n - 1)
+                     for I in itertools.combinations(range(1, n + 1), size)
+                     if I[0] == 1)
+    found = [{"subset": list(I),
+              "form": _affine_str([(i, 1) for i in I], -k * (len(I) - 1))}
+             for I in subsets]
+    table = "".join(f"{w['subset']}: {w['form']} = 0\n" for w in found)
+    argv = ("walls", "-n", str(n), "-k", str(k))
+    assert run_cli(capsys, *argv) == (
+        0, json.dumps(found, indent=2, sort_keys=True) + "\n", "")
+    assert run_cli(capsys, *argv, "--format", "table") == (0, table, "")
+
+
 def test_wallcross_command(capsys):
     code, out, _ = run_cli(capsys, "wallcross", "-n", "5", "-k", "1",
                            "-e", "1,0,0,0,0", "--subset", "1,2,3")
@@ -326,6 +366,20 @@ def test_fixture_float_degree_exit2(capsys, tmp_path):
                              "-x", "7,-3,-1", "-e", "1,0,0", "--fixtures", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith("error: bad fixture row")
+
+
+@pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe"],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_unreadable_fixture_file_exit2(capsys, tmp_path, content):
+    # json.loads raises RecursionError on deep nesting, and reading raises
+    # UnicodeDecodeError on bytes that are not text
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "number", "-g", "1", "-k", "1",
+                             "-x", "7,-3,-1", "-e", "1,0,0", "--fixtures", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read fixture file {bad}: ")
+    assert err.count("\n") == 1
 
 
 def test_selftest_is_not_a_command(capsys):
