@@ -34,7 +34,8 @@ polynomials of ``chambers``.  What a record takes from its edges alone
 once per edge tuple and shared.  A tree edge's flow is the cut
 expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
 2g(v) - 2 + val(v) on its tail side, S being the subset sums of x; cycle
-edges add the unit flows of the free weights.  In genus 0 a vertex factor
+edges add the unit flows of the free weights, read off the vertex masks
+of the tree's subtrees (``_solve_flows``).  In genus 0 a vertex factor
 is a multinomial that ignores the flows, so the record folds them into one
 integer.  Counting a problem is then integer arithmetic, with the fixture
 table read (by ``vertexdata.vertex_mult``) for genus >= 1 vertices only.
@@ -231,23 +232,55 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
 
 
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
-    """What a type's record takes from its edges alone: the edges, the
-    spanning-tree walk as (vertex, parent edge) pairs leaves first, the
-    incidence, the unit flows of the free edges and the parallel runs."""
-    order, parent_edge, inc = _spanning_structure(V, edges)
+    """What a type's record takes from its edges alone: the edges, the walk
+    of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
+    as (vertex, parent edge) pairs leaves first, the incidence, the unit
+    flows of the free edges and the parallel runs."""
+    inc: list[list[int]] = [[] for _ in range(V)]
+    for idx, (a, b) in enumerate(edges):
+        inc[a].append(idx)
+        inc[b].append(idx)
+    parent_edge: dict[int, int] = {}
+    order = [0]
+    for v in order:  # grows as the BFS discovers vertices
+        for idx in inc[v]:
+            a, b = edges[idx]
+            u = b if a == v else a
+            if u and u not in parent_edge:
+                parent_edge[u] = idx
+                order.append(u)
+    walk = tuple((v, parent_edge[v]) for v in reversed(order[1:]))
+    below = [1 << v for v in range(V)]  # below[v]: the vertices of v's subtree
+    for v, idx in walk:  # leaves first; a + b - v is v's parent
+        below[sum(edges[idx]) - v] |= below[v]
     tree_idx = set(parent_edge.values())
-    free_idx = [i for i in range(len(edges)) if i not in tree_idx]
-    units = tuple(tuple(_solve_flows(edges, {i: int(i == j) for i in free_idx},
-                                     order, parent_edge, inc))
-                  for j in free_idx)
+    units = tuple(tuple(_solve_flows(edges, walk, below, j))
+                  for j in range(len(edges)) if j not in tree_idx)
     runs, i = [], 0
     for _, group in itertools.groupby(edges):
         j = i + len(list(group))
         if j - i > 1:
             runs.append((i, j))
         i = j
-    walk = tuple((v, parent_edge[v]) for v in reversed(order[1:]))
     return edges, walk, tuple(map(tuple, inc)), units, tuple(runs)
+
+
+def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
+                 j: int) -> list[int]:
+    """The flows of one unit on free edge j = (a, b), every other free edge
+    at 0, signed relative to the stored (u, v) direction.
+
+    Only the parent edge of v and the free edges with one end in v's
+    subtree cross its boundary, and the subtree's net outflow is 0, so the
+    parent edge carries into the subtree what edge j takes out of it:
+    ``out`` = [a below v] - [b below v]."""
+    a, b = edges[j]
+    flows = [0] * len(edges)
+    flows[j] = 1
+    for v, idx in walk:
+        out = (below[v] >> a & 1) - (below[v] >> b & 1)
+        flows[idx] = out if edges[idx][1] == v else -out
+    return flows
 
 
 def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
@@ -281,58 +314,6 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
                            psi + (0,) * len(inc[v])))
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
                              genus0_factor, tuple(higher))
-
-
-def _incidence(V: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    inc: list[list[int]] = [[] for _ in range(V)]
-    for idx, (a, b) in enumerate(edges):
-        inc[a].append(idx)
-        inc[b].append(idx)
-    return inc
-
-
-def _spanning_structure(V: int, edges: Sequence[tuple[int, int]]):
-    """BFS tree from vertex 0 of a connected type (``_types_for`` keeps no
-    other): discovery order, parent edge index per vertex."""
-    inc = _incidence(V, edges)
-    parent_edge: dict[int, int] = {}
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for idx in inc[v]:
-            a, b = edges[idx]
-            u = b if a == v else a
-            if u not in seen:
-                seen.add(u)
-                parent_edge[u] = idx
-                order.append(u)
-    return order, parent_edge, inc
-
-
-def _solve_flows(edges: Sequence[tuple[int, int]], fixed: dict[int, int],
-                 order, parent_edge, inc) -> list:
-    """Solve the balance system for the tree flows, leaf to root.
-
-    Every vertex has net outflow 0; flows are signed relative to the stored
-    (u, v) direction.
-    """
-    flows: dict[int, int] = dict(fixed)
-    for v in reversed(order[1:]):
-        e = parent_edge[v]
-        acc = 0
-        for idx in inc[v]:
-            if idx == e:
-                continue
-            f = flows[idx]
-            if edges[idx][0] == v:
-                acc = acc - f
-            else:
-                acc = acc + f
-        flows[e] = acc if edges[e][0] == v else -acc
-    return [flows[i] for i in range(len(edges))]
 
 
 def weight_bound(p: Problem) -> int:
@@ -415,19 +396,21 @@ def linear_extensions(num_vertices: int,
 
 def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                       ) -> Iterator[tuple[CombinatorialType, list[int]]]:
-    """Each type of p with each of its integer flow vectors that
-    has no zero flow and is canonical on parallel edges; with cycles, also
-    none above :func:`weight_bound`.
+    """Each type of p with each of its integer flow vectors that has no
+    zero flow, none above :func:`weight_bound` B and is canonical on
+    parallel edges.
 
     Every flow is affine in the free weights: base + sum_j w_j * units[j].
     The weights are fixed one at a time, in unit order.  An edge that unit
     j moves and no later unit moves is settled once w_j is fixed, and its
     unit entry is +-1, so |flow| <= B cuts w_j down to an interval; each
-    level walks its interval upwards, skipping 0 as the box does.  Every
-    skipped prefix settles an edge above B, so no completion of it passes
-    the final test, which every complete vector still takes.  The vectors
-    yielded are thus those of the box of nonzero weights in [-B, B]^h that
-    pass it, in the box's lexicographic order.
+    level walks its interval upwards, skipping 0 as the box does, and
+    every skipped prefix settles an edge above B.  So every edge a unit
+    moves ends within [-B, B], and an edge no unit moves is a bridge: its
+    flow S[mask] - k c, read from either side, has c >= 1 (mu(v) >= 1), so
+    it lies in [-P, P] for k >= 0 and in [-N, N] for k <= 0.  The final
+    test needs no bound, and the vectors yielded are those of the box of
+    nonzero weights in [-B, B]^h that pass it, in lexicographic order.
     """
     sums = [0]  # sums[mask]: the degrees of the markings in mask
     for v in p.x:
@@ -448,8 +431,7 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
             nxt = [f + w * u for f, u in zip(flows, unit)]
             if not last:
                 yield from walk(t, settled, j + 1, nxt)
-            elif (all(f and -bound <= f <= bound for f in nxt)
-                    and _canonical_parallel(t.runs, nxt)):
+            elif all(nxt) and _canonical_parallel(t.runs, nxt):
                 yield t, nxt
 
     for t in types:

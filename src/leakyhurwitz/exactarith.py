@@ -157,8 +157,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
@@ -166,9 +164,6 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         return Poly.weighted_sum(self.nvars, ((self, 1), (self._coerce(other), 1)))
-
-    def __radd__(self, other) -> "Poly":
-        return self + other
 
     def __sub__(self, other) -> "Poly":
         return Poly.weighted_sum(self.nvars, ((self, 1), (self._coerce(other), -1)))
@@ -190,9 +185,6 @@ class Poly:
                 exp = tuple(map(add, ea, eb))
                 out[exp] = get(exp, 0) + ca * cb
         return Poly._of(self.nvars, _cleaned(out))
-
-    def __rmul__(self, other) -> "Poly":
-        return self * other
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

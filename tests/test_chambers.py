@@ -326,6 +326,14 @@ def test_wall_of_another_marking_count_is_a_wall_error(wall):
             crossing(p, wall)
 
 
+@pytest.mark.parametrize("crossing", [wall_crossing, wall_crossing_formula])
+def test_wall_crossing_needs_genus0(crossing):
+    # the closed formula would build genus-0 subproblems and answer for g = 0
+    p, wall = Problem.of(1, 1, (4, 0, 0, 0)), Wall.of(4, (1, 2))
+    with pytest.raises(ProblemError, match="genus 0 only"):
+        crossing(p, wall)
+
+
 def test_wall_crossing_k0_two_chambers():
     # independent two-chamber check: each side's polynomial reproduces the
     # count at its reference point, and the difference is 2 (x1 + x2)

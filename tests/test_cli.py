@@ -2,13 +2,19 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.cli import main
 from leakyhurwitz.vertexdata import VertexKey, default_fixtures
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -283,9 +289,34 @@ def test_negative_leading_list_values(capsys):
      "error: unstable marking count: n = -5 must be at least 3\n"),
     (("wallcross", "-e", "", "--subset", "1,2"), 2,
      "error: unstable marking count: n = 0 must be at least 3\n"),
+    (("wallcross", "--subset", "1,2"), 2,
+     "error: wallcross needs -n or -e to fix the marking count\n"),
 ])
 def test_input_errors_exit_codes(capsys, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    ("number -g 1 -k 3 -x 5,1", 3, "error: no vertex multiplicity on record "
+     "for VertexKey(genus=1, k=3, degrees=[3], psi=[0])"),
+    ("wallcross -n 3 --subset 1,2", 4,
+     "error: n = 3 markings have no walls: walls need n >= 4"),
+    ("number -x 1,2", 2, "error: unstable input: 2g-2+n = 0 must be positive"),
+    ("bogus", 2, "leakyhurwitz: error: argument command: invalid choice: 'bogus'"),
+])
+def test_module_entry_point_exit_status(argv, code, last):
+    # the process status is main's return value; the package's errors are
+    # one stderr line, argparse's come after its usage lines
+    env = {key: value for key, value in os.environ.items()
+           if key != "LEAKY_FIXTURES"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-m", "leakyhurwitz.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert lines[-1].startswith(last)
+    assert len(lines) == 1 or argv == "bogus"
 
 
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):

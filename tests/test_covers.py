@@ -72,35 +72,43 @@ def test_check_cover_golden_covers():
         assert check_cover(GOLDEN, cover) is cover
 
 
-def test_check_cover_broken_balance():
-    broken = CoverGraph((1, 0), ((1,), (2, 3)), ((0, 1, 4),), (0, 1))
-    with pytest.raises(CoverError, match="balance"):
-        check_cover(GOLDEN, broken)
-
-
 def test_check_cover_single_vertex():
     p = Problem.of(0, 1, (3, -1, -1))
     trivial = CoverGraph((0,), ((1, 2, 3),), (), (0,))
     assert check_cover(p, trivial) is trivial
 
 
-def test_check_cover_bad_order():
-    flipped = CoverGraph((1, 0), ((1,), (2, 3)), ((0, 1, 5),), (1, 0))
-    with pytest.raises(CoverError, match="order"):
-        check_cover(GOLDEN, flipped)
+BROKEN = [  # (problem, edit of PI_3, the CoverError message)
+    (GOLDEN, {"vertex_ends": ((1,), (2, 3), ())},
+     "vertex genus and end lists disagree in length"),
+    (GOLDEN, {"vertex_genus": (), "vertex_ends": ()}, "cover has no vertices"),
+    (GOLDEN, {"vertex_ends": ((1, 2), (2, 3))},
+     "marking 2 attached to two vertices"),
+    (GOLDEN, {"vertex_ends": ((1,), (2,))},
+     "markings [1, 2] do not partition 1..3"),
+    (GOLDEN, {"edges": ((0, 0, 5),)}, "edge at vertex 0 is a loop"),
+    (GOLDEN, {"edges": ((0, 2, 5),)}, "edge (0, 2) references a missing vertex"),
+    (GOLDEN, {"edges": ((0, 1, 0),)}, "edge (0, 1) has nonpositive weight 0"),
+    (GOLDEN, {"edges": ()}, "cover graph is not connected"),
+    (GOLDEN, {"vertex_genus": (0, 0)},
+     "genus mismatch: h1 = 0 plus vertex genera 0 differs from g = 1"),
+    # the edit is GOLDEN's psi exponent, dropped: one vertex more
+    (Problem.of(1, 1, (7, -3, -1)), {}, "vertex count 2 differs from c+1 = 3"),
+    (GOLDEN, {"vertex_ends": ((1, 2), (3,))},
+     "valence law fails at vertex 0: val = 3, psi target = 2"),
+    (GOLDEN, {"edges": ((0, 1, 4),)}, "flow balance fails at vertex 0: residual 1"),
+    (GOLDEN, {"order": (0, 0)}, "order (0, 0) is not a permutation of the vertices"),
+    (GOLDEN, {"order": (1, 0)}, "edge (0, 1) runs right to left in the vertex order"),
+]
 
 
-def test_check_cover_partition_violation():
-    twice = CoverGraph((1, 0), ((1, 2), (2, 3)), ((0, 1, 5),), (0, 1))
-    with pytest.raises(CoverError, match="marking"):
-        check_cover(GOLDEN, twice)
-
-
-def test_check_cover_disconnected():
-    p = Problem.of(0, 0, (1, -1, 2, -2))
-    split = CoverGraph((0, 0), ((1, 2, 4), (3,)), (), (0, 1))
-    with pytest.raises(CoverError):
-        check_cover(p, split)
+@pytest.mark.parametrize("p, edit, message", BROKEN,
+                         ids=[message for _, _, message in BROKEN])
+def test_check_cover_names_each_violation(p, edit, message):
+    # one edit of a golden cover per diagnostic, each checked in full
+    with pytest.raises(CoverError) as err:
+        check_cover(p, dataclasses.replace(PI_3, **edit))
+    assert str(err.value) == message
 
 
 def test_automorphism_order():

@@ -185,10 +185,50 @@ def test_canonical_type_ignores_which_markings_the_blocks_hold():
     assert runs_seen[False] > 50 and runs_seen[True] > 50
 
 
+def _spanning_structure(V, edges):
+    """BFS tree from vertex 0: discovery order, parent edge index per vertex
+    and incidence lists."""
+    inc = [[] for _ in range(V)]
+    for idx, (a, b) in enumerate(edges):
+        inc[a].append(idx)
+        inc[b].append(idx)
+    parent_edge = {}
+    order = [0]
+    seen = {0}
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for idx in inc[v]:
+            a, b = edges[idx]
+            u = b if a == v else a
+            if u not in seen:
+                seen.add(u)
+                parent_edge[u] = idx
+                order.append(u)
+    return order, parent_edge, inc
+
+
+def _solve_flows(edges, fixed, order, parent_edge, inc):
+    """Solve the balance system for the tree flows, leaf to root, the free
+    edges' flows ``fixed``: every vertex has net outflow 0, flows signed
+    relative to the stored (u, v) direction."""
+    flows = dict(fixed)
+    for v in reversed(order[1:]):
+        e = parent_edge[v]
+        acc = 0
+        for idx in inc[v]:
+            if idx != e:
+                acc += flows[idx] if edges[idx][1] == v else -flows[idx]
+        flows[e] = acc if edges[e][0] == v else -acc
+    return [flows[i] for i in range(len(edges))]
+
+
 def _compile_alone(genera, ends, edges, e):
-    """A type's record as it was compiled before edge structures were shared."""
+    """A type's record as it was compiled before edge structures were shared,
+    its unit flows solved vertex by vertex rather than read off subtrees."""
     V = len(genera)
-    order, parent_edge, inc = enumeration._spanning_structure(V, edges)
+    order, parent_edge, inc = _spanning_structure(V, edges)
     side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
     side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
     full, total = (1 << len(e)) - 1, sum(side_mu)
@@ -206,7 +246,7 @@ def _compile_alone(genera, ends, edges, e):
         side_mu[parent] += side_mu[v]
     tree_idx = set(parent_edge.values())
     free_idx = [i for i in range(len(edges)) if i not in tree_idx]
-    units = tuple(tuple(enumeration._solve_flows(
+    units = tuple(tuple(_solve_flows(
         edges, {i: int(i == j) for i in free_idx}, order, parent_edge, inc))
         for j in free_idx)
     runs, i = [], 0
@@ -536,9 +576,9 @@ def test_units_are_fundamental_cycles(g, n):
         if (g, e) == (3, (0, 0)):
             continue  # 0.6 s of type enumeration; (1, 0) has three cycles
         for t in enumeration._types_for(g, n, e):
-            _, parent_edge, _ = enumeration._spanning_structure(
+            _, walk, _, _, _ = enumeration._edge_structure(
                 t.num_vertices, t.edges)
-            free = sorted(set(range(len(t.edges))) - set(parent_edge.values()))
+            free = sorted(set(range(len(t.edges))) - {idx for _, idx in walk})
             assert len(free) == len(t.units)
             for j, unit in enumerate(t.units):
                 assert set(unit) <= {-1, 0, 1}

@@ -74,6 +74,14 @@ def test_poly_basic_ops():
                             {"exp": [1, 1], "coeff": "1"}]
 
 
+def test_poly_is_never_equal_to_a_scalar():
+    # equal objects must hash alike, and a constant Poly's hash is not its
+    # scalar's: so no Poly equals an int or a Fraction
+    assert Poly.const(2, 3) != 3
+    assert Poly.zero(2) != 0
+    assert len({Poly.const(2, 3), 3}) == 2
+
+
 def test_poly_compose():
     # p(y1, y2) = y1 * y2 with y1 -> x1 + x2 and y2 -> 2
     p = Poly.variable(2, 1) * Poly.variable(2, 2)
