@@ -12,7 +12,12 @@ The pipeline runs in three stages:
    ``_types_for`` splits this stage in two: a shape stage enumerates and
    canonicalizes the multigraphs once per shape (genera, number of marked
    vertices, edge degrees), and a labelling stage gives each marking
-   partition the canonical multigraphs of its shape;
+   partition the canonical multigraphs of its shape.  The partitions are
+   pruned as they are built (``_end_partitions``): a block B whose excess
+   sum_{i in B} (1 - e_i) is above 2 (above 3 on a lone vertex) leaves its
+   vertex too few edges at any genus.  A vertex's mu(v) and genus-0 factor
+   depend on its block alone, so they are computed once per block, not
+   once per type;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
    edge contributes one free integer weight, bounded by the proven
@@ -92,26 +97,50 @@ class CombinatorialType(NamedTuple):
         return len(self.vertex_genus)
 
 
-def _end_partitions(n: int, blocks: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Set partitions of 1..n into at most ``blocks`` parts, padded with
-    empty parts; parts ordered by smallest element, empty parts last."""
-    if n == 0:
-        yield ((),) * blocks
-        return
-    labels = [0] * n
+def _end_partitions(e: tuple[int, ...], blocks: int
+                    ) -> list[tuple[tuple[int, ...], ...]]:
+    """Set partitions of the markings 1..n, n = len(e), into at most
+    ``blocks`` parts that can each be the markings of a vertex, padded with
+    empty parts; parts ordered by smallest element, empty parts last.
+
+    A block B at a vertex of genus g(v) has edge degree sum_{i in B} e_i +
+    3 - 2g(v) - |B| >= least, least = 1 on more than one vertex (a
+    connected graph gives each vertex an edge) and 0 on one, so its excess
+    sum_{i in B} (1 - e_i) is at most 3 - least.  The markings are labelled
+    depth-first in order; marking j lowers the excess of the block it joins
+    by at most max(0, e_j - 1), so once marking i is placed, the markings
+    after it can take at most ``reserve[i]`` off any excess, and a branch
+    whose new excess exceeds 3 - least + reserve[i] is cut (e >= 0, as
+    ``Problem`` validates).  A complete partition is kept if every block's
+    excess is at most 3 - least.  Cutting drops whole subtrees of the
+    search, so the partitions kept come in the order of the unpruned
+    search.
+    """
+    n = len(e)
+    limit = 2 if blocks > 1 else 3
+    reserve = [0] * n
+    for i in range(n - 1, 0, -1):
+        reserve[i - 1] = reserve[i] + max(0, e[i] - 1)
+    parts: list[list[int]] = [[] for _ in range(blocks)]
+    excess = [0] * blocks
+    out = []
 
     def rec(i: int, top: int):
         if i == n:
-            parts: list[list[int]] = [[] for _ in range(blocks)]
-            for j, lab in enumerate(labels):
-                parts[lab].append(j + 1)
-            yield tuple(tuple(part) for part in parts)
+            if max(excess, default=0) <= limit:
+                out.append(tuple(map(tuple, parts)))
             return
+        step = 1 - e[i]
         for lab in range(min(top + 1, blocks - 1) + 1):
-            labels[i] = lab
-            yield from rec(i + 1, max(top, lab))
+            if excess[lab] + step - reserve[i] <= limit:
+                parts[lab].append(i + 1)
+                excess[lab] += step
+                rec(i + 1, max(top, lab))
+                excess[lab] -= step
+                parts[lab].pop()
 
-    yield from rec(1, 0) if blocks > 0 else iter(())
+    rec(0, -1)
+    return out
 
 
 def _genus_vectors(blocks: int, g: int) -> Iterator[tuple[int, ...]]:
@@ -192,34 +221,62 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     The multigraphs are enumerated once per shape (genera, m, degs), m the
     number of non-empty blocks of a marking partition, and then labelled
     with each partition of that shape.  ``_end_partitions`` puts the m
-    non-empty blocks first, by smallest element, so ``_canonical_type``'s
-    base order keeps them in place and only sorts the unmarked vertices
-    m..V-1 by genus; the runs it permutes are then fixed by genera and m as
-    well.  Its canonical genera and edges thus depend only on (genera, m,
-    edges), its canonical ends are the blocks themselves, and the edges
-    depend on the blocks only through degs.  Edge structures (spanning
-    tree, unit flows, parallel runs) depend only on the canonical edges and
-    are built once per edge tuple.
+    non-empty blocks first, by smallest element, and returns only the
+    partitions whose every block passes its excess test.
+    ``_canonical_type``'s base order then keeps the blocks in place and only
+    sorts the unmarked vertices m..V-1 by genus; the runs it permutes are
+    then fixed by genera and m as well.  Its canonical genera and edges thus
+    depend only on (genera, m, edges), its canonical ends are the blocks
+    themselves, and the edges depend on the blocks only through degs.  A
+    genus vector whose unmarked part is not sorted is skipped: permuting
+    the unmarked vertices maps its multigraphs onto those of the sorted
+    vector, with the same canonical types.  So each (genera, blocks) is met
+    once, genera already canonical, and sorting those pairs and then each
+    shape's edges gives the types in sorted order.
+
+    What a record takes from a vertex's block B alone is computed once per
+    block (``block``): by the valence law val(v) = sum_{i in B} e_i + 3 -
+    2g(v), so mu(v) = 2g(v) - 2 + val(v) = 1 + sum_{i in B} e_i at any
+    genus, and a genus-0 vertex's factor (val(v) - 3)! / prod_{i in B} e_i!
+    is the multinomial of B; neither reads the edges.  The genus-0 factor
+    of a type is then the product over the genus-0 vertices, once per
+    (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
+    runs) depend only on the canonical edges and are built once per edge
+    tuple.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
-    shapes: dict[tuple, set[tuple]] = {}
-    found: set[tuple] = set()
-    for blocks in _end_partitions(n, V):
-        m = sum(1 for part in blocks if part)
-        psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
+    block_data: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
+
+    def block(part):
+        """(genus-0 edge degree, marking mask, mu, genus-0 factor) of a
+        vertex with the markings ``part``."""
+        if part not in block_data:
+            psi = [e[i - 1] for i in part]
+            total = sum(psi)
+            block_data[part] = (total + 3 - len(part),
+                                sum(1 << (i - 1) for i in part), 1 + total,
+                                genus0_vertex_mult(total + 3, psi))
+        return block_data[part]
+
+    shapes: dict[tuple, list] = {}
+    found: list[tuple] = []
+    for blocks in _end_partitions(e, V):
+        m = V - blocks.count(())
+        degs0, masks, mu, factors = zip(*map(block, blocks))
         for genera in _genus_vectors(V, g):
-            degs = tuple(psi_sums[v] + 3 - 2 * genera[v] - len(blocks[v])
-                         for v in range(V))
-            if any(d < least for d in degs):
+            if list(genera[m:]) != sorted(genera[m:]):
+                continue
+            degs = tuple(d - 2 * genus for d, genus in zip(degs0, genera))
+            if min(degs) < least:
                 continue
             shape = shapes.get((genera, m, degs))
             if shape is None:
-                shape = shapes[genera, m, degs] = {
-                    _canonical_type(genera, blocks, edges)[::2]
-                    for edges in _edge_multisets(degs) if is_connected(V, edges)}
-            found.update((genera_c, blocks, edges_c)
-                         for genera_c, edges_c in shape)
+                shape = shapes[genera, m, degs] = sorted(
+                    {_canonical_type(genera, blocks, edges)[2]
+                     for edges in _edge_multisets(degs) if is_connected(V, edges)})
+            factor = math.prod(f for f, genus in zip(factors, genera) if not genus)
+            found.append((genera, blocks, (masks, mu, factor), shape))
     structures: dict = {}
 
     def structure(edges):
@@ -227,8 +284,9 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
             structures[edges] = _edge_structure(V, edges)
         return structures[edges]
 
-    return tuple(_compile(genera, ends, e, structure(edges))
-                 for genera, ends, edges in sorted(found))
+    found.sort(key=lambda entry: entry[:2])
+    return tuple(_compile(genera, ends, e, vertices, structure(edges))
+                 for genera, ends, vertices, shape in found for edges in shape)
 
 
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
@@ -284,12 +342,16 @@ def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
 
 
 def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
-             e: tuple[int, ...], structure: tuple) -> CombinatorialType:
+             e: tuple[int, ...], vertices: tuple, structure: tuple
+             ) -> CombinatorialType:
+    """A type's record from its vertex data (marking masks, mu values and
+    genus-0 factor, as ``_types_for`` builds them per (genera, blocks)) and
+    its edge structure: the cuts of the tree walk and the genus >= 1
+    vertices' records."""
     edges, walk, inc, units, runs = structure
-    V = len(genera)
-    side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
-    side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
-    full, total = (1 << len(e)) - 1, sum(side_mu)
+    masks, mu, genus0_factor = vertices
+    side_mask, side_mu = list(masks), list(mu)
+    full, total = (1 << len(e)) - 1, sum(mu)
     cuts = [0] * (2 * len(edges))
     for v, idx in walk:  # leaves first: side_* of v is its subtree
         a, b = edges[idx]
@@ -301,19 +363,13 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
             parent = a
         side_mask[parent] |= side_mask[v]
         side_mu[parent] += side_mu[v]
-    genus0_factor = 1
-    higher = []
-    for v, (genus, marks) in enumerate(zip(genera, ends)):
-        psi = tuple(e[i - 1] for i in marks)
-        if genus == 0:
-            genus0_factor *= genus0_vertex_mult(len(inc[v]) + len(marks), psi)
-        else:
-            higher.append((genus, tuple(i - 1 for i in marks),
-                           tuple(i for i in inc[v] if edges[i][1] == v),
-                           tuple(i for i in inc[v] if edges[i][0] == v),
-                           psi + (0,) * len(inc[v])))
+    higher = tuple((genus, tuple(i - 1 for i in marks),
+                    tuple(i for i in inc[v] if edges[i][1] == v),
+                    tuple(i for i in inc[v] if edges[i][0] == v),
+                    tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
+                   for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
-                             genus0_factor, tuple(higher))
+                             genus0_factor, higher)
 
 
 def weight_bound(p: Problem) -> int:

@@ -67,6 +67,29 @@ def test_compiled_type_cache_is_bounded():
     assert all(len(t.cuts) == 2 * len(t.edges) for t in types)
 
 
+def _set_partitions(n, blocks):
+    """Every set partition of 1..n into at most ``blocks`` parts, padded
+    with empty parts, ordered by smallest element: the unpruned search that
+    ``_end_partitions`` prunes, an independent oracle for it."""
+    if n == 0:
+        yield ((),) * blocks
+        return
+    labels = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            parts = [[] for _ in range(blocks)]
+            for j, lab in enumerate(labels):
+                parts[lab].append(j + 1)
+            yield tuple(tuple(part) for part in parts)
+            return
+        for lab in range(min(top + 1, blocks - 1) + 1):
+            labels[i] = lab
+            yield from rec(i + 1, max(top, lab))
+
+    yield from rec(1, 0) if blocks > 0 else iter(())
+
+
 def _canonical_type_with_perm(genera, ends, edges):
     """The canonical relabelling as it was computed while it tracked the
     winning permutation: an independent oracle for ``_canonical_type``."""
@@ -110,7 +133,7 @@ def test_canonical_type_matches_permutation_tracking_oracle():
                  (3, ()), (3, (0,)), (3, (1, 0))]:
         n = len(e)
         V = 2 * g - 2 + n - sum(e)
-        for blocks in enumeration._end_partitions(n, V):
+        for blocks in _set_partitions(n, V):
             for genera in enumeration._genus_vectors(V, g):
                 degs = tuple(sum(e[i - 1] for i in blocks[v]) + 3
                              - 2 * genera[v] - len(blocks[v]) for v in range(V))
@@ -134,19 +157,32 @@ def _stirling2(n, j):
 
 def test_end_partitions_put_marked_blocks_first():
     # the shape stage of _types_for relies on this order: the non-empty
-    # blocks by increasing smallest element, then the empty blocks
+    # blocks by increasing smallest element, then the empty blocks.  The
+    # partitions are those of the unpruned search, in its order, whose
+    # every block has excess sum(1 - e_i) <= 3 - least; psi entries of 2
+    # and 3 late in e keep the reserve positive while blocks are cut
     for n in range(9):
+        psis = {(0,) * n}
+        for tail in ((2,), (2, 3), (3, 0, 2)):
+            if len(tail) <= n:
+                psis.add((0,) * (n - len(tail)) + tail)
         for blocks in range(n + 2):
-            parts = list(enumeration._end_partitions(n, blocks))
-            assert len(parts) == len(set(parts)) == sum(
+            unpruned = list(_set_partitions(n, blocks))
+            assert len(unpruned) == len(set(unpruned)) == sum(
                 _stirling2(n, j) for j in range(blocks + 1))
-            for part in parts:
-                assert len(part) == blocks
-                m = sum(1 for b in part if b)
-                assert not any(part[m:])
-                assert [b[0] for b in part[:m]] == sorted(b[0] for b in part[:m])
-                assert sorted(i for b in part for i in b) == list(range(1, n + 1))
-                assert all(list(b) == sorted(b) for b in part)
+            limit = 2 if blocks > 1 else 3
+            for e in psis:
+                parts = enumeration._end_partitions(e, blocks)
+                assert parts == [
+                    part for part in unpruned
+                    if all(sum(1 - e[i - 1] for i in b) <= limit for b in part)]
+                for part in parts:
+                    assert len(part) == blocks
+                    m = sum(1 for b in part if b)
+                    assert not any(part[m:])
+                    assert [b[0] for b in part[:m]] == sorted(b[0] for b in part[:m])
+                    assert sorted(i for b in part for i in b) == list(range(1, n + 1))
+                    assert all(list(b) == sorted(b) for b in part)
 
 
 def _random_blocks(rng, n, m, V):
@@ -278,7 +314,7 @@ def _types_one_partition_at_a_time(g, n, e):
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0
     found = set()
-    for blocks in enumeration._end_partitions(n, V):
+    for blocks in _set_partitions(n, V):
         psi_sums = [sum(e[i - 1] for i in part) for part in blocks]
         for genera in enumeration._genus_vectors(V, g):
             degs = tuple(psi_sums[v] + 3 - 2 * genera[v] - len(blocks[v])
@@ -294,7 +330,10 @@ def _types_one_partition_at_a_time(g, n, e):
 @pytest.mark.parametrize("g, e", [
     (0, (0,) * 6), (0, (1, 0, 0, 0, 0, 0)), (0, (0, 1, 0, 0, 0, 1, 0)),
     (0, (0, 0, 2, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (1, 0, 0, 1)),
-    (1, (0, 2, 0)), (2, (0, 0)), (2, (0, 1, 0)), (3, (0,)), (3, (1, 0))],
+    (1, (0, 2, 0)), (2, (0, 0)), (2, (0, 1, 0)), (3, (0,)), (3, (1, 0)),
+    # cells where pruning cuts partitions and the reserve is positive
+    (0, (0,) * 7), (0, (0, 0, 0, 0, 2, 0, 0)), (0, (0, 0, 0, 3, 0, 0, 0, 0)),
+    (1, (0, 0, 2, 0, 0)), (2, (0, 2, 0))],
     ids=str)
 def test_types_match_one_partition_at_a_time(g, e):
     n = len(e)
