@@ -16,7 +16,10 @@ Crossing a wall delta = 0 changes the polynomial by
 where P_I and P_Ic are chamber polynomials of the two cut-off subproblems
 carrying the severed edge as an extra marking of weight -delta (on the I
 side) and +delta (on the complement), the unique signs meeting each factor's
-degree constraint.
+degree constraint.  ``wall_crossing_formula`` evaluates this closed form;
+``wall_crossing`` enumerates the same change, summing the tree types with an
+edge on the wall alone, as the two flanking chambers differ in that wall's
+sign only and every other type has the same term in both.
 """
 
 from __future__ import annotations
@@ -98,9 +101,11 @@ class _TreeSystem:
     delta_I + delta_{I^c} = sum x - k(|I| - 1) - k(n - |I| - 1) = 0 on the
     degree hyperplane sum x = k(n - 2).  The product of each type's wall
     polynomials and vertex multinomials is built with the system, not
-    memoized: a system is built for a chamber polynomial, which reads every
-    product.  A type's signed number of linear extensions is memoized per
-    type and edge wall signs, and chamber polynomials per wall signs.
+    memoized: a chamber polynomial reads every product, and crossing every
+    wall reads the product of every type with an edge.  ``on_wall[i]``
+    lists the types with an edge on wall i, the only ones a crossing of
+    wall i reads.  A type's signed number of linear extensions is memoized
+    per type and edge wall signs, and chamber polynomials per wall signs.
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
@@ -122,6 +127,10 @@ class _TreeSystem:
             functools.reduce(mul, (self.wall_polys[i] for i, _ in edge_walls),
                              Poly.const(n - 1, t.genus0_factor))
             for t, edge_walls in self.entries]
+        self.on_wall: list[list[int]] = [[] for _ in self.wall_polys]
+        for idx, (_, edge_walls) in enumerate(self.entries):
+            for i in {i for i, _ in edge_walls}:
+                self.on_wall[i].append(idx)
         self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, ...], Poly] = {}
 
@@ -151,6 +160,20 @@ class _TreeSystem:
                 parts.append((product, scale))
             poly = self._chambers[chamber] = Poly.weighted_sum(self.n - 1, parts)
         return poly
+
+    def crossing(self, i: int, chamber: tuple[int, ...]) -> Poly:
+        """P(chamber) - P(chamber with wall i's sign flipped), normal form,
+        summed over the types of ``on_wall[i]`` alone (see ``wall_crossing``)."""
+        flipped = chamber[:i] + (-chamber[i],) + chamber[i + 1:]
+        parts = []
+        for idx in self.on_wall[i]:
+            edge_walls = self.entries[idx][1]
+            plus, product = self.contribution(
+                idx, tuple(chamber[j] for j, _ in edge_walls))
+            minus, _ = self.contribution(
+                idx, tuple(flipped[j] for j, _ in edge_walls))
+            parts.append((product, plus - minus))
+        return Poly.weighted_sum(self.n - 1, parts)
 
 
 @functools.lru_cache(maxsize=128)
@@ -193,7 +216,8 @@ def _signs(n: int, k: int, point: Sequence) -> Iterator[int]:
 
 
 def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
-    """One deterministic candidate pair of integer points across the wall."""
+    """One deterministic candidate (z, a, b) for x+- = z +- (e_a - e_b): z an
+    integer point on the wall and the degree hyperplane, a in its subset, b not."""
     rng = random.Random(f"flank:{n}:{k}:{wall.subset}:{attempt}")
     spread = 6 + 2 * attempt
     I = wall.subset
@@ -205,20 +229,27 @@ def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
             z[i - 1] = rng.randint(-spread, spread)
     z[a - 1] = k * (len(I) - 1) - sum(z[i - 1] for i in I if i != a)
     z[b - 1] = k * (n - 2) - sum(z[i - 1] for i in range(1, n + 1) if i != b)
-    step = [(i == a) - (i == b) for i in range(1, n + 1)]
-    return (tuple(c + d for c, d in zip(z, step)),
-            tuple(c - d for c, d in zip(z, step)))
+    return z, a, b
 
 
 @functools.lru_cache(maxsize=1024)
 def _find_flanking(n: int, k: int, wall: Wall):
     """The flanking points (x+, x-) of the wall; they depend on n, k and the
-    wall only, so every psi vector shares them."""
+    wall only, so every psi vector shares them.
+
+    A candidate x+- = z +- (e_a - e_b) is kept when x+ and x- have the same
+    nonzero sign on every other wall J, read off one evaluation at z: with
+    s_J = [a in J] - [b in J], delta_J(x+-) = delta_J(z) +- s_J, and two
+    numbers d + s and d - s have the same nonzero sign exactly when their
+    product d^2 - s^2 is positive, that is when |delta_J(z)| > |s_J|.
+    """
     for attempt in range(400):
-        x_plus, x_minus = _flank_candidate(n, k, wall, attempt)
-        pairs = zip(_walls_of(n), _signs(n, k, x_plus), _signs(n, k, x_minus))
-        if all(a * b > 0 for w, a, b in pairs if w.subset != wall.subset):
-            return x_plus, x_minus
+        z, a, b = _flank_candidate(n, k, wall, attempt)
+        if all(abs(w.form.evaluate(z, k)) > ((a in w.subset) != (b in w.subset))
+               for w in _walls_of(n) if w.subset != wall.subset):
+            step = [(i == a) - (i == b) for i in range(1, n + 1)]
+            return (tuple(c + d for c, d in zip(z, step)),
+                    tuple(c - d for c, d in zip(z, step)))
     raise WallError(f"no generic flanking points found for wall {wall.subset}")
 
 
@@ -232,22 +263,30 @@ def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int,
     return _find_flanking(p.n, p.k, wall)
 
 
-def _check_crossing(p: Problem, wall: Wall) -> None:
+def _check_crossing(p: Problem, wall: Wall) -> int:
+    """The wall's index in ``walls(p.n)``, after checking the crossing."""
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
     if wall not in _walls_of(p.n):
         raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
+    return _walls_of(p.n).index(wall)
 
 
 def wall_crossing(p: Problem, wall: Wall) -> Poly:
-    """Difference of the chamber polynomials flanking the wall, normal form.
+    """Difference of the chamber polynomials flanking the wall, P(x+) - P(x-),
+    in normal form.
 
     The points x+- = z +- (e_a - e_b) of ``_find_flanking``, z on the wall,
     a in its subset and b not, have delta = +-1, and agree in sign on every
-    other wall: ``_find_flanking`` keeps no other candidate."""
-    _check_crossing(p, wall)
-    x_plus, x_minus = flanking_points(p, wall)
-    return chamber_polynomial(p, at=x_plus) - chamber_polynomial(p, at=x_minus)
+    other wall: ``_find_flanking`` keeps no other candidate.  So the chamber
+    of x- is that of x+ with the wall's sign flipped, and the difference is
+    summed over the tree types with an edge on the wall alone: every edge of
+    any other type lies on another wall, where x+ and x- have one sign, so
+    that type's term (edge orientations, weights and scale) is the same in
+    both chambers and cancels exactly.  No chamber polynomial is built."""
+    i = _check_crossing(p, wall)
+    x_plus, _ = flanking_points(p, wall)
+    return _tree_system(p.n, p.e, p.k).crossing(i, tuple(_signs(p.n, p.k, x_plus)))
 
 
 def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:

@@ -291,6 +291,33 @@ def test_flanking_points_straddle_their_wall_alone():
                                 * other.form.evaluate(x_minus, k)) > 0
 
 
+def _two_point_flanking(n, k, wall):
+    """The first candidate whose two points have the same nonzero sign on
+    every other wall, each point evaluated on its own."""
+    for attempt in range(400):
+        z, a, b = chambers._flank_candidate(n, k, wall, attempt)
+        step = [(i == a) - (i == b) for i in range(1, n + 1)]
+        x_plus = tuple(c + d for c, d in zip(z, step))
+        x_minus = tuple(c - d for c, d in zip(z, step))
+        if all(w.form.evaluate(x_plus, k) * w.form.evaluate(x_minus, k) > 0
+               for w in walls(n) if w.subset != wall.subset):
+            return x_plus, x_minus
+    raise AssertionError(f"no flanking points for {wall.subset}")
+
+
+def test_find_flanking_matches_the_two_point_definition():
+    # _find_flanking evaluates each wall once, at the wall point z, and keeps
+    # the same candidates as the definition evaluating both points
+    cases = 0
+    for n in range(4, 9):
+        for k in range(-4, 5):
+            for wall in walls(n):
+                assert chambers._find_flanking(n, k, wall) == \
+                    _two_point_flanking(n, k, wall), (n, k, wall.subset)
+                cases += 1
+    assert cases == 1917
+
+
 def test_subproblem_references_are_generic():
     # wall_crossing_formula reads each cut-off subproblem's reference off x+
     # unchecked: the part's markings and the severed edge's -1 (I side) or
@@ -348,6 +375,56 @@ def test_wall_crossing_k0_two_chambers():
     assert diff == plus_poly - minus_poly
     assert diff == (LinForm.of({1: 1, 2: 1}).as_poly(4, 0) * 2).substitute_degree(0)
     assert wall_crossing_formula(p, wall) == diff
+
+
+def _psi_vectors(n):
+    return [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (n - 3,),
+            (0, 1) + (0,) * (n - 2) if n < 5 else (0, 1, 1) + (0,) * (n - 3)]
+
+
+def test_wall_crossing_is_the_difference_of_flanking_chambers():
+    # the wall-local sum against the full chamber polynomials on both sides:
+    # signed leaks, psi vectors on either side of each wall (n = 7 without
+    # e = 0, whose chamber polynomials take 6 s)
+    cases = [(n, k, e) for n in (4, 5, 6) for k in range(-2, 4)
+             for e in _psi_vectors(n)]
+    cases += [(7, k, e) for k in (0, 1) for e in _psi_vectors(7)[1:]]
+    crossings = 0
+    for n, k, e in cases:
+        p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e)
+        for wall in walls(n):
+            x_plus, x_minus = flanking_points(p, wall)
+            assert wall_crossing(p, wall) == (chamber_polynomial(p, at=x_plus)
+                                              - chamber_polynomial(p, at=x_minus)), \
+                (p, wall.subset)
+            crossings += 1
+    assert crossings == 1248
+
+
+def test_wall_crossing_reads_only_the_types_on_its_wall(monkeypatch):
+    # a crossing builds no chamber polynomial, and reads the contribution of
+    # a type only when one of its edges lies on the crossed wall, once on
+    # each side
+    p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
+    wall_list = walls(p.n)
+    read = Counter()
+    contribution = _TreeSystem.contribution
+
+    def counted(self, idx, signs):
+        read[idx] += 1
+        return contribution(self, idx, signs)
+
+    monkeypatch.setattr(_TreeSystem, "contribution", counted)
+    for wall in (Wall.of(6, (1, 2, 3)), Wall.of(6, (1, 3, 5)), Wall.of(6, (2, 6))):
+        _tree_system.cache_clear()
+        read.clear()
+        wall_crossing(p, wall)
+        system = _tree_system(p.n, p.e, p.k)
+        assert system._chambers == {}
+        on_wall = {idx for idx, (_, edge_walls) in enumerate(system.entries)
+                   if any(wall_list[i] == wall for i, _ in edge_walls)}
+        assert 0 < len(on_wall) < len(system.entries)
+        assert read == {idx: 2 for idx in on_wall}, wall.subset
 
 
 def test_wall_crossing_empty_chambers():
