@@ -24,13 +24,17 @@ The pipeline runs in three stages:
    B = max(P, N) of ``weight_bound`` (P and N the positive and negative
    degree totals): an edge crossing a position cut points right, so its
    weight is at most the cut flow, which is at most P for k >= 0 and N for
-   k <= 0.  The free weights are fixed one at a time, each over the
-   interval that keeps the edges it settles within [-B, B]
-   (``_admissible_flows``), which yields exactly what a scan of the box
-   [-B, B]^h would, in the same order;
-3. positions: every linear extension of the orientation induced by positive
-   flows yields one cover, since vertices occupy distinct ordered positions
-   on the target line.  ``compute_H`` counts them rather than lists them.
+   k <= 0.  The free weights are fixed one at a time
+   (``_admissible_flows``), each over the interval that keeps the edges it
+   settles within [-B, B] and the parallel edges it settles in ascending
+   order, walked in segments on which those edges keep their signs;
+3. positions: the positive flows orient the edges, and every linear
+   extension of that orientation yields one cover, since vertices occupy
+   distinct ordered positions on the target line.  An orientation with a
+   directed cycle has none, so stage 2 skips every segment whose arcs
+   close one: it yields exactly the vectors of the box [-B, B]^h that
+   have a linear extension, in the box's order.  ``compute_H`` counts the
+   extensions rather than lists them.
 
 ``_types_for`` compiles each type once (``_compile``), and caches that one
 record per type: it feeds counting, listing and the genus-0 chamber
@@ -386,13 +390,6 @@ def weight_bound(p: Problem) -> int:
     return max(sum(v for v in p.x if v > 0), -sum(v for v in p.x if v < 0))
 
 
-def _canonical_parallel(runs: Sequence[tuple[int, int]],
-                        flows: Sequence[int]) -> bool:
-    """Keep one representative per permutation of parallel edges: the flows
-    ascend along each run."""
-    return all(flows[a] <= flows[a + 1] for i, j in runs for a in range(i, j - 1))
-
-
 def count_linear_extensions(num_vertices: int,
                             arcs: Sequence[tuple[int, int]]) -> int:
     """Number of total orders extending the arc relation.
@@ -450,23 +447,48 @@ def linear_extensions(num_vertices: int,
     yield from rec()
 
 
+def _close(reach: tuple[int, ...], arcs: Sequence[tuple[int, int]]
+           ) -> tuple[int, ...] | None:
+    """The reachability masks ``reach`` (reach[v]: the vertices reachable
+    from v, v included) with ``arcs`` added, or None once an arc closes a
+    directed cycle."""
+    out = list(reach)
+    for a, b in arcs:
+        if out[b] >> a & 1:
+            return None
+        for v, r in enumerate(out):  # out[b] lacks a, so it stays as it is
+            if r >> a & 1:
+                out[v] = r | out[b]
+    return tuple(out)
+
+
 def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                       ) -> Iterator[tuple[CombinatorialType, list[int]]]:
     """Each type of p with each of its integer flow vectors that has no
-    zero flow, none above :func:`weight_bound` B and is canonical on
-    parallel edges.
+    zero flow, none above :func:`weight_bound` B, ascends along each run of
+    parallel edges and orients the edges, tail to head of each positive
+    flow, without a directed cycle.
 
-    Every flow is affine in the free weights: base + sum_j w_j * units[j].
-    The weights are fixed one at a time, in unit order.  An edge that unit
-    j moves and no later unit moves is settled once w_j is fixed, and its
-    unit entry is +-1, so |flow| <= B cuts w_j down to an interval; each
-    level walks its interval upwards, skipping 0 as the box does, and
-    every skipped prefix settles an edge above B.  So every edge a unit
-    moves ends within [-B, B], and an edge no unit moves is a bridge: its
-    flow S[mask] - k c, read from either side, has c >= 1 (mu(v) >= 1), so
-    it lies in [-P, P] for k >= 0 and in [-N, N] for k <= 0.  The final
-    test needs no bound, and the vectors yielded are those of the box of
-    nonzero weights in [-B, B]^h that pass it, in lexicographic order.
+    Every flow is affine in the free weights, base + sum_j w_j * units[j],
+    and the weights are fixed one at a time, in unit order.  An edge that
+    unit j moves and no later unit moves is settled by w_j, with unit
+    entry u = +-1.  Level j cuts the interval of w_j to the w that keep
+    each settled edge within [-B, B] and each parallel pair (a, a + 1)
+    settled by then in order: d w <= gap, d = u_a - u_{a + 1} in unit j.
+    d is never 0.  Two parallel free edges settle at different levels,
+    where their entries are 0 and 1.  A tree edge parallel to free edge j
+    has entry -1 in unit j (their 2-cycle), so it settles at level j, with
+    entries -1 and 1, or later, with entries +-1 and 0.  The zeros
+    -u flows[i] of the settled edges (w = 0 among them: free edge j has
+    flow w_j) split the interval into segments on which each settled edge
+    keeps its sign, and so its arc; a segment whose arcs close a directed
+    cycle with those of the earlier levels is skipped whole (``_close``).
+    An edge no unit moves is a bridge: it lies on no cycle, and a zero
+    bridge rules out the type.  Every edge is settled by the last level
+    and every cut is exact, so the vectors yielded are those of the box of
+    nonzero weights in [-B, B]^h that pass the four tests, in its
+    lexicographic order.  The [-B, B] cuts only save work: an orientation
+    with a linear extension has no weight above B (``weight_bound``).
     """
     sums = [0]  # sums[mask]: the degrees of the markings in mask
     for v in p.x:
@@ -474,21 +496,35 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
     k = p.k
     bound = weight_bound(p)
 
-    def walk(t, settled, j, flows):
+    def walk(t, levels, j, flows, reach):
+        settled, parallel = levels[j]
         lo, hi = -bound, bound
-        for i, u in settled[j]:  # |flows[i] + w * u| <= bound, u = +-1
+        for i, u in settled:  # |flows[i] + w * u| <= bound, u = +-1
             lo = max(lo, -bound - u * flows[i])
             hi = min(hi, bound - u * flows[i])
+        for a, ua, ub in parallel:  # d * w <= gap, d in {-2, -1, 1, 2}
+            d, gap = ua - ub, flows[a + 1] - flows[a]
+            if d > 0:
+                hi = min(hi, gap // d)
+            else:
+                lo = max(lo, -(gap // -d))
+        zeros = sorted({-u * flows[i] for i, u in settled})
         unit = t.units[j]
         last = j + 1 == len(t.units)
-        for w in range(lo, hi + 1):
-            if not w:
+        for start, stop in zip([lo - 1, *zeros], [*zeros, hi + 1]):
+            start, stop = max(start + 1, lo), min(stop - 1, hi)
+            if start > stop:
                 continue
-            nxt = [f + w * u for f, u in zip(flows, unit)]
-            if not last:
-                yield from walk(t, settled, j + 1, nxt)
-            elif all(nxt) and _canonical_parallel(t.runs, nxt):
-                yield t, nxt
+            closed = _close(reach, [t.edges[i] if flows[i] + start * u > 0
+                                    else t.edges[i][::-1] for i, u in settled])
+            if closed is None:
+                continue
+            for w in range(start, stop + 1):
+                nxt = [f + w * u for f, u in zip(flows, unit)]
+                if last:
+                    yield t, nxt
+                else:
+                    yield from walk(t, levels, j + 1, nxt, closed)
 
     for t in types:
         pairs = iter(t.cuts)
@@ -497,12 +533,18 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
             if all(base):
                 yield t, base
             continue
-        settled: list[list[tuple[int, int]]] = [[] for _ in t.units]
-        for i, column in enumerate(zip(*t.units)):
-            moving = [j for j, u in enumerate(column) if u]
-            if moving:
-                settled[moving[-1]].append((i, column[moving[-1]]))
-        yield from walk(t, settled, 0, base)
+        level = [max((j for j, u in enumerate(t.units) if u[i]), default=-1)
+                 for i in range(len(base))]  # -1 on a bridge
+        if not all(f for f, j in zip(base, level) if j < 0):
+            continue  # a zero bridge
+        levels = [([(i, unit[i]) for i in range(len(base)) if level[i] == j],
+                   []) for j, unit in enumerate(t.units)]
+        for i, stop in t.runs:
+            for a in range(i, stop - 1):
+                j = max(level[a], level[a + 1])  # a cycle holds both edges
+                levels[j][1].append((a, t.units[j][a], t.units[j][a + 1]))
+        yield from walk(t, levels, 0, base,
+                        tuple(1 << v for v in range(t.num_vertices)))
 
 
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
@@ -541,11 +583,16 @@ def count_covers(p: Problem,
     from ``fixtures`` (``None``: the builtin table).
 
     A multiplicity never reads the vertex order, so each weighted type
-    counts once per linear extension.  Its multiplicity comes from the
-    type's record: the edge-weight product and |Aut| are integers, the
-    genus-0 vertex factors are folded into one integer, and the table is
-    read for the genus >= 1 vertices only, in vertex order.  A ``Fraction``
-    is built only where a fixture value or |Aut| > 1 enters.
+    counts once per linear extension.  Every weighted type has one, and so
+    a vertex factor is looked up only for a cover: ``_admissible_flows``
+    yields acyclic orientations only, and a finite acyclic relation has a
+    vertex without predecessors; placing it first and extending the rest,
+    again acyclic, by induction gives a total order.  Its multiplicity
+    comes from the type's record: the edge-weight product and |Aut| are
+    integers, the genus-0 vertex factors are folded into one integer, and
+    the table is read for the genus >= 1 vertices only, in vertex order.
+    A ``Fraction`` is built only where a fixture value or |Aut| > 1
+    enters.
     """
     table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
@@ -553,8 +600,6 @@ def count_covers(p: Problem,
         orders = count_linear_extensions(
             t.num_vertices,
             [(a, b) if f > 0 else (b, a) for (a, b), f in zip(t.edges, flows)])
-        if not orders:  # a cyclic orientation is no cover: look up no vertex
-            continue
         count += orders
         term = orders * t.genus0_factor * abs(math.prod(flows))
         aut = 1
