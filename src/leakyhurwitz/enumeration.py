@@ -34,7 +34,11 @@ The pipeline runs in three stages:
    directed cycle has none, so stage 2 skips every segment whose arcs
    close one: it yields exactly the vectors of the box [-B, B]^h that
    have a linear extension, in the box's order.  ``compute_H`` counts the
-   extensions rather than lists them.
+   extensions rather than lists them.  In genus 0 counting skips stage 2:
+   a genus-0 type is a tree, so each edge's flow is a wall value
+   delta(M) = S[M] - k(|M| - 1) of the markings M on its tail side, and
+   the types that share an edge tuple share one memo from orientation to
+   extension count (``_tree_groups``, ``_count_trees``).
 
 ``_types_for`` compiles each type once (``_compile``), and caches that one
 record per type: it feeds counting, listing and the genus-0 chamber
@@ -42,7 +46,8 @@ polynomials of ``chambers``.  What a record takes from its edges alone
 (``_edge_structure``: spanning tree, unit flows, parallel runs) is built
 once per edge tuple and shared.  A tree edge's flow is the cut
 expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
-2g(v) - 2 + val(v) on its tail side, S being the subset sums of x; cycle
+2g(v) - 2 + val(v) on its tail side, S being the subset sums of x, each
+computed when a cut first reads it (``_SubsetSums``); cycle
 edges add the unit flows of the free weights, read off the vertex masks
 of the tree's subtrees (``_solve_flows``).  In genus 0 a vertex factor
 is a multinomial that ignores the flows, so the record folds them into one
@@ -360,18 +365,21 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
     for v, idx in walk:  # leaves first: side_* of v is its subtree
         a, b = edges[idx]
         if a == v:
-            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
+            cuts[2 * idx] = side_mask[v]
+            cuts[2 * idx + 1] = side_mu[v]
             parent = b
         else:
-            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
+            cuts[2 * idx] = full ^ side_mask[v]
+            cuts[2 * idx + 1] = total - side_mu[v]
             parent = a
         side_mask[parent] |= side_mask[v]
         side_mu[parent] += side_mu[v]
-    higher = tuple((genus, tuple(i - 1 for i in marks),
-                    tuple(i for i in inc[v] if edges[i][1] == v),
-                    tuple(i for i in inc[v] if edges[i][0] == v),
-                    tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
-                   for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
+    higher = () if not any(genera) else tuple(
+        (genus, tuple(i - 1 for i in marks),
+         tuple(i for i in inc[v] if edges[i][1] == v),
+         tuple(i for i in inc[v] if edges[i][0] == v),
+         tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
+        for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
                              genus0_factor, higher)
 
@@ -462,6 +470,24 @@ def _close(reach: tuple[int, ...], arcs: Sequence[tuple[int, int]]
     return tuple(out)
 
 
+class _SubsetSums(dict):
+    """``base`` plus the sum of ``values[i]`` over the bits i of a mask, for
+    the masks read only: S[M] = S[M ^ low] + values[low bit], filled on the
+    first read of M, with S[0] = ``base``.  So a problem fills only the
+    cut masks of its types' edges and the masks they leave as their lowest
+    bits are cleared one by one, never all 2^n: a lone vertex fills none."""
+
+    def __init__(self, values: Sequence[int], base: int = 0):
+        super().__init__({0: base})
+        self.values = values
+
+    def __missing__(self, mask: int) -> int:
+        low = mask & -mask
+        value = self[mask ^ low] + self.values[low.bit_length() - 1]
+        self[mask] = value
+        return value
+
+
 def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                       ) -> Iterator[tuple[CombinatorialType, list[int]]]:
     """Each type of p with each of its integer flow vectors that has no
@@ -490,9 +516,7 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
     lexicographic order.  The [-B, B] cuts only save work: an orientation
     with a linear extension has no weight above B (``weight_bound``).
     """
-    sums = [0]  # sums[mask]: the degrees of the markings in mask
-    for v in p.x:
-        sums += [s + v for s in sums]
+    sums = _SubsetSums(p.x)  # sums[mask]: the degrees of the markings in mask
     k = p.k
     bound = weight_bound(p)
 
@@ -576,6 +600,40 @@ def enumerate_covers(p: Problem,
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _tree_groups(n: int, e: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The records of ``_types_for(0, n, e)`` grouped by their edge tuple:
+    per group the number of vertices, the edges, the records themselves
+    (references, not copies) and a memo from an orientation, the tuple of
+    ``flow > 0`` per edge, to its number of linear extensions."""
+    groups: dict[tuple, list[CombinatorialType]] = {}
+    for t in _types_for(0, n, e):
+        groups.setdefault(t.edges, []).append(t)
+    return tuple((records[0].num_vertices, edges, tuple(records), {})
+                 for edges, records in groups.items())
+
+
+def _count_trees(p: Problem) -> tuple[Fraction, int]:
+    """``count_covers`` in genus 0, where every flow is a wall value (the
+    proof is in ``count_covers``)."""
+    k = p.k
+    walls = _SubsetSums([v - k for v in p.x], k)  # S(M) - k(|M| - 1)
+    whole = count = 0
+    for V, edges, records, memo in _tree_groups(p.n, p.e):
+        for t in records:
+            flows = [walls[m] for m in t.cuts[::2]]
+            if not all(flows):
+                continue
+            up = tuple(f > 0 for f in flows)
+            orders = memo.get(up)
+            if orders is None:
+                orders = memo[up] = count_linear_extensions(
+                    V, [ab if u else ab[::-1] for ab, u in zip(edges, up)])
+            count += orders
+            whole += orders * t.genus0_factor * abs(math.prod(flows))
+    return Fraction(whole), count
+
+
 def count_covers(p: Problem,
                  fixtures: Mapping[VertexKey, Fraction] | None = None
                  ) -> tuple[Fraction, int]:
@@ -592,8 +650,27 @@ def count_covers(p: Problem,
     integers, the genus-0 vertex factors are folded into one integer, and
     the table is read for the genus >= 1 vertices only, in vertex order.
     A ``Fraction`` is built only where a fixture value or |Aut| > 1
-    enters.
+    enters.  Above genus 0 the types are read in order, so that
+    ``MissingVertexData`` names the first missing key in type order.
+
+    Genus 0 takes a shorter path (``_count_trees``).  Every vertex has
+    genus 0, so h1 = 0 and each type is a tree: it has no free weight, and
+    no parallel edges, which would close a cycle, so |Aut| = 1.  The tail
+    side of an edge is a subtree of s vertices that holds the markings M
+    and meets the edge once, so its summed mu(v) = val(v) - 2 is
+    c = |M| + 2(s - 1) + 1 - 2s = |M| - 1, and the flow is the wall value
+    delta(M) = S[M] - k(|M| - 1), which a problem computes once per mask,
+    for the masks its cuts read (``_SubsetSums`` with values x_i - k and
+    delta(0) = k).  No fixture is read, so each type adds the integer
+    orders * genus0_factor * |prod flows|, and a sum of integers with no
+    lookups may be taken in any order: type by type within each group of
+    ``_tree_groups``.  A type with a zero flow is skipped, as stage 2
+    skips it; any other orientation of a tree is acyclic, and its
+    extension count depends on the edges and the orientation alone, so
+    each group's memo counts it once per process.
     """
+    if not p.genus:
+        return _count_trees(p)
     table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
     for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -640,6 +641,79 @@ def test_count_covers_matches_listing_genus0(n, k, data):
         e[i] += 1
     p = Problem.of(0, k, x, e)
     assert count_covers(p) == _listed(p)
+
+
+def _on_a_wall(p):
+    """Whether some edge of some type of p has flow 0 at p, each cut
+    summed from x directly: such a type has no cover at p."""
+    return any(sum(v for i, v in enumerate(p.x) if mask >> i & 1) == p.k * c
+               for t in _types_for(0, p.n, p.e)
+               for mask, c in zip(t.cuts[::2], t.cuts[1::2]))
+
+
+@pytest.mark.parametrize("p", [
+    Problem.of(0, 1, (2, -1, 3, 1, -2)),
+    Problem.of(0, 0, (3, -3, 4, 1, -2, -3)),
+    Problem.of(0, 2, (4, -2, 3, 2, 5, -4), (1, 0, 0, 0, 0, 0)),
+    Problem.of(0, 1, (3, -2, 6, -1, -4, 2, 1)),
+    Problem.of(0, -1, (5, -4, 2, -3, 1, -2, -4), (0, 1, 0, 0, 0, 0, 0)),
+    Problem.of(0, 1, (3, 2, -4, 5, -1, -3, 3), (1, 0, 0, 0, 0, 0, 0)),
+    Problem.of(0, 2, (6, -3, 1, 2, -4, 5, 3), (0, 0, 1, 1, 0, 0, 0)),
+    Problem.of(0, 0, (5, -3, 2, -4, 1, 3, -2, -2), (1, 1, 0, 0, 0, 0, 0, 0)),
+    Problem.of(0, 1, (4, -1, 3, -5, 2, 6, -2, -1), (0, 2, 0, 0, 0, 0, 0, 0)),
+], ids=str)
+def test_count_covers_matches_listing_genus0_on_walls(p):
+    # points on walls, where types drop out, up to n = 8 with psi
+    assert _on_a_wall(p)
+    assert count_covers(p) == _listed(p)
+
+
+def test_tree_groups_count_each_orientation_once(monkeypatch):
+    # x and 2x at k = 0 have the same sign on every wall, so the second
+    # count meets only the orientations that the first one counted
+    calls = []
+    real = enumeration.count_linear_extensions
+
+    def counting(num_vertices, arcs):
+        calls.append(arcs)
+        return real(num_vertices, arcs)
+
+    monkeypatch.setattr(enumeration, "count_linear_extensions", counting)
+    assert enumeration._tree_groups.cache_info().maxsize == 32
+    enumeration._tree_groups.cache_clear()
+    x = (7, -3, 5, -2, -4, 1, -4)
+    first = count_covers(Problem.of(0, 0, x))
+    assert calls
+    calls.clear()
+    second = count_covers(Problem.of(0, 0, tuple(2 * v for v in x)))
+    assert calls == []
+    assert second == (2 ** (len(x) - 3) * first[0], first[1])
+    # the groups hold the type records themselves, each under its edges
+    groups = enumeration._tree_groups(len(x), (0,) * len(x))
+    grouped = [t for _, edges, records, _ in groups for t in records
+               if t.edges == edges]
+    assert sorted(map(id, grouped)) == sorted(
+        map(id, _types_for(0, len(x), (0,) * len(x))))
+
+
+@pytest.mark.parametrize("g", [0, 1])
+def test_one_vertex_problem_reads_no_subset_sums(g):
+    # a lone vertex has no edge, so no cut reads a subset sum; all 2^20
+    # sums of this profile would take over 12 MB
+    n = 20
+    p = Problem.of(g, 0, (1, -1) + (0,) * (n - 2),
+                   (2 * g - 3 + n,) + (0,) * (n - 1))
+    tracemalloc.start()
+    try:
+        if g:
+            with pytest.raises(MissingVertexData):
+                count_covers(p)
+        else:
+            count_covers(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 GENUS1_FAMILY = [Problem.of(1, k, (span + k, -(span - k)))
