@@ -33,7 +33,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .covers import Problem, ProblemError
-from .enumeration import CombinatorialType, count_linear_extensions, _types_for
+from .enumeration import CombinatorialType, _types_for
 from .exactarith import LinForm, Poly
 
 ZERO = "Zero"
@@ -104,8 +104,8 @@ class _TreeSystem:
     memoized: a chamber polynomial reads every product, and crossing every
     wall reads the product of every type with an edge.  ``on_wall[i]``
     lists the types with an edge on wall i, the only ones a crossing of
-    wall i reads.  A type's signed number of linear extensions is memoized
-    per type and edge wall signs, and chamber polynomials per wall signs.
+    wall i reads.  Chamber polynomials are memoized per wall signs, and
+    extension counts in the records (``CombinatorialType.extensions``).
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
@@ -131,23 +131,16 @@ class _TreeSystem:
         for idx, (_, edge_walls) in enumerate(self.entries):
             for i in {i for i, _ in edge_walls}:
                 self.on_wall[i].append(idx)
-        self._cache: dict[tuple, tuple[int, Poly]] = {}
         self._chambers: dict[tuple[int, ...], Poly] = {}
 
     def contribution(self, idx: int, signs: tuple[int, ...]) -> tuple[int, Poly]:
         """(scale, product): the type's term in the chamber is scale * product,
         with product its multinomials times its edges' wall polynomials."""
-        key = (idx, signs)
-        cached = self._cache.get(key)
-        if cached is None:
-            t, edge_walls = self.entries[idx]
-            arcs = [(a, b) if s * side > 0 else (b, a)
-                    for (a, b), s, (_, side) in zip(t.edges, signs, edge_walls)]
-            le = count_linear_extensions(t.num_vertices, arcs)
-            # each weight s * (wall form) gives its sign s to the scale
-            cached = self._cache[key] = (le * math.prod(signs),
-                                         self.products[idx])
-        return cached
+        t, edge_walls = self.entries[idx]
+        le = t.extensions(tuple(s * side > 0
+                                for s, (_, side) in zip(signs, edge_walls)))
+        # each weight s * (wall form) gives its sign s to the scale
+        return le * math.prod(signs), self.products[idx]
 
     def polynomial(self, chamber: tuple[int, ...]) -> Poly:
         """Normal-form polynomial of the chamber with these wall signs."""
@@ -305,7 +298,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    x_plus, _ = _find_flanking(n, k, wall)
+    x_plus, _ = flanking_points(p, wall)
 
     factors: list[Poly] = []
     # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other

@@ -1,7 +1,8 @@
 """Command-line interface: exact counts, covers and chamber data.
 
-Exit codes: 0 success, 2 invalid problem or usage, 3 missing vertex fixture,
-4 wall or reference-point error.
+Exit codes: 0 success, 1 standard output closed early, 2 invalid problem or
+usage, 3 missing vertex fixture, 4 wall or reference-point error, 5 problem
+too large (its enumeration went past Python's recursion limit).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .vertexdata import (FixtureError, MissingVertexData, default_fixtures,
                          load_fixtures)
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID = 2
 EXIT_MISSING_FIXTURE = 3
 EXIT_WALL = 4
+EXIT_TOO_LARGE = 5
 
 FIXTURES_ENV = "LEAKY_FIXTURES"
 
@@ -113,6 +116,7 @@ def _emit(args, payload, table_lines) -> None:
     else:
         for line in table_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, in main, not at exit
 
 
 def cmd_number(args) -> int:
@@ -195,6 +199,12 @@ def main(argv=None) -> int:
                 "wallcross": cmd_wallcross, "classify": cmd_classify}
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:  # the signal module docs' recipe: exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except RecursionError as exc:
+        print(f"error: problem too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except (ProblemError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -34,20 +34,20 @@ The pipeline runs in three stages:
    directed cycle has none, so stage 2 skips every segment whose arcs
    close one: it yields exactly the vectors of the box [-B, B]^h that
    have a linear extension, in the box's order.  ``compute_H`` counts the
-   extensions rather than lists them.  In genus 0 counting skips stage 2:
-   a genus-0 type is a tree, so each edge's flow is a wall value
-   delta(M) = S[M] - k(|M| - 1) of the markings M on its tail side, and
-   the types that share an edge tuple share one memo from orientation to
-   extension count (``_tree_groups``, ``_count_trees``).
+   extensions rather than lists them, once per orientation of each edge
+   tuple (``CombinatorialType.extensions``, read by chambers too).  In
+   genus 0 counting skips stage 2: a genus-0 type is a tree, so each
+   edge's flow is a wall value delta(M) = S[M] - k(|M| - 1) of the
+   markings M on its tail side (``_count_trees``).
 
 ``_types_for`` compiles each type once (``_compile``), and caches that one
 record per type: it feeds counting, listing and the genus-0 chamber
 polynomials of ``chambers``.  What a record takes from its edges alone
-(``_edge_structure``: spanning tree, unit flows, parallel runs) is built
-once per edge tuple and shared.  A tree edge's flow is the cut
-expression S[mask] - k c of the markings ``mask`` and the summed mu(v) =
-2g(v) - 2 + val(v) on its tail side, S being the subset sums of x, each
-computed when a cut first reads it (``_SubsetSums``); cycle
+(``_edge_structure``: spanning tree, unit flows, parallel runs, the
+extension memo) is built once per edge tuple and shared.  A tree edge's
+flow is the cut expression S[mask] - k c of the markings ``mask`` and the
+summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S being the subset
+sums of x, each computed when a cut first reads it (``_SubsetSums``); cycle
 edges add the unit flows of the free weights, read off the vertex masks
 of the tree's subtrees (``_solve_flows``).  In genus 0 a vertex factor
 is a multinomial that ignores the flows, so the record folds them into one
@@ -90,6 +90,9 @@ class CombinatorialType(NamedTuple):
     product of the genus-0 vertex multinomials, and ``higher`` one (genus,
     marking indices, inbound edges, outbound edges, psi) record per
     genus >= 1 vertex, in vertex order.
+
+    ``orders`` memoizes :meth:`extensions` for every record of a
+    ``_types_for`` call with these edges; equality and hashing ignore it.
     """
 
     vertex_genus: tuple[int, ...]
@@ -100,10 +103,30 @@ class CombinatorialType(NamedTuple):
     runs: tuple[tuple[int, int], ...]
     genus0_factor: int
     higher: tuple[tuple, ...]
+    orders: dict[tuple[bool, ...], int]
+
+    def __eq__(self, other):
+        return self[:8] == other[:8]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the memos
+        return self[:8] != other[:8]
+
+    def __hash__(self):
+        return hash(self[:8])
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertex_genus)
+
+    def extensions(self, up: tuple[bool, ...]) -> int:
+        """The number of linear extensions of the orientation that points
+        edge i along its stored (u, v) exactly when up[i]."""
+        orders = self.orders.get(up)
+        if orders is None:
+            orders = self.orders[up] = count_linear_extensions(
+                self.num_vertices,
+                [ab if u else ab[::-1] for ab, u in zip(self.edges, up)])
+        return orders
 
 
 def _end_partitions(e: tuple[int, ...], blocks: int
@@ -250,8 +273,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     is the multinomial of B; neither reads the edges.  The genus-0 factor
     of a type is then the product over the genus-0 vertices, once per
     (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
-    runs) depend only on the canonical edges and are built once per edge
-    tuple.
+    runs, the memo of linear extensions) depend only on the canonical edges
+    and are built once per edge tuple.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -302,7 +325,7 @@ def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """What a type's record takes from its edges alone: the edges, the walk
     of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
     as (vertex, parent edge) pairs leaves first, the incidence, the unit
-    flows of the free edges and the parallel runs."""
+    flows of the free edges, the parallel runs and an empty extension memo."""
     inc: list[list[int]] = [[] for _ in range(V)]
     for idx, (a, b) in enumerate(edges):
         inc[a].append(idx)
@@ -329,7 +352,7 @@ def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
         if j - i > 1:
             runs.append((i, j))
         i = j
-    return edges, walk, tuple(map(tuple, inc)), units, tuple(runs)
+    return edges, walk, tuple(map(tuple, inc)), units, tuple(runs), {}
 
 
 def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
@@ -357,7 +380,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
     genus-0 factor, as ``_types_for`` builds them per (genera, blocks)) and
     its edge structure: the cuts of the tree walk and the genus >= 1
     vertices' records."""
-    edges, walk, inc, units, runs = structure
+    edges, walk, inc, units, runs, orders = structure
     masks, mu, genus0_factor = vertices
     side_mask, side_mu = list(masks), list(mu)
     full, total = (1 << len(e)) - 1, sum(mu)
@@ -381,7 +404,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
          tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
         for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
-                             genus0_factor, higher)
+                             genus0_factor, higher, orders)
 
 
 def weight_bound(p: Problem) -> int:
@@ -400,23 +423,14 @@ def weight_bound(p: Problem) -> int:
 
 def count_linear_extensions(num_vertices: int,
                             arcs: Sequence[tuple[int, int]]) -> int:
-    """Number of total orders extending the arc relation.
-
-    The count depends only on each vertex's set of predecessors, so it is
-    memoized on those sets (``_count_extensions``).
-    """
-    preds = [0] * num_vertices
+    """Number of total orders extending the arc relation, by dynamic
+    programming over downward-closed vertex subsets, ``preds[v]`` the bit
+    mask of v's predecessors; a cyclic relation admits no extension and
+    counts 0."""
+    V = num_vertices
+    preds = [0] * V
     for a, b in arcs:
         preds[b] |= 1 << a
-    return _count_extensions(tuple(preds))
-
-
-@functools.lru_cache(maxsize=1024)
-def _count_extensions(preds: tuple[int, ...]) -> int:
-    """Dynamic programming over downward-closed vertex subsets, ``preds[v]``
-    the bit mask of v's predecessors; a cyclic relation admits no extension
-    and counts 0."""
-    V = len(preds)
     full = (1 << V) - 1
     counts = [0] * (full + 1)
     counts[0] = 1
@@ -600,37 +614,19 @@ def enumerate_covers(p: Problem,
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _tree_groups(n: int, e: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The records of ``_types_for(0, n, e)`` grouped by their edge tuple:
-    per group the number of vertices, the edges, the records themselves
-    (references, not copies) and a memo from an orientation, the tuple of
-    ``flow > 0`` per edge, to its number of linear extensions."""
-    groups: dict[tuple, list[CombinatorialType]] = {}
-    for t in _types_for(0, n, e):
-        groups.setdefault(t.edges, []).append(t)
-    return tuple((records[0].num_vertices, edges, tuple(records), {})
-                 for edges, records in groups.items())
-
-
 def _count_trees(p: Problem) -> tuple[Fraction, int]:
     """``count_covers`` in genus 0, where every flow is a wall value (the
     proof is in ``count_covers``)."""
     k = p.k
     walls = _SubsetSums([v - k for v in p.x], k)  # S(M) - k(|M| - 1)
     whole = count = 0
-    for V, edges, records, memo in _tree_groups(p.n, p.e):
-        for t in records:
-            flows = [walls[m] for m in t.cuts[::2]]
-            if not all(flows):
-                continue
-            up = tuple(f > 0 for f in flows)
-            orders = memo.get(up)
-            if orders is None:
-                orders = memo[up] = count_linear_extensions(
-                    V, [ab if u else ab[::-1] for ab, u in zip(edges, up)])
-            count += orders
-            whole += orders * t.genus0_factor * abs(math.prod(flows))
+    for t in _types_for(0, p.n, p.e):
+        flows = [walls[m] for m in t.cuts[::2]]
+        if not all(flows):
+            continue
+        orders = t.extensions(tuple(f > 0 for f in flows))
+        count += orders
+        whole += orders * t.genus0_factor * abs(math.prod(flows))
     return Fraction(whole), count
 
 
@@ -662,21 +658,18 @@ def count_covers(p: Problem,
     delta(M) = S[M] - k(|M| - 1), which a problem computes once per mask,
     for the masks its cuts read (``_SubsetSums`` with values x_i - k and
     delta(0) = k).  No fixture is read, so each type adds the integer
-    orders * genus0_factor * |prod flows|, and a sum of integers with no
-    lookups may be taken in any order: type by type within each group of
-    ``_tree_groups``.  A type with a zero flow is skipped, as stage 2
-    skips it; any other orientation of a tree is acyclic, and its
-    extension count depends on the edges and the orientation alone, so
-    each group's memo counts it once per process.
+    orders * genus0_factor * |prod flows|.  A type with a zero flow is
+    skipped, as stage 2 skips it; any other orientation of a tree is
+    acyclic.  In every genus ``orders`` is read from the record
+    (``CombinatorialType.extensions``), which counts each orientation of
+    its edges once and shares the count with ``chambers``.
     """
     if not p.genus:
         return _count_trees(p)
     table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
     for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
-        orders = count_linear_extensions(
-            t.num_vertices,
-            [(a, b) if f > 0 else (b, a) for (a, b), f in zip(t.edges, flows)])
+        orders = t.extensions(tuple(f > 0 for f in flows))
         count += orders
         term = orders * t.genus0_factor * abs(math.prod(flows))
         aut = 1

@@ -307,16 +307,51 @@ def test_input_errors_exit_codes(capsys, argv, code, err):
 def test_module_entry_point_exit_status(argv, code, last):
     # the process status is main's return value; the package's errors are
     # one stderr line, argparse's come after its usage lines
-    env = {key: value for key, value in os.environ.items()
-           if key != "LEAKY_FIXTURES"}
-    env["PYTHONPATH"] = str(SRC)
     done = subprocess.run([sys.executable, "-m", "leakyhurwitz.cli", *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=60)
     assert done.returncode == code
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert lines[-1].startswith(last)
     assert len(lines) == 1 or argv == "bogus"
+
+
+def _module_env():
+    env = {key: value for key, value in os.environ.items()
+           if key != "LEAKY_FIXTURES"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["-g", "30", "-x", "5,-5"],  # _edge_multisets recurses over 1,770 pairs
+    ["-x", "1,-1" + ",0" * 1100],  # _end_partitions recurses over 1,102 markings
+], ids=["genus-30", "1102-markings"])
+def test_too_deep_recursion_exits_5(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "leakyhurwitz.cli", "number", *argv],
+        capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert done.returncode == 5
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: problem too large: maximum recursion")
+
+
+@pytest.mark.parametrize("argv", ["covers -g 1 -k 1 -x 7,-3,-1 -e 1,0,0",
+                                  "walls -n 9 --format table"])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # the reader is gone before the first write, as after `| head -1`; no
+    # traceback follows, not even from the flush at interpreter exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leakyhurwitz.cli", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):

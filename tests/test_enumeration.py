@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import leakyhurwitz.chambers as chambers
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.covers import (CoverGraph, Problem, _balance_residual,
                                  check_cover, is_connected, validate_problem)
@@ -305,7 +306,7 @@ def _compile_alone(genera, ends, edges, e):
                            psi + (0,) * len(inc[v])))
     return enumeration.CombinatorialType(
         genera, ends, edges, tuple(cuts), units, tuple(runs), genus0_factor,
-        tuple(higher))
+        tuple(higher), {})
 
 
 def _types_one_partition_at_a_time(g, n, e):
@@ -450,9 +451,8 @@ def test_count_linear_extensions_vs_brute_force(n, data):
 
 
 def test_count_linear_extensions_memo():
-    # random relations, cyclic ones included; the memo keys on predecessor
-    # sets, so arc order and repeated arcs give the same count
-    assert enumeration._count_extensions.cache_info().maxsize == 1024
+    # random relations, cyclic ones included; the count reads predecessor
+    # sets only, so arc order and repeated arcs give the same count
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 6)
@@ -616,7 +616,7 @@ def test_units_are_fundamental_cycles(g, n):
         if (g, e) == (3, (0, 0)):
             continue  # 0.6 s of type enumeration; (1, 0) has three cycles
         for t in enumeration._types_for(g, n, e):
-            _, walk, _, _, _ = enumeration._edge_structure(
+            _, walk, *_ = enumeration._edge_structure(
                 t.num_vertices, t.edges)
             free = sorted(set(range(len(t.edges))) - {idx for _, idx in walk})
             assert len(free) == len(t.units)
@@ -668,9 +668,9 @@ def test_count_covers_matches_listing_genus0_on_walls(p):
     assert count_covers(p) == _listed(p)
 
 
-def test_tree_groups_count_each_orientation_once(monkeypatch):
-    # x and 2x at k = 0 have the same sign on every wall, so the second
-    # count meets only the orientations that the first one counted
+def _counting_extensions(monkeypatch):
+    """The arcs of every call of the extension count, wherever the name is
+    imported."""
     calls = []
     real = enumeration.count_linear_extensions
 
@@ -678,22 +678,31 @@ def test_tree_groups_count_each_orientation_once(monkeypatch):
         calls.append(arcs)
         return real(num_vertices, arcs)
 
-    monkeypatch.setattr(enumeration, "count_linear_extensions", counting)
-    assert enumeration._tree_groups.cache_info().maxsize == 32
-    enumeration._tree_groups.cache_clear()
+    for owner in (enumeration, chambers):
+        if hasattr(owner, "count_linear_extensions"):
+            monkeypatch.setattr(owner, "count_linear_extensions", counting)
+    return calls
+
+
+def test_tree_groups_count_each_orientation_once(monkeypatch):
+    # x and 2x at k = 0 have the same sign on every wall, so the second
+    # count meets only the orientations that the first one counted
+    calls = _counting_extensions(monkeypatch)
+    _types_for.cache_clear()
     x = (7, -3, 5, -2, -4, 1, -4)
     first = count_covers(Problem.of(0, 0, x))
-    assert calls
+    counted = len(calls)
     calls.clear()
     second = count_covers(Problem.of(0, 0, tuple(2 * v for v in x)))
     assert calls == []
     assert second == (2 ** (len(x) - 3) * first[0], first[1])
-    # the groups hold the type records themselves, each under its edges
-    groups = enumeration._tree_groups(len(x), (0,) * len(x))
-    grouped = [t for _, edges, records, _ in groups for t in records
-               if t.edges == edges]
-    assert sorted(map(id, grouped)) == sorted(
-        map(id, _types_for(0, len(x), (0,) * len(x))))
+    # the records with equal edges share one memo, no two edge tuples share
+    # one, and each entry cost one count
+    memos = {}
+    for t in _types_for(0, len(x), (0,) * len(x)):
+        assert memos.setdefault(t.edges, t.orders) is t.orders
+    assert len({id(memo) for memo in memos.values()}) == len(memos) > 1
+    assert counted == sum(map(len, memos.values())) > 0
 
 
 @pytest.mark.parametrize("g", [0, 1])
@@ -830,3 +839,43 @@ GENUS2_LEAKY = [(Problem.of(2, 1, (3, 3, -1)), Fraction(18671, 192), 157),
     ids=str)
 def test_genus2_leaky_regressions(p, H, covers):
     assert count_covers(p) == (H, covers)
+
+
+def test_chamber_polynomial_reads_the_orders_counting_filled(monkeypatch):
+    # p's chamber orients each tree edge as p's flows do, so after
+    # compute_H(p) its polynomial runs no extension count
+    calls = _counting_extensions(monkeypatch)
+    p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
+    _types_for.cache_clear()
+    chambers._tree_system.cache_clear()
+    H = compute_H(p)
+    assert calls
+    calls.clear()
+    assert chambers.chamber_polynomial(p).eval(p.x[:-1]) == H
+    assert calls == []
+
+
+def test_repeated_genus2_count_reads_the_memo(monkeypatch):
+    calls = _counting_extensions(monkeypatch)
+    p, H, _ = GENUS2_LEAKY[0]
+    _types_for.cache_clear()
+    assert compute_H(p) == H
+    assert calls
+    calls.clear()
+    assert compute_H(p) == H
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [
+    Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0)),
+    GENUS2_LEAKY[0][0]], ids=str)
+def test_records_with_filled_memos_keep_their_values(p):
+    # equality and hashing read the value fields, not the memo
+    count_covers(p)
+    records = _types_for(p.genus, p.n, p.e)
+    assert any(t.orders for t in records)
+    assert len(set(records)) == len(records)
+    for t in records:
+        fresh = t._replace(orders={})
+        assert t == fresh and not t != fresh and hash(t) == hash(fresh)
+    assert records == _types_one_partition_at_a_time(p.genus, p.n, p.e)
