@@ -87,6 +87,12 @@ def _walls_of(n: int) -> tuple[Wall, ...]:
     return tuple(Wall.of(n, subset) for subset in subsets)
 
 
+@functools.lru_cache(maxsize=32)
+def _wall_index(n: int) -> dict[Wall, int]:
+    """Each wall's index in ``_walls_of(n)``."""
+    return {w: i for i, w in enumerate(_walls_of(n))}
+
+
 class _TreeSystem:
     """Tree types of a genus-0 problem at one leak k, each edge read as a wall.
 
@@ -260,9 +266,10 @@ def _check_crossing(p: Problem, wall: Wall) -> int:
     """The wall's index in ``walls(p.n)``, after checking the crossing."""
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
-    if wall not in _walls_of(p.n):
+    i = _wall_index(p.n).get(wall)
+    if i is None:
         raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
-    return _walls_of(p.n).index(wall)
+    return i
 
 
 def wall_crossing(p: Problem, wall: Wall) -> Poly:

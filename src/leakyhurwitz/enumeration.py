@@ -27,31 +27,40 @@ The pipeline runs in three stages:
    k <= 0.  The free weights are fixed one at a time
    (``_admissible_flows``), each over the interval that keeps the edges it
    settles within [-B, B] and the parallel edges it settles in ascending
-   order, walked in segments on which those edges keep their signs;
+   order, walked in segments on which those edges keep their signs.  Which
+   edges each weight settles, the parallel pairs and the bridges depend on
+   the edges alone: they form the type's walk plan (``_WalkPlan``), built
+   once per edge tuple, and a problem computes only the numbers, the base
+   flows, the cuts and the zeros;
 3. positions: the positive flows orient the edges, and every linear
    extension of that orientation yields one cover, since vertices occupy
    distinct ordered positions on the target line.  An orientation with a
    directed cycle has none, so stage 2 skips every segment whose arcs
    close one: it yields exactly the vectors of the box [-B, B]^h that
-   have a linear extension, in the box's order.  ``compute_H`` counts the
-   extensions rather than lists them, once per orientation of each edge
-   tuple (``CombinatorialType.extensions``, read by chambers too).  In
-   genus 0 counting skips stage 2: a genus-0 type is a tree, so each
-   edge's flow is a wall value delta(M) = S[M] - k(|M| - 1) of the
-   markings M on its tail side (``_count_trees``).
+   have a linear extension, in the box's order.  The closure of a
+   segment's arcs depends on the signs of the edges settled so far alone,
+   so the plan memoizes it per sign pattern, across problems.  No edge
+   changes sign along a segment of the last weight, so stage 2 counts the
+   extensions of its one orientation once (``CombinatorialType.extensions``,
+   memoized per orientation of each edge tuple and read by chambers too)
+   and yields the count with each of its vectors: ``compute_H`` sums the
+   counts, and listing generates the extensions instead.  In genus 0
+   counting skips stage 2: a genus-0 type is a tree, so each edge's flow
+   is a wall value delta(M) = S[M] - k(|M| - 1) of the markings M on its
+   tail side (``_count_trees``).
 
 ``_types_for`` compiles each type once (``_compile``), and caches that one
 record per type: it feeds counting, listing and the genus-0 chamber
 polynomials of ``chambers``.  What a record takes from its edges alone
 (``_edge_structure``: spanning tree, unit flows, parallel runs, the
-extension memo) is built once per edge tuple and shared.  A tree edge's
-flow is the cut expression S[mask] - k c of the markings ``mask`` and the
-summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S being the subset
-sums of x, each computed when a cut first reads it (``_SubsetSums``); cycle
-edges add the unit flows of the free weights, read off the vertex masks
-of the tree's subtrees (``_solve_flows``).  In genus 0 a vertex factor
-is a multinomial that ignores the flows, so the record folds them into one
-integer.  Counting a problem is then integer arithmetic, with the fixture
+extension memo, the walk plan) is built once per edge tuple and shared.
+A tree edge's flow is the cut expression S[mask] - k c of the markings
+``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
+being the subset sums of x, each computed when a cut first reads it
+(``_SubsetSums``); cycle edges add the unit flows of the free weights,
+read off the vertex masks of the tree's subtrees (``_solve_flows``).  In
+genus 0 a vertex factor is a multinomial that ignores the flows, so the
+record folds them into one integer.  Counting a problem is then integer arithmetic, with the fixture
 table read (by ``vertexdata.vertex_mult``) for genus >= 1 vertices only.
 """
 
@@ -68,6 +77,22 @@ from . import vertexdata
 from .covers import (CoverGraph, Problem, WeightedCover,
                      assemble_multiplicity, is_connected)
 from .vertexdata import VertexKey, genus0_vertex_mult
+
+
+class _WalkPlan(NamedTuple):
+    """What ``_admissible_flows`` takes from a type's edges alone.
+
+    ``levels`` holds per free weight j the (edge, unit entry) pairs it
+    settles and the (a, u_a, u_{a + 1}) triples of the parallel pairs
+    (a, a + 1) settled by then; ``bridges`` the edges no unit moves.
+    ``closures`` maps the signs of the settled edges of levels 0..j, level
+    by level, to the reachability masks of their arcs, or to None when the
+    arcs close a directed cycle (``_close``).  Every level settles its own
+    free edge, so the length of a sign tuple tells its level."""
+
+    levels: tuple[tuple[tuple, tuple], ...]
+    bridges: tuple[int, ...]
+    closures: dict[tuple[bool, ...], tuple[int, ...] | None]
 
 
 class CombinatorialType(NamedTuple):
@@ -91,8 +116,10 @@ class CombinatorialType(NamedTuple):
     marking indices, inbound edges, outbound edges, psi) record per
     genus >= 1 vertex, in vertex order.
 
-    ``orders`` memoizes :meth:`extensions` for every record of a
-    ``_types_for`` call with these edges; equality and hashing ignore it.
+    ``orders`` memoizes :meth:`extensions`, and ``plan`` holds the cycle
+    weight walk's plan and its memo of sign patterns (None on a tree), for
+    every record of a ``_types_for`` call with these edges; equality and
+    hashing ignore both.
     """
 
     vertex_genus: tuple[int, ...]
@@ -104,6 +131,7 @@ class CombinatorialType(NamedTuple):
     genus0_factor: int
     higher: tuple[tuple, ...]
     orders: dict[tuple[bool, ...], int]
+    plan: _WalkPlan | None
 
     def __eq__(self, other):
         return self[:8] == other[:8]
@@ -273,8 +301,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     is the multinomial of B; neither reads the edges.  The genus-0 factor
     of a type is then the product over the genus-0 vertices, once per
     (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
-    runs, the memo of linear extensions) depend only on the canonical edges
-    and are built once per edge tuple.
+    runs, the memo of linear extensions, the walk plan) depend only on the
+    canonical edges and are built once per edge tuple.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -325,7 +353,8 @@ def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """What a type's record takes from its edges alone: the edges, the walk
     of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
     as (vertex, parent edge) pairs leaves first, the incidence, the unit
-    flows of the free edges, the parallel runs and an empty extension memo."""
+    flows of the free edges, the parallel runs, an empty extension memo and
+    the walk's plan (None on a tree, which has no free weight to walk)."""
     inc: list[list[int]] = [[] for _ in range(V)]
     for idx, (a, b) in enumerate(edges):
         inc[a].append(idx)
@@ -352,7 +381,26 @@ def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
         if j - i > 1:
             runs.append((i, j))
         i = j
-    return edges, walk, tuple(map(tuple, inc)), units, tuple(runs), {}
+    return (edges, walk, tuple(map(tuple, inc)), units, tuple(runs), {},
+            _walk_plan(edges, units, runs) if units else None)
+
+
+def _walk_plan(edges, units, runs) -> _WalkPlan:
+    """The walk's plan of a type with free weights, its memo empty.  Edge i
+    is settled at the last level whose unit moves it, and a parallel pair
+    at the later of its edges' levels (a cycle holds both edges, so neither
+    is a bridge)."""
+    level = [max((j for j, u in enumerate(units) if u[i]), default=-1)
+             for i in range(len(edges))]  # -1 on a bridge
+    levels = [([(i, unit[i]) for i in range(len(edges)) if level[i] == j], [])
+              for j, unit in enumerate(units)]
+    for i, stop in runs:
+        for a in range(i, stop - 1):
+            j = max(level[a], level[a + 1])
+            levels[j][1].append((a, units[j][a], units[j][a + 1]))
+    return _WalkPlan(tuple((tuple(settled), tuple(parallel))
+                           for settled, parallel in levels),
+                     tuple(i for i, j in enumerate(level) if j < 0), {})
 
 
 def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
@@ -380,7 +428,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
     genus-0 factor, as ``_types_for`` builds them per (genera, blocks)) and
     its edge structure: the cuts of the tree walk and the genus >= 1
     vertices' records."""
-    edges, walk, inc, units, runs, orders = structure
+    edges, walk, inc, units, runs, orders, plan = structure
     masks, mu, genus0_factor = vertices
     side_mask, side_mu = list(masks), list(mu)
     full, total = (1 << len(e)) - 1, sum(mu)
@@ -404,7 +452,7 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
          tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
         for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
-                             genus0_factor, higher, orders)
+                             genus0_factor, higher, orders, plan)
 
 
 def weight_bound(p: Problem) -> int:
@@ -503,92 +551,101 @@ class _SubsetSums(dict):
 
 
 def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
-                      ) -> Iterator[tuple[CombinatorialType, list[int]]]:
+                      ) -> Iterator[tuple[CombinatorialType, list[int], int]]:
     """Each type of p with each of its integer flow vectors that has no
     zero flow, none above :func:`weight_bound` B, ascends along each run of
     parallel edges and orients the edges, tail to head of each positive
-    flow, without a directed cycle.
+    flow, without a directed cycle; and with the number of linear
+    extensions of that orientation.
 
     Every flow is affine in the free weights, base + sum_j w_j * units[j],
-    and the weights are fixed one at a time, in unit order.  An edge that
-    unit j moves and no later unit moves is settled by w_j, with unit
-    entry u = +-1.  Level j cuts the interval of w_j to the w that keep
-    each settled edge within [-B, B] and each parallel pair (a, a + 1)
-    settled by then in order: d w <= gap, d = u_a - u_{a + 1} in unit j.
-    d is never 0.  Two parallel free edges settle at different levels,
-    where their entries are 0 and 1.  A tree edge parallel to free edge j
-    has entry -1 in unit j (their 2-cycle), so it settles at level j, with
-    entries -1 and 1, or later, with entries +-1 and 0.  The zeros
-    -u flows[i] of the settled edges (w = 0 among them: free edge j has
-    flow w_j) split the interval into segments on which each settled edge
-    keeps its sign, and so its arc; a segment whose arcs close a directed
-    cycle with those of the earlier levels is skipped whole (``_close``).
-    An edge no unit moves is a bridge: it lies on no cycle, and a zero
-    bridge rules out the type.  Every edge is settled by the last level
-    and every cut is exact, so the vectors yielded are those of the box of
-    nonzero weights in [-B, B]^h that pass the four tests, in its
-    lexicographic order.  The [-B, B] cuts only save work: an orientation
-    with a linear extension has no weight above B (``weight_bound``).
+    and the weights are fixed one at a time, in unit order, as the type's
+    ``plan`` lays out.  An edge that unit j moves and no later unit moves
+    is settled by w_j, with unit entry u = +-1.  Level j cuts the interval
+    of w_j to the w that keep each settled edge within [-B, B] and each
+    parallel pair (a, a + 1) settled by then in order: d w <= gap, d = u_a
+    - u_{a + 1} in unit j.  d is never 0.  Two parallel free edges settle
+    at different levels, where their entries are 0 and 1.  A tree edge
+    parallel to free edge j has entry -1 in unit j (their 2-cycle), so it
+    settles at level j, with entries -1 and 1, or later, with entries +-1
+    and 0.  The zeros -u flows[i] of the settled edges (w = 0 among them:
+    free edge j has flow w_j) split the interval into segments on which
+    each settled edge keeps its sign, and so its arc; a segment whose arcs
+    close a directed cycle with those of the earlier levels is skipped
+    whole.  Those arcs are fixed by the signs of the edges settled so far,
+    so their closure is read from the plan's memo, and ``_close`` runs once
+    per new sign pattern of an edge tuple.  An edge no unit moves is a
+    bridge: it lies on no cycle, and a zero bridge rules out the type.
+    Every edge is settled by the last level and every cut is exact, so the
+    vectors yielded are those of the box of nonzero weights in [-B, B]^h
+    that pass the four tests, in its lexicographic order.  Along a segment
+    of the last level no edge changes sign, so its vectors share one
+    orientation, whose extensions are counted once per segment
+    (``CombinatorialType.extensions``).  The [-B, B] cuts only save work:
+    an orientation with a linear extension has no weight above B
+    (``weight_bound``).
     """
     sums = _SubsetSums(p.x)  # sums[mask]: the degrees of the markings in mask
     k = p.k
     bound = weight_bound(p)
 
-    def walk(t, levels, j, flows, reach):
+    def walk(t, levels, closures, j, flows, signs, reach):
         settled, parallel = levels[j]
-        lo, hi = -bound, bound
-        for i, u in settled:  # |flows[i] + w * u| <= bound, u = +-1
-            lo = max(lo, -bound - u * flows[i])
-            hi = min(hi, bound - u * flows[i])
+        # |flows[i] + w u| = |w + u flows[i]| <= bound, u = +-1; one shift
+        # is free edge j's 0, so lo >= -bound and hi <= bound
+        shifts = [u * flows[i] for i, u in settled]
+        lo, hi = -bound - min(shifts), bound - max(shifts)
         for a, ua, ub in parallel:  # d * w <= gap, d in {-2, -1, 1, 2}
             d, gap = ua - ub, flows[a + 1] - flows[a]
             if d > 0:
                 hi = min(hi, gap // d)
             else:
                 lo = max(lo, -(gap // -d))
-        zeros = sorted({-u * flows[i] for i, u in settled})
+        zeros = sorted({-shift for shift in shifts})
         unit = t.units[j]
-        last = j + 1 == len(t.units)
+        last = j + 1 == len(levels)
         for start, stop in zip([lo - 1, *zeros], [*zeros, hi + 1]):
             start, stop = max(start + 1, lo), min(stop - 1, hi)
             if start > stop:
                 continue
-            closed = _close(reach, [t.edges[i] if flows[i] + start * u > 0
-                                    else t.edges[i][::-1] for i, u in settled])
+            key = signs + tuple(flows[i] + start * u > 0 for i, u in settled)
+            try:
+                closed = closures[key]
+            except KeyError:
+                closed = closures[key] = _close(
+                    reach, [t.edges[i] if up else t.edges[i][::-1]
+                            for (i, _), up in zip(settled, key[len(signs):])])
             if closed is None:
                 continue
+            if not last:
+                for w in range(start, stop + 1):
+                    yield from walk(t, levels, closures, j + 1,
+                                    [f + w * u for f, u in zip(flows, unit)],
+                                    key, closed)
+                continue
+            orders = t.extensions(tuple(
+                f + start * u > 0 for f, u in zip(flows, unit)))
             for w in range(start, stop + 1):
-                nxt = [f + w * u for f, u in zip(flows, unit)]
-                if last:
-                    yield t, nxt
-                else:
-                    yield from walk(t, levels, j + 1, nxt, closed)
+                yield t, [f + w * u for f, u in zip(flows, unit)], orders
 
     for t in types:
         pairs = iter(t.cuts)
         base = [sums[m] - k * cut for m, cut in zip(pairs, pairs)]
-        if not t.units:
+        if t.plan is None:
             if all(base):
-                yield t, base
+                yield t, base, t.extensions(tuple(f > 0 for f in base))
             continue
-        level = [max((j for j, u in enumerate(t.units) if u[i]), default=-1)
-                 for i in range(len(base))]  # -1 on a bridge
-        if not all(f for f, j in zip(base, level) if j < 0):
+        levels, bridges, closures = t.plan
+        if not all(base[i] for i in bridges):
             continue  # a zero bridge
-        levels = [([(i, unit[i]) for i in range(len(base)) if level[i] == j],
-                   []) for j, unit in enumerate(t.units)]
-        for i, stop in t.runs:
-            for a in range(i, stop - 1):
-                j = max(level[a], level[a + 1])  # a cycle holds both edges
-                levels[j][1].append((a, t.units[j][a], t.units[j][a + 1]))
-        yield from walk(t, levels, 0, base,
+        yield from walk(t, levels, closures, 0, base, (),
                         tuple(1 << v for v in range(t.num_vertices)))
 
 
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
     """Each weighted type of p: its type and its edges (u, v, weight),
     oriented from u to v along the positive flows."""
-    for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
+    for t, flows, _ in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         yield t, tuple((a, b, f) if f > 0 else (b, a, -f)
                        for (a, b), f in zip(t.edges, flows))
 
@@ -645,9 +702,13 @@ def count_covers(p: Problem,
     comes from the type's record: the edge-weight product and |Aut| are
     integers, the genus-0 vertex factors are folded into one integer, and
     the table is read for the genus >= 1 vertices only, in vertex order.
-    A ``Fraction`` is built only where a fixture value or |Aut| > 1
-    enters.  Above genus 0 the types are read in order, so that
-    ``MissingVertexData`` names the first missing key in type order.
+    |Aut| is the product over the parallel runs of prod m! over the
+    multiplicities m of equal flows, so it is built only for a run with a
+    tie, which most vectors lack.  A ``Fraction`` is built only where a
+    fixture value or |Aut| > 1 enters.  Above genus 0 the types are read
+    in order, so that ``MissingVertexData`` names the first missing key in
+    type order, and ``orders`` comes with each vector from the walk, which
+    counts it once per segment of its last weight.
 
     Genus 0 takes a shorter path (``_count_trees``).  Every vertex has
     genus 0, so h1 = 0 and each type is a tree: it has no free weight, and
@@ -668,13 +729,14 @@ def count_covers(p: Problem,
         return _count_trees(p)
     table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
-    for t, flows in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
-        orders = t.extensions(tuple(f > 0 for f in flows))
+    for t, flows, orders in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
         count += orders
         term = orders * t.genus0_factor * abs(math.prod(flows))
         aut = 1
         for i, j in t.runs:
-            aut *= math.prod(map(math.factorial, Counter(flows[i:j]).values()))
+            if len(set(flows[i:j])) < j - i:
+                aut *= math.prod(map(math.factorial,
+                                     Counter(flows[i:j]).values()))
         if aut == 1 and not t.higher:
             whole += term
             continue

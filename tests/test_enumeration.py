@@ -264,7 +264,8 @@ def _solve_flows(edges, fixed, order, parent_edge, inc):
 
 def _compile_alone(genera, ends, edges, e):
     """A type's record as it was compiled before edge structures were shared,
-    its unit flows solved vertex by vertex rather than read off subtrees."""
+    its unit flows solved vertex by vertex rather than read off subtrees; it
+    has no walk plan, as these records are only compared."""
     V = len(genera)
     order, parent_edge, inc = _spanning_structure(V, edges)
     side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
@@ -306,7 +307,7 @@ def _compile_alone(genera, ends, edges, e):
                            psi + (0,) * len(inc[v])))
     return enumeration.CombinatorialType(
         genera, ends, edges, tuple(cuts), units, tuple(runs), genus0_factor,
-        tuple(higher), {})
+        tuple(higher), {}, None)
 
 
 def _types_one_partition_at_a_time(g, n, e):
@@ -742,7 +743,8 @@ def test_count_covers_matches_listing_higher_genus(p):
 def _box_scan(p, types):
     # the scan of the whole box [-B, B]^h that the interval walk replaced,
     # keeping the vectors that ascend along parallel runs and whose
-    # orientation the extension DP gives at least one order
+    # orientation the extension DP gives at least one order, each with the
+    # number of its own orders
     sums = [0]
     for v in p.x:
         sums += [s + v for s in sums]
@@ -753,7 +755,7 @@ def _box_scan(p, types):
         base = [sums[m] - p.k * c for m, c in zip(pairs, pairs)]
         if not t.units:
             if all(base):
-                yield t, base
+                yield t, base, _orders(t, base)
             continue
         for combo in itertools.product(values, repeat=len(t.units)):
             flows = base
@@ -762,8 +764,8 @@ def _box_scan(p, types):
             if (all(f and -bound <= f <= bound for f in flows)
                     and all(flows[a] <= flows[a + 1]
                             for i, j in t.runs for a in range(i, j - 1))
-                    and _orders(t, flows)):
-                yield t, flows
+                    and (orders := _orders(t, flows))):
+                yield t, flows, orders
 
 
 def _orders(t, flows):
@@ -773,7 +775,8 @@ def _orders(t, flows):
 
 
 def _walk_is_box_scan(p, widen):
-    # the same (type, flows) sequence, in the same order; widened as in
+    # the same (type, flows) sequence, in the same order, each vector with
+    # its own number of orders; widened as in
     # test_weight_bound_holds_under_wider_scan
     with pytest.MonkeyPatch.context() as mp:
         if widen:
@@ -825,7 +828,7 @@ def test_walked_vectors_have_an_order(p):
     # the walk yields is acyclic, so it has a linear extension
     types = enumeration._types_for(p.genus, p.n, p.e)
     assert all(_orders(t, flows) >= 1
-               for t, flows in enumeration._admissible_flows(p, types))
+               for t, flows, _ in enumeration._admissible_flows(p, types))
 
 
 GENUS2_LEAKY = [(Problem.of(2, 1, (3, 3, -1)), Fraction(18671, 192), 157),
@@ -856,14 +859,32 @@ def test_chamber_polynomial_reads_the_orders_counting_filled(monkeypatch):
 
 
 def test_repeated_genus2_count_reads_the_memo(monkeypatch):
+    # the first count closes each sign pattern of each edge tuple once; the
+    # second reads every closure and every extension count from the memos
     calls = _counting_extensions(monkeypatch)
-    p, H, _ = GENUS2_LEAKY[0]
+    closes = []
+    real_close = enumeration._close
+
+    def close(reach, arcs):
+        closes.append(arcs)
+        return real_close(reach, arcs)
+
+    monkeypatch.setattr(enumeration, "_close", close)
+    p, H, covers = GENUS2_LEAKY[0]
     _types_for.cache_clear()
-    assert compute_H(p) == H
+    assert count_covers(p) == (H, covers)
     assert calls
+    # the records with equal edges share one plan, no two edge tuples one
+    plans = {}
+    for t in _types_for(p.genus, p.n, p.e):
+        assert plans.setdefault(t.edges, t.plan) is t.plan
+    plans = [plan for plan in plans.values() if plan]
+    assert len({id(plan.closures) for plan in plans}) == len(plans)
+    assert len(closes) == sum(len(plan.closures) for plan in plans) > 0
     calls.clear()
-    assert compute_H(p) == H
-    assert calls == []
+    closes.clear()
+    assert count_covers(p) == (H, covers)
+    assert calls == closes == []
 
 
 @pytest.mark.parametrize("p", [
@@ -874,8 +895,11 @@ def test_records_with_filled_memos_keep_their_values(p):
     count_covers(p)
     records = _types_for(p.genus, p.n, p.e)
     assert any(t.orders for t in records)
+    # a genus-0 type is a tree, with no cycle weights to walk
+    assert any(t.plan and t.plan.closures for t in records) == bool(p.genus)
     assert len(set(records)) == len(records)
     for t in records:
-        fresh = t._replace(orders={})
+        fresh = t._replace(
+            orders={}, plan=t.plan and t.plan._replace(closures={}))
         assert t == fresh and not t != fresh and hash(t) == hash(fresh)
     assert records == _types_one_partition_at_a_time(p.genus, p.n, p.e)

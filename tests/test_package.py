@@ -78,11 +78,38 @@ def test_no_unreferenced_privates():
         [path.read_text() for path in sorted(package.glob("*.py"))]) == []
 
 
+MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List,
+                    ast.DictComp, ast.SetComp, ast.ListComp)
+MUTABLE_FACTORIES = ("dict", "set", "list", "defaultdict", "OrderedDict")
+
+
+def _module_memos(tree: ast.Module) -> list[str]:
+    """The module-level names other than ``__all__`` bound to a dict, set or
+    list: a memo there outlives every call and nothing bounds it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        if not (isinstance(value, MUTABLE_DISPLAYS)
+                or getattr(call, "attr", getattr(call, "id", None))
+                in MUTABLE_FACTORIES):
+            continue
+        found += [name.id for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and name.id != "__all__"]
+    return found
+
+
 def _unbounded_caches(source: str) -> list[str]:
     """The functions whose ``lru_cache`` or ``cache`` decorator passes no
-    finite integer ``maxsize``."""
+    finite integer ``maxsize``, then the module-level memos."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for deco in node.decorator_list:
@@ -96,7 +123,7 @@ def _unbounded_caches(source: str) -> list[str]:
             if not (sizes and isinstance(sizes[0], ast.Constant)
                     and type(sizes[0].value) is int):
                 found.append(node.name)
-    return found
+    return found + _module_memos(tree)
 
 
 def test_cache_bound_check_sees_an_unbounded_cache():
@@ -107,6 +134,17 @@ def test_cache_bound_check_sees_an_unbounded_cache():
               "@functools.lru_cache\ndef d(): pass\n"
               "@cache\ndef e(): pass\n")
     assert _unbounded_caches(source) == ["c", "d", "e"]
+
+
+def test_cache_bound_check_sees_a_module_level_memo():
+    source = ("import collections\n__all__ = ['f']\n_PLANS = {}\n"
+              "_SEEN: set[int] = set()\nORDER = [1]\n"
+              "_BY_KEY = collections.defaultdict(list)\n"
+              "_SQUARES = {i: i * i for i in range(4)}\n"
+              "LIMIT = 3\nNAMES = ('a',)\n_FROZEN = frozenset()\n"
+              "def f():\n    local = {}\n    return local\n")
+    assert _unbounded_caches(source) == [
+        "_PLANS", "_SEEN", "ORDER", "_BY_KEY", "_SQUARES"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
