@@ -80,17 +80,12 @@ def walls(n: int) -> list[Wall]:
 
 
 @functools.lru_cache(maxsize=32)
-def _walls_of(n: int) -> tuple[Wall, ...]:
+def _walls_of(n: int) -> dict[Wall, int]:
+    """The walls for n markings, in order, each mapped to its index."""
     # of I and its complement, Wall.of keeps the smaller: the one holding 1
     subsets = sorted((1,) + rest for size in range(1, n - 2)
                      for rest in itertools.combinations(range(2, n + 1), size))
-    return tuple(Wall.of(n, subset) for subset in subsets)
-
-
-@functools.lru_cache(maxsize=32)
-def _wall_index(n: int) -> dict[Wall, int]:
-    """Each wall's index in ``_walls_of(n)``."""
-    return {w: i for i, w in enumerate(_walls_of(n))}
+    return {Wall.of(n, subset): i for i, subset in enumerate(subsets)}
 
 
 class _TreeSystem:
@@ -118,7 +113,7 @@ class _TreeSystem:
         self.n = n
         full = (1 << n) - 1
         sides: dict[int, tuple[int, int]] = {}
-        for i, w in enumerate(_walls_of(n)):
+        for w, i in _walls_of(n).items():
             mask = sum(1 << (j - 1) for j in w.subset)
             sides[mask], sides[full ^ mask] = (i, 1), (i, -1)
         self.wall_polys = tuple(
@@ -201,7 +196,7 @@ def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
             f"expected {expected}")
     chamber = tuple(_signs(p.n, p.k, x0))
     if 0 in chamber:
-        wall = _walls_of(p.n)[chamber.index(0)]
+        wall = list(_walls_of(p.n))[chamber.index(0)]
         raise WallError(
             f"reference point {list(x0)} lies on the wall {list(wall.subset)}")
     return _tree_system(p.n, p.e, p.k).polynomial(chamber)
@@ -266,7 +261,7 @@ def _check_crossing(p: Problem, wall: Wall) -> int:
     """The wall's index in ``walls(p.n)``, after checking the crossing."""
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
-    i = _wall_index(p.n).get(wall)
+    i = _walls_of(p.n).get(wall)
     if i is None:
         raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
     return i

@@ -267,19 +267,15 @@ def assemble_multiplicity(p: Problem, c: CoverGraph,
                          vertex_mults=mults, multiplicity=multiplicity)
 
 
-def cover_to_json(c: CoverGraph) -> dict:
+def weighted_cover_to_json(wc: WeightedCover) -> dict:
+    c = wc.cover
     return {
         "vertices": [{"genus": g, "ends": list(ends)}
                      for g, ends in zip(c.vertex_genus, c.vertex_ends)],
         "edges": [{"from": a, "to": b, "weight": w} for a, b, w in c.edges],
         "order": list(c.order),
+        "aut": wc.aut,
+        "edge_product": rat_str(wc.edge_product),
+        "vertex_mults": [rat_str(m) for m in wc.vertex_mults],
+        "multiplicity": rat_str(wc.multiplicity),
     }
-
-
-def weighted_cover_to_json(wc: WeightedCover) -> dict:
-    out = cover_to_json(wc.cover)
-    out["aut"] = wc.aut
-    out["edge_product"] = rat_str(wc.edge_product)
-    out["vertex_mults"] = [rat_str(m) for m in wc.vertex_mults]
-    out["multiplicity"] = rat_str(wc.multiplicity)
-    return out

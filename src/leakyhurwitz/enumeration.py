@@ -9,13 +9,15 @@ The pipeline runs in three stages:
    are tested: the valence law makes sum_v d(v) = |e| + 3V - 2(g - h1) - n,
    h1 = g - sum_v g(v), that is 2(V - 1 + h1) as V = 2g - 2 + n - |e|; and
    val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even.
-   ``_types_for`` splits this stage in two: a shape stage enumerates and
-   canonicalizes the multigraphs once per shape (genera, number of marked
-   vertices, edge degrees), and a labelling stage gives each marking
-   partition the canonical multigraphs of its shape.  The partitions are
-   pruned as they are built (``_end_partitions``): a block B whose excess
-   sum_{i in B} (1 - e_i) is above 2 (above 3 on a lone vertex) leaves its
-   vertex too few edges at any genus.  A vertex's mu(v) and genus-0 factor
+   ``_types_for`` splits this stage in two: a shape stage enumerates the
+   multigraphs once per shape (genera, number of marked vertices, edge
+   degrees) and keeps of each the smallest edge tuple over the permutations
+   of its runs of unmarked vertices of equal genus (``_canonical_edges``),
+   and a labelling stage gives each marking partition the canonical
+   multigraphs of its shape.  The partitions are pruned as they are built
+   (``_end_partitions``): a block B whose excess sum_{i in B} (1 - e_i) is
+   above 2 (above 3 on a lone vertex) leaves its vertex too few edges at
+   any genus.  A vertex's mu(v) and genus-0 factor
    depend on its block alone, so they are computed once per block, not
    once per type;
 2. weights: edge flows solving the balance law.  On a tree the flows are
@@ -240,59 +242,36 @@ def _edge_multisets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int],
     yield from rec(0)
 
 
-def _canonical_type(genera: Sequence[int], ends: Sequence[tuple[int, ...]],
-                    edges: Sequence[tuple[int, int]]) -> tuple:
-    """Relabel vertices canonically: the (genera, ends, edges) triple.
-
-    Marked vertices are pinned by their smallest marking; runs of unmarked
-    vertices of equal genus are interchangeable, and the smallest edge tuple
-    over their permutations wins.  A run has one genus and no ends, so the
-    genera and ends in position order do not depend on the permutation.
-    """
-    V = len(genera)
-    base = sorted(range(V),
-                  key=lambda v: (0, ends[v][0]) if ends[v] else (1, genera[v]))
-    position = {v: pos for pos, v in enumerate(base)}
-    placed = [(position[a], position[b]) for a, b in edges]
-    unmarked = [pos for pos, v in enumerate(base) if not ends[v]]
-    runs = [run for run in (tuple(group) for _, group in itertools.groupby(
-                unmarked, key=lambda pos: genera[base[pos]]))
-            if len(run) > 1]
-    best: tuple[tuple[int, int], ...] | None = None
+def _canonical_edges(V: int, runs: Sequence[tuple[int, ...]],
+                     edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The smallest sorted edge tuple over the permutations of each run, a
+    run being consecutive unmarked vertices of one genus: swapping two of
+    them changes neither the genera nor the ends."""
     label = list(range(V))
-    for assignment in itertools.product(
-            *(itertools.permutations(run) for run in runs)):
+
+    def relabeled(assignment):
         for run, perm in zip(runs, assignment):
-            for pos, new_pos in zip(run, perm):
-                label[pos] = new_pos
-        relabeled = tuple(sorted(
+            label[run[0]:run[-1] + 1] = perm
+        return tuple(sorted(
             (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
-            for a, b in placed))
-        if best is None or relabeled < best:
-            best = relabeled
-    return (tuple(genera[v] for v in base),
-            tuple(tuple(ends[v]) for v in base), best)
+            for a, b in edges))
+
+    return min(map(relabeled, itertools.product(*map(itertools.permutations, runs))))
 
 
 @functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
     """Every combinatorial type of (g, n, e), compiled, in sorted order.
 
-    The multigraphs are enumerated once per shape (genera, m, degs), m the
-    number of non-empty blocks of a marking partition, and then labelled
-    with each partition of that shape.  ``_end_partitions`` puts the m
-    non-empty blocks first, by smallest element, and returns only the
-    partitions whose every block passes its excess test.
-    ``_canonical_type``'s base order then keeps the blocks in place and only
-    sorts the unmarked vertices m..V-1 by genus; the runs it permutes are
-    then fixed by genera and m as well.  Its canonical genera and edges thus
-    depend only on (genera, m, edges), its canonical ends are the blocks
-    themselves, and the edges depend on the blocks only through degs.  A
-    genus vector whose unmarked part is not sorted is skipped: permuting
-    the unmarked vertices maps its multigraphs onto those of the sorted
-    vector, with the same canonical types.  So each (genera, blocks) is met
-    once, genera already canonical, and sorting those pairs and then each
-    shape's edges gives the types in sorted order.
+    The vertices are laid out canonically: the m marked blocks by smallest
+    marking (as ``_end_partitions`` orders them), then the unmarked vertices
+    with sorted genera; a genus vector whose unmarked part is not sorted is
+    skipped, as permuting the unmarked vertices maps its multigraphs onto
+    those of the sorted vector.  So the multigraphs are enumerated and
+    canonicalized (``_canonical_edges``) once per shape (genera, m, degs),
+    all they read of a partition; each (genera, blocks) is met once, and
+    sorting those pairs and then each shape's edges gives the types in
+    sorted order.
 
     What a record takes from a vertex's block B alone is computed once per
     block (``block``): by the valence law val(v) = sum_{i in B} e_i + 3 -
@@ -332,8 +311,10 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                 continue
             shape = shapes.get((genera, m, degs))
             if shape is None:
+                runs = [tuple(run) for _, run in
+                        itertools.groupby(range(m, V), genera.__getitem__)]
                 shape = shapes[genera, m, degs] = sorted(
-                    {_canonical_type(genera, blocks, edges)[2]
+                    {_canonical_edges(V, runs, edges)
                      for edges in _edge_multisets(degs) if is_connected(V, edges)})
             factor = math.prod(f for f, genus in zip(factors, genera) if not genus)
             found.append((genera, blocks, (masks, mu, factor), shape))

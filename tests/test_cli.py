@@ -434,17 +434,22 @@ def test_fixture_float_degree_exit2(capsys, tmp_path):
     assert err.startswith("error: bad fixture row")
 
 
-@pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe"],
-                         ids=["nested-too-deep", "not-utf8"])
-def test_unreadable_fixture_file_exit2(capsys, tmp_path, content):
+@pytest.mark.parametrize("content, error", [
+    (b"[" * 200_000, "cannot read fixture file {}: "),
+    (b"\xff\xfe", "cannot read fixture file {}: "),
+    (b'{"genus": 1}', "fixture file must contain a JSON list\n"),
+    (b"5", "fixture file must contain a JSON list\n")],
+    ids=["nested-too-deep", "not-utf8", "object", "number"])
+def test_unreadable_fixture_file_exit2(capsys, tmp_path, content, error):
     # json.loads raises RecursionError on deep nesting, and reading raises
-    # UnicodeDecodeError on bytes that are not text
+    # UnicodeDecodeError on bytes that are not text; a readable file must
+    # hold a JSON list of rows
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     code, out, err = run_cli(capsys, "number", "-g", "1", "-k", "1",
                              "-x", "7,-3,-1", "-e", "1,0,0", "--fixtures", str(bad))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read fixture file {bad}: ")
+    assert err.startswith("error: " + error.format(bad))
     assert err.count("\n") == 1
 
 

@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -94,7 +93,8 @@ def _set_partitions(n, blocks):
 
 def _canonical_type_with_perm(genera, ends, edges):
     """The canonical relabelling as it was computed while it tracked the
-    winning permutation: an independent oracle for ``_canonical_type``."""
+    winning permutation: an independent oracle for ``_canonical_edges`` and
+    for the vertex layout ``_types_for`` gives each type."""
     V = len(genera)
     base = sorted(range(V), key=lambda v: (0, ends[v][0], 0) if ends[v]
                   else (1, genera[v], 0))
@@ -126,9 +126,11 @@ def _canonical_type_with_perm(genera, ends, edges):
 
 
 def test_canonical_type_matches_permutation_tracking_oracle():
-    # every labelled multigraph of every vertex layout, including layouts
-    # with one and with two runs of swappable unmarked vertices; each layout
-    # also meets the degree sum that _types_for no longer tests
+    # every labelled multigraph of every vertex layout _types_for builds
+    # (blocks by smallest marking, then unmarked vertices of sorted genera),
+    # including layouts with one and with two runs of swappable unmarked
+    # vertices; each layout also meets the degree sum that _types_for no
+    # longer tests
     layouts = runs_seen = 0
     for g, e in [(0, (0,) * 6), (0, (0,) * 7), (0, (1,) + (0,) * 6),
                  (2, (0,)), (2, (0, 0)), (2, (0, 0, 0)),
@@ -136,19 +138,21 @@ def test_canonical_type_matches_permutation_tracking_oracle():
         n = len(e)
         V = 2 * g - 2 + n - sum(e)
         for blocks in _set_partitions(n, V):
+            m = V - blocks.count(())
             for genera in enumeration._genus_vectors(V, g):
                 degs = tuple(sum(e[i - 1] for i in blocks[v]) + 3
                              - 2 * genera[v] - len(blocks[v]) for v in range(V))
-                if min(degs) < 1:
+                if min(degs) < 1 or list(genera[m:]) != sorted(genera[m:]):
                     continue
                 assert sum(degs) == 2 * (V - 1 + g - sum(genera))
                 layouts += 1
-                unmarked = Counter(gv for gv, b in zip(genera, blocks) if not b)
-                runs_seen |= 1 << sum(m > 1 for m in unmarked.values())
+                runs = [tuple(v for v in range(m, V) if genera[v] == genus)
+                        for genus in sorted(set(genera[m:]))]
+                runs_seen |= 1 << sum(len(run) > 1 for run in runs)
                 for edges in enumeration._edge_multisets(degs):
-                    assert (enumeration._canonical_type(genera, blocks, edges)
-                            == _canonical_type_with_perm(genera, blocks, edges))
-    assert layouts == 610 and runs_seen == 0b111
+                    assert (enumeration._canonical_edges(V, runs, edges)
+                            == _canonical_type_with_perm(genera, blocks, edges)[2])
+    assert (layouts, runs_seen) == (550, 0b111)
 
 
 def _stirling2(n, j):
@@ -185,42 +189,6 @@ def test_end_partitions_put_marked_blocks_first():
                     assert [b[0] for b in part[:m]] == sorted(b[0] for b in part[:m])
                     assert sorted(i for b in part for i in b) == list(range(1, n + 1))
                     assert all(list(b) == sorted(b) for b in part)
-
-
-def _random_blocks(rng, n, m, V):
-    """A partition of 1..n into m non-empty blocks, ordered by smallest
-    element as ``_end_partitions`` orders them, padded to V blocks."""
-    order = rng.sample(range(1, n + 1), n)
-    parts = [[i] for i in order[:m]]
-    for i in order[m:]:
-        rng.choice(parts).append(i)
-    return tuple(sorted(tuple(sorted(p)) for p in parts)) + ((),) * (V - m)
-
-
-def test_canonical_type_ignores_which_markings_the_blocks_hold():
-    # _canonical_type's genera and edges depend on the blocks only through
-    # their number m, and its ends are the blocks: the shape stage of
-    # _types_for canonicalizes once per (genera, m, degs)
-    rng = random.Random(15)
-    runs_seen = Counter()
-    for _ in range(600):
-        V = rng.randint(1, 6)
-        m = rng.randint(0, V)
-        genera = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(V))
-        pairs = [(u, v) for u in range(V) for v in range(u + 1, V)]
-        edges = [rng.choice(pairs) for _ in range(rng.randint(0, 9))] if pairs else []
-        unmarked = Counter(genera[m:])
-        for genus, size in unmarked.items():
-            if size > 1:
-                runs_seen[genus >= 2] += 1
-        results = set()
-        for _ in range(4):
-            blocks = _random_blocks(rng, rng.randint(m, m + 4) if m else 0, m, V)
-            canonical = enumeration._canonical_type(genera, blocks, edges)
-            assert canonical[1] == blocks
-            results.add(canonical[::2])
-        assert len(results) == 1, (genera, m, edges)
-    assert runs_seen[False] > 50 and runs_seen[True] > 50
 
 
 def _spanning_structure(V, edges):
@@ -326,7 +294,7 @@ def _types_one_partition_at_a_time(g, n, e):
                 continue
             for edges in enumeration._edge_multisets(degs):
                 if is_connected(V, edges):
-                    found.add(enumeration._canonical_type(genera, blocks, edges))
+                    found.add(_canonical_type_with_perm(genera, blocks, edges))
     return tuple(_compile_alone(*t, e) for t in sorted(found))
 
 

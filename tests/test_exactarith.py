@@ -38,6 +38,14 @@ def test_linform_evaluate_index_error():
     f = LinForm.of({4: 1})
     with pytest.raises(IndexError):
         f.evaluate((1, 2, 3), 0)
+    # the constructors check their indices themselves
+    with pytest.raises(ValueError, match="must be >= 1"):
+        LinForm.of({0: 1})
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        f.as_poly(3, 0)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            Poly.variable(2, i)
 
 
 def test_linform_canonical_drops_zeros():
@@ -62,6 +70,8 @@ def test_substitute_degree_example():
     q = p.substitute_degree(3)
     assert q == Poly.variable(4, 1) * 3 - Poly.const(4, 3)
     assert str(q) == "3*x1 - 3"
+    with pytest.raises(ValueError, match="no variable to eliminate"):
+        Poly.const(0, 1).substitute_degree(0)
 
 
 def test_poly_basic_ops():
@@ -72,6 +82,19 @@ def test_poly_basic_ops():
     assert p.eval((3, 4)) == 7
     assert p.to_terms() == [{"exp": [0, 0], "coeff": "-5"},
                             {"exp": [1, 1], "coeff": "1"}]
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        Poly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="expected 2 values, got 1"):
+        p.eval((3,))
+    other = Poly.variable(3, 1)
+    for combine in (lambda: p * other, lambda: p + other,
+                    lambda: Poly.weighted_sum(3, [(p, 1)])):
+        with pytest.raises(ValueError, match="different variable counts"):
+            combine()
+    # Poly * str returns NotImplemented, Poly + str fails in _coerce
+    for combine in (lambda: p * "x", lambda: p + "x"):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_poly_is_never_equal_to_a_scalar():
@@ -87,6 +110,12 @@ def test_poly_compose():
     p = Poly.variable(2, 1) * Poly.variable(2, 2)
     args = [Poly.variable(3, 1) + Poly.variable(3, 2), Poly.const(3, 2)]
     assert p.compose(args) == (Poly.variable(3, 1) + Poly.variable(3, 2)) * 2
+    with pytest.raises(ValueError, match="expected 2 substitution polynomials"):
+        p.compose(args[:1])
+    with pytest.raises(ValueError, match="at least one variable"):
+        Poly.const(0, 1).compose([])
+    with pytest.raises(ValueError, match="different variable counts"):
+        p.compose([args[0], Poly.const(2, 2)])
 
 
 def _polys(nvars):

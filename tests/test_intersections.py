@@ -141,6 +141,9 @@ def test_recursion_rhs_precondition_errors():
         recursion_rhs(p, 1, 3)  # off dimension
     with pytest.raises(ValueError):
         recursion_rhs(Problem.of(1, 0, (0, 0), (1, 0)), 1, 1)  # genus 1
+    for s in (0, 5):
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            recursion_rhs(p, s, 0)
 
 
 def test_recursion_rhs_at_zero_marking_weight():

@@ -32,6 +32,9 @@ def test_genus0_multinomial_is_an_int():
             assert type(value) is int
             assert value == Fraction(math.factorial(valence - 3),
                                      math.prod(map(math.factorial, psi)))
+    for valence, psi in ((2, ()), (4, (0, 0))):
+        with pytest.raises(ValueError, match="bad genus-0 vertex"):
+            genus0_vertex_mult(valence, psi)
 
 
 def test_genus0_ignores_k_and_degrees():
@@ -60,6 +63,8 @@ def test_key_canonicalization():
     b = VertexKey(1, 1, (-5, 7), (0, 1))
     assert a == b
     assert vertex_mult(a) == vertex_mult(b) == Fraction(35, 24)
+    with pytest.raises(ValueError, match="equal length"):
+        VertexKey(1, 1, (7, -5), (1,))
 
 
 def test_missing_key_error_carries_key():
