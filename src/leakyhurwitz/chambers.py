@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, _types_for
-from .exactarith import LinForm, Poly
+from .exactarith import LinForm, Poly, hyperplane_coordinates
 
 ZERO = "Zero"
 POSITIVE = "Positive"
@@ -301,8 +301,10 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
         return Poly.zero(n - 1)
 
     x_plus, _ = flanking_points(p, wall)
-
-    factors: list[Poly] = []
+    # each factor is composed onto x1..x_{n-1} and k(n - 2) - x1 - ... -
+    # x_{n-1}, so the product is built in normal form
+    coords = hyperplane_coordinates(n - 1, k * (n - 2))
+    product = wall.form.as_poly(n, k).compose(coords) * math.comb(r, r1)
     # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other
     for part, cut in ((I, -1), (comp, 1)):
         ref = tuple(x_plus[i - 1] for i in part) + (cut,)
@@ -310,11 +312,8 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
         sub_poly = chamber_polynomial(Problem.of(0, k, ref, sub_e))
         # the normal form dropped the cut variable, so substituting the
         # surviving markings alone reproduces the factor exactly
-        factors.append(sub_poly.compose([Poly.variable(n, i) for i in part]))
-
-    delta_poly = wall.form.as_poly(n, k)
-    product = delta_poly * factors[0] * factors[1] * math.comb(r, r1)
-    return product.substitute_degree(k * (n - 2))
+        product = product * sub_poly.compose([coords[i - 1] for i in part])
+    return product
 
 
 def classify(p: Problem) -> str:

@@ -44,8 +44,9 @@ The pipeline runs in three stages:
    so the plan memoizes it per sign pattern, across problems.  No edge
    changes sign along a segment of the last weight, so stage 2 counts the
    extensions of its one orientation once (``CombinatorialType.extensions``,
-   memoized per orientation of each edge tuple and read by chambers too)
-   and yields the count with each of its vectors: ``compute_H`` sums the
+   memoized per edge tuple with one count per orientation and its reverse,
+   as reversing every arc reverses every extension, and read by chambers
+   too) and yields the count with each of its vectors: ``compute_H`` sums the
    counts, and listing generates the extensions instead.  In genus 0
    counting skips stage 2: a genus-0 type is a tree, so each edge's flow
    is a wall value delta(M) = S[M] - k(|M| - 1) of the markings M on its
@@ -71,6 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -118,7 +120,8 @@ class CombinatorialType(NamedTuple):
     marking indices, inbound edges, outbound edges, psi) record per
     genus >= 1 vertex, in vertex order.
 
-    ``orders`` memoizes :meth:`extensions`, and ``plan`` holds the cycle
+    ``orders`` memoizes :meth:`extensions`, one count per orientation and
+    its reverse, stored under both, and ``plan`` holds the cycle
     weight walk's plan and its memo of sign patterns (None on a tree), for
     every record of a ``_types_for`` call with these edges; equality and
     hashing ignore both.
@@ -150,12 +153,15 @@ class CombinatorialType(NamedTuple):
 
     def extensions(self, up: tuple[bool, ...]) -> int:
         """The number of linear extensions of the orientation that points
-        edge i along its stored (u, v) exactly when up[i]."""
+        edge i along its stored (u, v) exactly when up[i].  Reversing every
+        arc reverses every extension, so the count is stored for ``up`` and
+        its complement alike."""
         orders = self.orders.get(up)
         if orders is None:
-            orders = self.orders[up] = count_linear_extensions(
+            orders = count_linear_extensions(
                 self.num_vertices,
                 [ab if u else ab[::-1] for ab, u in zip(self.edges, up)])
+            self.orders[up] = self.orders[tuple(map(operator.not_, up))] = orders
         return orders
 
 
@@ -281,7 +287,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     of a type is then the product over the genus-0 vertices, once per
     (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
     runs, the memo of linear extensions, the walk plan) depend only on the
-    canonical edges and are built once per edge tuple.
+    canonical edges and are built once per edge tuple, when a shape first
+    holds it.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -298,26 +305,6 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                                 genus0_vertex_mult(total + 3, psi))
         return block_data[part]
 
-    shapes: dict[tuple, list] = {}
-    found: list[tuple] = []
-    for blocks in _end_partitions(e, V):
-        m = V - blocks.count(())
-        degs0, masks, mu, factors = zip(*map(block, blocks))
-        for genera in _genus_vectors(V, g):
-            if list(genera[m:]) != sorted(genera[m:]):
-                continue
-            degs = tuple(d - 2 * genus for d, genus in zip(degs0, genera))
-            if min(degs) < least:
-                continue
-            shape = shapes.get((genera, m, degs))
-            if shape is None:
-                runs = [tuple(run) for _, run in
-                        itertools.groupby(range(m, V), genera.__getitem__)]
-                shape = shapes[genera, m, degs] = sorted(
-                    {_canonical_edges(V, runs, edges)
-                     for edges in _edge_multisets(degs) if is_connected(V, edges)})
-            factor = math.prod(f for f, genus in zip(factors, genera) if not genus)
-            found.append((genera, blocks, (masks, mu, factor), shape))
     structures: dict = {}
 
     def structure(edges):
@@ -325,9 +312,32 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
             structures[edges] = _edge_structure(V, edges)
         return structures[edges]
 
-    found.sort(key=lambda entry: entry[:2])
-    return tuple(_compile(genera, ends, e, vertices, structure(edges))
-                 for genera, ends, vertices, shape in found for edges in shape)
+    shapes: dict[tuple, list] = {}
+    found: list[tuple] = []
+    for blocks in _end_partitions(e, V):
+        m = V - blocks.count(())
+        degs0, masks, mu, factors = zip(*map(block, blocks))
+        for genera in _genus_vectors(V, g):
+            degs = degs0
+            if g:  # in genus 0 the genera are all 0, sorted, and leave degs0
+                if list(genera[m:]) != sorted(genera[m:]):
+                    continue
+                degs = tuple(d - 2 * genus for d, genus in zip(degs0, genera))
+            if min(degs) < least:
+                continue
+            shape = shapes.get((genera, m, degs))
+            if shape is None:
+                runs = [tuple(run) for _, run in
+                        itertools.groupby(range(m, V), genera.__getitem__)]
+                shape = shapes[genera, m, degs] = list(map(structure, sorted(
+                    {_canonical_edges(V, runs, edges)
+                     for edges in _edge_multisets(degs) if is_connected(V, edges)})))
+            factor = math.prod(factors) if not g else math.prod(
+                f for f, genus in zip(factors, genera) if not genus)
+            found.append((genera, blocks, (masks, mu, factor), shape))
+    found.sort(key=operator.itemgetter(0, 1))
+    return tuple(_compile(genera, ends, e, vertices, structure)
+                 for genera, ends, vertices, shape in found for structure in shape)
 
 
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
@@ -656,13 +666,16 @@ def _count_trees(p: Problem) -> tuple[Fraction, int]:
     """``count_covers`` in genus 0, where every flow is a wall value (the
     proof is in ``count_covers``)."""
     k = p.k
-    walls = _SubsetSums([v - k for v in p.x], k)  # S(M) - k(|M| - 1)
+    wall = _SubsetSums([v - k for v in p.x], k).__getitem__  # S(M) - k(|M| - 1)
     whole = count = 0
     for t in _types_for(0, p.n, p.e):
-        flows = [walls[m] for m in t.cuts[::2]]
-        if not all(flows):
+        flows = list(map(wall, t.cuts[::2]))
+        if 0 in flows:
             continue
-        orders = t.extensions(tuple(f > 0 for f in flows))
+        up = tuple(map((0).__lt__, flows))
+        orders = t.orders.get(up)
+        if orders is None:
+            orders = t.extensions(up)
         count += orders
         whole += orders * t.genus0_factor * abs(math.prod(flows))
     return Fraction(whole), count
@@ -703,8 +716,10 @@ def count_covers(p: Problem,
     orders * genus0_factor * |prod flows|.  A type with a zero flow is
     skipped, as stage 2 skips it; any other orientation of a tree is
     acyclic.  In every genus ``orders`` is read from the record
-    (``CombinatorialType.extensions``), which counts each orientation of
-    its edges once and shares the count with ``chambers``.
+    (``CombinatorialType.extensions``), which keeps one count per
+    orientation of its edges and its reverse, so a turned-around problem,
+    whose flows are all negated, counts no extension again; ``chambers``
+    reads the same counts.
     """
     if not p.genus:
         return _count_trees(p)

@@ -18,7 +18,9 @@ are all integers, runs on plain ints.  Profiles live on the hyperplane
 x1 + ... + xn = total for a problem-specific integer, so polynomial
 identities are only meaningful modulo that relation; the canonical normal
 form eliminates x_n against it.  ``substitute_degree`` composes onto the
-hyperplane coordinates through ``compose``, the one substitution routine.
+hyperplane coordinates (``hyperplane_coordinates``) through ``compose``, the
+one substitution routine; the closed-form wall crossing composes its factors
+onto the same coordinates.
 """
 
 from __future__ import annotations
@@ -216,13 +218,9 @@ class Poly:
     def substitute_degree(self, total: int) -> "Poly":
         """Eliminate the last variable against x1 + ... + xn = total: the
         normal form, composed with x1..x_{n-1} and total - x1 - ... - x_{n-1}."""
-        m = self.nvars - 1
-        if m < 0:
+        if not self.nvars:
             raise ValueError("no variable to eliminate")
-        coords = [Poly.variable(m, i) for i in range(1, m + 1)]
-        last = Poly.weighted_sum(
-            m, [(Poly.const(m, total), 1)] + [(x, -1) for x in coords])
-        return self.compose(coords + [last])
+        return self.compose(hyperplane_coordinates(self.nvars - 1, total))
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for variable x_{i+1}; args share a variable space."""
@@ -278,3 +276,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self})"
+
+
+def hyperplane_coordinates(m: int, total: int) -> list[Poly]:
+    """x1..x_m and total - x1 - ... - x_m, in m variables: what x1..x_{m+1}
+    become on the hyperplane x1 + ... + x_{m+1} = total in normal form."""
+    coords = [Poly.variable(m, i) for i in range(1, m + 1)]
+    return coords + [Poly.weighted_sum(
+        m, [(Poly.const(m, total), 1)] + [(x, -1) for x in coords])]

@@ -436,6 +436,30 @@ def test_count_linear_extensions_memo():
         assert count_linear_extensions(n, shuffled) == count
 
 
+def _is_cyclic(n, arcs):
+    """Whether the arcs close a directed cycle: peeling off vertices without
+    a predecessor leaves some behind exactly then."""
+    left = set(range(n))
+    while True:
+        sources = {v for v in left if not any(b == v and a in left for a, b in arcs)}
+        if not sources:
+            return bool(left)
+        left -= sources
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_linear_extensions_reversal_symmetry(n, data):
+    # reversing every arc reverses every extension, so an orientation and
+    # its reverse share one count (``CombinatorialType.extensions``)
+    arcs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ab: ab[0] != ab[1]), max_size=12))
+    count = count_linear_extensions(n, arcs)
+    assert count_linear_extensions(n, [(b, a) for a, b in arcs]) == count
+    assert (count == 0) == _is_cyclic(n, arcs)
+
+
 def test_enumerate_covers_golden_multiset():
     covers = enumerate_covers(GOLDEN)
     assert len(covers) == 5
@@ -666,12 +690,19 @@ def test_tree_groups_count_each_orientation_once(monkeypatch):
     assert calls == []
     assert second == (2 ** (len(x) - 3) * first[0], first[1])
     # the records with equal edges share one memo, no two edge tuples share
-    # one, and each entry cost one count
+    # one, each memo holds an orientation and its reverse with one count, and
+    # each such pair cost one count
     memos = {}
     for t in _types_for(0, len(x), (0,) * len(x)):
         assert memos.setdefault(t.edges, t.orders) is t.orders
     assert len({id(memo) for memo in memos.values()}) == len(memos) > 1
-    assert counted == sum(map(len, memos.values())) > 0
+    pairs = set()
+    for edges, memo in memos.items():
+        for up, orders in memo.items():
+            down = tuple(not u for u in up)
+            assert memo[down] == orders
+            pairs.add((edges, min(up, down)))
+    assert counted == len(pairs) > 0
 
 
 @pytest.mark.parametrize("g", [0, 1])
@@ -853,6 +884,22 @@ def test_repeated_genus2_count_reads_the_memo(monkeypatch):
     closes.clear()
     assert count_covers(p) == (H, covers)
     assert calls == closes == []
+
+
+@pytest.mark.parametrize("p", [
+    Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0)),
+    Problem.of(1, 1, (7, -3, -1), (1, 0, 0)),
+    GENUS2_LEAKY[0][0]], ids=str)
+def test_turned_around_count_reads_the_memo(monkeypatch, p):
+    # turning p around negates every flow and so reverses every orientation,
+    # whose counts the first count stored with its own
+    calls = _counting_extensions(monkeypatch)
+    _types_for.cache_clear()
+    first = count_covers(p)
+    assert calls
+    calls.clear()
+    assert count_covers(p.turned_around()) == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [
