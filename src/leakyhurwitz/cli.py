@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 standard output closed early, 2 invalid problem or
 usage, 3 missing vertex fixture, 4 wall or reference-point error, 5 problem
-too large (its enumeration went past Python's recursion limit).
+too large (its enumeration went past Python's recursion limit, or ran out of
+memory).
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except RecursionError as exc:
         print(f"error: problem too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except MemoryError:
+        print("error: problem too large: out of memory", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (ProblemError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

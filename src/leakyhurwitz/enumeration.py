@@ -50,7 +50,11 @@ The pipeline runs in three stages:
    counts, and listing generates the extensions instead.  In genus 0
    counting skips stage 2: a genus-0 type is a tree, so each edge's flow
    is a wall value delta(M) = S[M] - k(|M| - 1) of the markings M on its
-   tail side (``_count_trees``).
+   tail side (``_count_trees``).  The records of a type list share one
+   table of their distinct cut masks, and each reads its edges' entries
+   by position with a C-level getter, so a problem computes delta once per
+   distinct mask and a type's flows, sizes and orientation are one getter
+   call each.
 
 ``_types_for`` compiles each type once (``_compile``), and caches that one
 record per type: it feeds counting, listing and the genus-0 chamber
@@ -123,8 +127,12 @@ class CombinatorialType(NamedTuple):
     ``orders`` memoizes :meth:`extensions`, one count per orientation and
     its reverse, stored under both, and ``plan`` holds the cycle
     weight walk's plan and its memo of sign patterns (None on a tree), for
-    every record of a ``_types_for`` call with these edges; equality and
-    hashing ignore both.
+    every record of a ``_types_for`` call with these edges.
+    ``cut_masks`` maps each distinct cut mask of the call's records to its
+    position, in position order, one dict shared by them all, and
+    ``cut_of`` picks the record's edges' entries, in edge order, out of a
+    tuple laid out by those positions; it returns a tuple for any edge
+    count.  Equality and hashing ignore these four.
     """
 
     vertex_genus: tuple[int, ...]
@@ -137,6 +145,8 @@ class CombinatorialType(NamedTuple):
     higher: tuple[tuple, ...]
     orders: dict[tuple[bool, ...], int]
     plan: _WalkPlan | None
+    cut_masks: dict[int, int] | None = None
+    cut_of: operator.itemgetter | None = None
 
     def __eq__(self, other):
         return self[:8] == other[:8]
@@ -288,7 +298,9 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
     runs, the memo of linear extensions, the walk plan) depend only on the
     canonical edges and are built once per edge tuple, when a shape first
-    holds it.
+    holds it.  The records share one table of their distinct cut masks,
+    filled as ``_compile`` meets them (see ``CombinatorialType``); it lives
+    on the records, so it goes when the cache drops them.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -336,7 +348,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                 f for f, genus in zip(factors, genera) if not genus)
             found.append((genera, blocks, (masks, mu, factor), shape))
     found.sort(key=operator.itemgetter(0, 1))
-    return tuple(_compile(genera, ends, e, vertices, structure)
+    positions: dict[int, int] = {}
+    return tuple(_compile(genera, ends, e, vertices, structure, positions)
                  for genera, ends, vertices, shape in found for structure in shape)
 
 
@@ -413,12 +426,15 @@ def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
 
 
 def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
-             e: tuple[int, ...], vertices: tuple, structure: tuple
-             ) -> CombinatorialType:
+             e: tuple[int, ...], vertices: tuple, structure: tuple,
+             positions: dict[int, int]) -> CombinatorialType:
     """A type's record from its vertex data (marking masks, mu values and
     genus-0 factor, as ``_types_for`` builds them per (genera, blocks)) and
-    its edge structure: the cuts of the tree walk and the genus >= 1
-    vertices' records."""
+    its edge structure: the cuts of the tree walk, the genus >= 1 vertices'
+    records and the getter of its cut masks' ``positions``, the call's
+    shared table, into which it adds the masks not yet there.  A one-edge
+    getter slices, as ``itemgetter(i)`` would return a bare item, and so
+    does a no-edge one, as ``itemgetter()`` takes no items."""
     edges, walk, inc, units, runs, orders, plan = structure
     masks, mu, genus0_factor = vertices
     side_mask, side_mu = list(masks), list(mu)
@@ -442,8 +458,12 @@ def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
          tuple(i for i in inc[v] if edges[i][0] == v),
          tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
         for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
+    at = [positions.setdefault(mask, len(positions)) for mask in cuts[::2]]
+    cut_of = (operator.itemgetter(*at) if len(at) > 1 else
+              operator.itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
     return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
-                             genus0_factor, higher, orders, plan)
+                             genus0_factor, higher, orders, plan,
+                             positions, cut_of)
 
 
 def weight_bound(p: Problem) -> int:
@@ -666,18 +686,24 @@ def _count_trees(p: Problem) -> tuple[Fraction, int]:
     """``count_covers`` in genus 0, where every flow is a wall value (the
     proof is in ``count_covers``)."""
     k = p.k
+    types = _types_for(0, p.n, p.e)
     wall = _SubsetSums([v - k for v in p.x], k).__getitem__  # S(M) - k(|M| - 1)
+    # types[0] exists: the markings can always be shared out along a path
+    flows = tuple(map(wall, types[0].cut_masks))
+    sizes = tuple(map(abs, flows))
+    ups = tuple(map((0).__lt__, flows))
+    skip = 0 in sizes
     whole = count = 0
-    for t in _types_for(0, p.n, p.e):
-        flows = list(map(wall, t.cuts[::2]))
-        if 0 in flows:
+    for t in types:
+        w = t.cut_of(sizes)
+        if skip and 0 in w:
             continue
-        up = tuple(map((0).__lt__, flows))
+        up = t.cut_of(ups)
         orders = t.orders.get(up)
         if orders is None:
             orders = t.extensions(up)
         count += orders
-        whole += orders * t.genus0_factor * abs(math.prod(flows))
+        whole += orders * t.genus0_factor * math.prod(w)
     return Fraction(whole), count
 
 
@@ -710,12 +736,15 @@ def count_covers(p: Problem,
     side of an edge is a subtree of s vertices that holds the markings M
     and meets the edge once, so its summed mu(v) = val(v) - 2 is
     c = |M| + 2(s - 1) + 1 - 2s = |M| - 1, and the flow is the wall value
-    delta(M) = S[M] - k(|M| - 1), which a problem computes once per mask,
-    for the masks its cuts read (``_SubsetSums`` with values x_i - k and
-    delta(0) = k).  No fixture is read, so each type adds the integer
-    orders * genus0_factor * |prod flows|.  A type with a zero flow is
-    skipped, as stage 2 skips it; any other orientation of a tree is
-    acyclic.  In every genus ``orders`` is read from the record
+    delta(M) = S[M] - k(|M| - 1), which a problem computes once per
+    distinct mask of the type list's shared table (``_SubsetSums`` with
+    values x_i - k and delta(0) = k), along with its size |delta(M)| and
+    its sign.  Each type reads its sizes and its orientation from those by
+    position (``CombinatorialType.cut_of``).  No fixture is read, so each
+    type adds the integer orders * genus0_factor * prod |flows|.  A type
+    with a zero flow is skipped, as stage 2 skips it, and only a table
+    that holds a zero is searched for one; any other orientation of a tree
+    is acyclic.  In every genus ``orders`` is read from the record
     (``CombinatorialType.extensions``), which keeps one count per
     orientation of its edges and its reverse, so a turned-around problem,
     whose flows are all negated, counts no extension again; ``chambers``

@@ -197,10 +197,10 @@ def test_counts_and_chambers_compile_each_type_once(monkeypatch):
     calls = Counter()
     compile_type = enumeration._compile
 
-    def counted(genera, ends, e, vertices, structure):
+    def counted(genera, ends, e, vertices, structure, positions):
         # the structure holds a memo dict; its edges name it
         calls[genera, ends, e, vertices, structure[0]] += 1
-        return compile_type(genera, ends, e, vertices, structure)
+        return compile_type(genera, ends, e, vertices, structure, positions)
 
     for owner in (enumeration, chambers):  # wherever the name is imported
         if hasattr(owner, "_compile"):

@@ -363,6 +363,17 @@ def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
         main(["classify", "-k", "2", "-x", "1,1,1,1"])
 
 
+def test_out_of_memory_exits_5(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr("leakyhurwitz.cli.walls", exhausted)
+    code, out, err = run_cli(capsys, "walls", "-n", "28")
+    assert code == 5
+    assert out == ""
+    assert err == "error: problem too large: out of memory\n"
+
+
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "number", "-g", "1", "-k", "1",
                            "-x", "7,-3,-1", "-e", "1,0,0", "--format", "table")

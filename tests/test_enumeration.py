@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -661,6 +662,89 @@ def test_count_covers_matches_listing_genus0_on_walls(p):
     assert count_covers(p) == _listed(p)
 
 
+def _per_type_sum(p, orders):
+    """(H, covers) of a genus-0 p summed type by type, apart from the
+    records' table of cut masks: each flow delta(M) = S[M] - k(|M| - 1)
+    summed over the bits of its mask M, and the extensions counted once per
+    orientation, memoized in ``orders``; also the number of types skipped
+    for a zero flow."""
+    whole = count = skipped = 0
+    for t in _types_for(0, p.n, p.e):
+        flows = []
+        for mask in t.cuts[::2]:
+            bits = [i for i in range(p.n) if mask >> i & 1]
+            flows.append(sum(p.x[i] for i in bits) - p.k * (len(bits) - 1))
+        if 0 in flows:
+            skipped += 1
+            continue
+        arcs = tuple(ab if f > 0 else ab[::-1] for ab, f in zip(t.edges, flows))
+        if arcs not in orders:
+            orders[arcs] = count_linear_extensions(t.num_vertices, arcs)
+        count += orders[arcs]
+        whole += orders[arcs] * t.genus0_factor * abs(math.prod(flows))
+    return (Fraction(whole), count), skipped
+
+
+def _random_genus0(rng, on_wall):
+    """A genus-0 problem with n in 3..8, k in -3..3 and psi; on a wall
+    delta(M) = 0 of a random M with 2 <= |M| <= n - 2 when ``on_wall``."""
+    n, k = rng.randint(3, 8), rng.randint(-3, 3)
+    e = [0] * n
+    for _ in range(rng.randint(max(0, n - 6), n - 3)):  # at most 5 vertices
+        e[rng.randrange(n)] += 1
+    x = [rng.randint(-6, 6) for _ in range(n)]
+    rest = 0
+    if on_wall and n > 3:
+        wall = rng.sample(range(n), rng.randint(2, n - 2))
+        x[wall[0]] = k * (len(wall) - 1) - sum(x[i] for i in wall[1:])
+        rest = next(i for i in range(n) if i not in wall)
+    x[rest] -= sum(x) - k * (n - 2)
+    return Problem.of(0, k, x, e)
+
+
+def test_count_covers_matches_per_type_sum_genus0():
+    # the shared cut-mask table and the types' getters against plain sums
+    rng = random.Random(17)
+    orders = {}
+    skipped = 0
+    for i in range(300):
+        p = _random_genus0(rng, on_wall=i % 3 == 0)
+        expected, skips = _per_type_sum(p, orders)
+        assert count_covers(p) == expected, p
+        skipped += skips
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("p, edges", [
+    (Problem.of(0, 1, (3, -1, -1)), 0),  # V = 1: the getter returns ()
+    (Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0)), 1),  # V = 2
+    (Problem.of(0, 1, (2, -1, 3, 1, -2)), 2),  # on a wall: zero flows skipped
+], ids=str)
+def test_count_covers_matches_per_type_sum_small(p, edges):
+    types = _types_for(0, p.n, p.e)
+    table = tuple(types[0].cut_masks)
+    for t in types:
+        assert len(t.edges) == edges
+        assert t.cut_of(table) == t.cuts[::2]  # a tuple for any edge count
+    expected, skipped = _per_type_sum(p, {})
+    assert (skipped > 0) == (edges == 2)
+    assert count_covers(p) == expected
+
+
+def test_records_share_one_cut_mask_table():
+    p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
+    _types_for.cache_clear()
+    first = count_covers(p)
+    records = _types_for(0, p.n, p.e)
+    table = records[0].cut_masks
+    assert all(t.cut_masks is table for t in records)
+    assert set(table) == {mask for t in records for mask in t.cuts[::2]}
+    assert list(table.values()) == list(range(len(table)))
+    _types_for.cache_clear()  # the next call builds its records and table anew
+    assert count_covers(p) == first
+    assert _types_for(0, p.n, p.e)[0].cut_masks is not table
+
+
 def _counting_extensions(monkeypatch):
     """The arcs of every call of the extension count, wherever the name is
     imported."""
@@ -915,6 +999,7 @@ def test_records_with_filled_memos_keep_their_values(p):
     assert len(set(records)) == len(records)
     for t in records:
         fresh = t._replace(
-            orders={}, plan=t.plan and t.plan._replace(closures={}))
+            orders={}, plan=t.plan and t.plan._replace(closures={}),
+            cut_masks=None, cut_of=None)
         assert t == fresh and not t != fresh and hash(t) == hash(fresh)
     assert records == _types_one_partition_at_a_time(p.genus, p.n, p.e)
