@@ -12,14 +12,15 @@ The pipeline runs in three stages:
    ``_types_for`` splits this stage in two: a shape stage enumerates the
    multigraphs once per shape (genera, number of marked vertices, edge
    degrees) and keeps of each the smallest edge tuple over the permutations
-   of its runs of unmarked vertices of equal genus (``_canonical_edges``),
-   and a labelling stage gives each marking partition the canonical
-   multigraphs of its shape.  The partitions are pruned as they are built
-   (``_end_partitions``): a block B whose excess sum_{i in B} (1 - e_i) is
-   above 2 (above 3 on a lone vertex) leaves its vertex too few edges at
-   any genus.  A vertex's mu(v) and genus-0 factor
-   depend on its block alone, so they are computed once per block, not
-   once per type;
+   of its runs of unmarked vertices of equal genus (``_shape``), and a
+   labelling stage gives each marking partition the canonical multigraphs
+   of its shape.  The shapes are kept across calls (``_shapes``), so the
+   calls with the same number of vertices share them.  The partitions are
+   pruned as they are built (``_end_partitions``): a block B whose excess
+   sum_{i in B} (1 - e_i) is above 2 leaves its vertex too few edges at
+   any genus, and a lone vertex takes every marking.  A vertex's mu(v) and
+   genus-0 factor depend on its block alone, so they are computed once per
+   block, and one loop over a partition's blocks gathers them;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
    edge contributes one free integer weight, bounded by the proven
@@ -56,11 +57,13 @@ The pipeline runs in three stages:
    distinct mask and a type's flows, sizes and orientation are one getter
    call each.
 
-``_types_for`` compiles each type once (``_compile``), and caches that one
-record per type: it feeds counting, listing and the genus-0 chamber
-polynomials of ``chambers``.  What a record takes from its edges alone
+``_types_for`` builds each type's record once, where it loops over the
+structures of a partition's shape, and caches that one record per type: it
+feeds counting, listing and the genus-0 chamber polynomials of
+``chambers``.  What a record takes from its edges alone
 (``_edge_structure``: spanning tree, unit flows, parallel runs, the
-extension memo, the walk plan) is built once per edge tuple and shared.
+extension memo, the walk plan) is built once per edge tuple on V vertices
+and shared by every record with those edges, across calls.
 A tree edge's flow is the cut expression S[mask] - k c of the markings
 ``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
 being the subset sums of x, each computed when a cut first reads it
@@ -104,7 +107,7 @@ class _WalkPlan(NamedTuple):
 
 
 class CombinatorialType(NamedTuple):
-    """A decorated multigraph in canonical form, compiled once for counting,
+    """A decorated multigraph in canonical form, built once for counting,
     listing and chambers, all in small integers.
 
     ``edges`` lists unordered pairs (u, v) with u < v, repeated with
@@ -127,7 +130,7 @@ class CombinatorialType(NamedTuple):
     ``orders`` memoizes :meth:`extensions`, one count per orientation and
     its reverse, stored under both, and ``plan`` holds the cycle
     weight walk's plan and its memo of sign patterns (None on a tree), for
-    every record of a ``_types_for`` call with these edges.
+    every record with these edges, in any ``_types_for`` call (``_shapes``).
     ``cut_masks`` maps each distinct cut mask of the call's records to its
     position, in position order, one dict shared by them all, and
     ``cut_of`` picks the record's edges' entries, in edge order, out of a
@@ -184,18 +187,22 @@ def _end_partitions(e: tuple[int, ...], blocks: int
     A block B at a vertex of genus g(v) has edge degree sum_{i in B} e_i +
     3 - 2g(v) - |B| >= least, least = 1 on more than one vertex (a
     connected graph gives each vertex an edge) and 0 on one, so its excess
-    sum_{i in B} (1 - e_i) is at most 3 - least.  The markings are labelled
-    depth-first in order; marking j lowers the excess of the block it joins
-    by at most max(0, e_j - 1), so once marking i is placed, the markings
-    after it can take at most ``reserve[i]`` off any excess, and a branch
-    whose new excess exceeds 3 - least + reserve[i] is cut (e >= 0, as
-    ``Problem`` validates).  A complete partition is kept if every block's
-    excess is at most 3 - least.  Cutting drops whole subtrees of the
-    search, so the partitions kept come in the order of the unpruned
-    search.
+    sum_{i in B} (1 - e_i) is at most 3 - least.  One block takes every
+    marking, with no search, so a lone vertex of many markings recurses
+    nowhere.  On more blocks the markings are labelled depth-first in
+    order; marking j lowers the excess of the block it joins by at most
+    max(0, e_j - 1), so once marking i is placed, the markings after it can
+    take at most ``reserve[i]`` off any excess, and a branch whose new
+    excess exceeds 2 + reserve[i] is cut (e >= 0, as ``Problem``
+    validates).  A complete partition is kept if every block's excess is at
+    most 2.  Cutting drops whole subtrees of the search, so the partitions
+    kept come in the order of the unpruned search.
     """
     n = len(e)
-    limit = 2 if blocks > 1 else 3
+    if blocks == 1:  # the one block holds every marking
+        return [(tuple(range(1, n + 1)),)] if n - sum(e) <= 3 else []
+    if not n:
+        return [((),) * blocks]
     reserve = [0] * n
     for i in range(n - 1, 0, -1):
         reserve[i - 1] = reserve[i] + max(0, e[i] - 1)
@@ -204,16 +211,15 @@ def _end_partitions(e: tuple[int, ...], blocks: int
     out = []
 
     def rec(i: int, top: int):
-        if i == n:
-            if max(excess, default=0) <= limit:
-                out.append(tuple(map(tuple, parts)))
-            return
         step = 1 - e[i]
         for lab in range(min(top + 1, blocks - 1) + 1):
-            if excess[lab] + step - reserve[i] <= limit:
+            if excess[lab] + step - reserve[i] <= 2:
                 parts[lab].append(i + 1)
                 excess[lab] += step
-                rec(i + 1, max(top, lab))
+                if i + 1 < n:
+                    rec(i + 1, max(top, lab))
+                elif max(excess) <= 2:
+                    out.append(tuple(map(tuple, parts)))
                 excess[lab] -= step
                 parts[lab].pop()
 
@@ -275,32 +281,68 @@ def _canonical_edges(V: int, runs: Sequence[tuple[int, ...]],
     return min(map(relabeled, itertools.product(*map(itertools.permutations, runs))))
 
 
+@functools.lru_cache(maxsize=256)
+def _shapes(degs: tuple[int, ...]) -> tuple[dict, dict]:
+    """The shapes with edge degrees ``degs`` that ``_types_for`` calls have
+    met, shared by every call: each (genera, m) mapped to its canonical edge
+    structures, and each structure under its edges.  Two shapes, of one call
+    or of two, can hold equal edges, which then get one structure, with one
+    extension memo and one walk plan: a structure depends on (V, edges)
+    alone, and the edges fix ``degs``."""
+    return {}, {}
+
+
+def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
+    """The canonical edge structures of the shape (genera, m, degs), sorted
+    by edges: every connected multigraph with these edge degrees,
+    canonicalized (``_canonical_edges``) over the runs of unmarked vertices
+    of one genus, read from ``_shapes(degs)`` or built there."""
+    shapes, structures = _shapes(degs)
+    shape = shapes.get((genera, m))
+    if shape is None:
+        V = len(degs)
+        runs = [tuple(run) for _, run in
+                itertools.groupby(range(m, V), genera.__getitem__)]
+        shape = shapes[genera, m] = tuple(
+            structures.get(edges) or structures.setdefault(
+                edges, _edge_structure(V, edges))
+            for edges in sorted({_canonical_edges(V, runs, edges)
+                                 for edges in _edge_multisets(degs)
+                                 if is_connected(V, edges)}))
+    return shape
+
+
 @functools.lru_cache(maxsize=128)
 def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
-    """Every combinatorial type of (g, n, e), compiled, in sorted order.
+    """Every combinatorial type of (g, n, e), as one record each, in sorted
+    order.
 
     The vertices are laid out canonically: the m marked blocks by smallest
     marking (as ``_end_partitions`` orders them), then the unmarked vertices
     with sorted genera; a genus vector whose unmarked part is not sorted is
     skipped, as permuting the unmarked vertices maps its multigraphs onto
     those of the sorted vector.  So the multigraphs are enumerated and
-    canonicalized (``_canonical_edges``) once per shape (genera, m, degs),
-    all they read of a partition; each (genera, blocks) is met once, and
-    sorting those pairs and then each shape's edges gives the types in
-    sorted order.
+    canonicalized once per shape (genera, m, degs), all they read of a
+    partition (``_shape``), and each (genera, blocks) is met once.  The
+    genus vectors come sorted and are taken in turn, each over the sorted
+    partitions, and a shape's structures come sorted by edges, so the
+    records come in sorted order as they are built.
 
     What a record takes from a vertex's block B alone is computed once per
     block (``block``): by the valence law val(v) = sum_{i in B} e_i + 3 -
     2g(v), so mu(v) = 2g(v) - 2 + val(v) = 1 + sum_{i in B} e_i at any
     genus, and a genus-0 vertex's factor (val(v) - 3)! / prod_{i in B} e_i!
-    is the multinomial of B; neither reads the edges.  The genus-0 factor
-    of a type is then the product over the genus-0 vertices, once per
-    (genera, blocks).  Edge structures (spanning tree, unit flows, parallel
-    runs, the memo of linear extensions, the walk plan) depend only on the
-    canonical edges and are built once per edge tuple, when a shape first
-    holds it.  The records share one table of their distinct cut masks,
-    filled as ``_compile`` meets them (see ``CombinatorialType``); it lives
-    on the records, so it goes when the cache drops them.
+    is the multinomial of B; neither reads the edges.  One loop over a
+    partition's blocks gathers them, and a type's genus-0 factor is their
+    product over its genus-0 vertices.  A record is built where the loop
+    meets its structure: the cuts of the tree walk, mask and mu summed
+    subtree by subtree, the genus >= 1 vertices' records (none in genus
+    0), and the getter of its cut masks' positions in the call's one table
+    (``_Positions``, see ``CombinatorialType``).  A one-edge getter slices,
+    as ``itemgetter(i)`` would return a bare item, and so does a no-edge
+    one, as ``itemgetter()`` takes no items.  The table lives on the
+    records, so it goes when the cache drops them; the shapes, with their
+    structures and memos, stay in ``_shapes``.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -309,48 +351,77 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     def block(part):
         """(genus-0 edge degree, marking mask, mu, genus-0 factor) of a
         vertex with the markings ``part``."""
-        if part not in block_data:
-            psi = [e[i - 1] for i in part]
-            total = sum(psi)
-            block_data[part] = (total + 3 - len(part),
-                                sum(1 << (i - 1) for i in part), 1 + total,
-                                genus0_vertex_mult(total + 3, psi))
-        return block_data[part]
+        psi = [e[i - 1] for i in part]
+        total = sum(psi)
+        data = block_data[part] = (total + 3 - len(part),
+                                   sum(1 << (i - 1) for i in part), 1 + total,
+                                   genus0_vertex_mult(total + 3, psi))
+        return data
 
-    structures: dict = {}
-
-    def structure(edges):
-        if edges not in structures:
-            structures[edges] = _edge_structure(V, edges)
-        return structures[edges]
-
-    shapes: dict[tuple, list] = {}
-    found: list[tuple] = []
-    for blocks in _end_partitions(e, V):
-        m = V - blocks.count(())
-        degs0, masks, mu, factors = zip(*map(block, blocks))
-        for genera in _genus_vectors(V, g):
-            degs = degs0
-            if g:  # in genus 0 the genera are all 0, sorted, and leave degs0
+    labelled = []
+    for blocks in sorted(_end_partitions(e, V)):
+        degs0, masks, mu, factors = [], [], [], []
+        for part in blocks:
+            deg, mask, total, factor = block_data.get(part) or block(part)
+            degs0.append(deg)
+            masks.append(mask)
+            mu.append(total)
+            factors.append(factor)
+        labelled.append((blocks, V - blocks.count(()), degs0, masks, mu,
+                         factors))
+    shapes: dict[tuple, tuple] = {}
+    positions = _Positions()
+    full = (1 << n) - 1
+    records = []
+    for genera in _genus_vectors(V, g):  # in sorted order
+        has_higher = any(genera)
+        for ends, m, degs0, masks, mu, factors in labelled:
+            if has_higher:
                 if list(genera[m:]) != sorted(genera[m:]):
                     continue
                 degs = tuple(d - 2 * genus for d, genus in zip(degs0, genera))
+                factor = math.prod(f for f, genus in zip(factors, genera)
+                                   if not genus)
+            else:  # every vertex has genus 0: degs0 and every factor stand
+                degs, factor = tuple(degs0), math.prod(factors)
             if min(degs) < least:
                 continue
             shape = shapes.get((genera, m, degs))
             if shape is None:
-                runs = [tuple(run) for _, run in
-                        itertools.groupby(range(m, V), genera.__getitem__)]
-                shape = shapes[genera, m, degs] = list(map(structure, sorted(
-                    {_canonical_edges(V, runs, edges)
-                     for edges in _edge_multisets(degs) if is_connected(V, edges)})))
-            factor = math.prod(factors) if not g else math.prod(
-                f for f, genus in zip(factors, genera) if not genus)
-            found.append((genera, blocks, (masks, mu, factor), shape))
-    found.sort(key=operator.itemgetter(0, 1))
-    positions: dict[int, int] = {}
-    return tuple(_compile(genera, ends, e, vertices, structure, positions)
-                 for genera, ends, vertices, shape in found for structure in shape)
+                shape = shapes[genera, m, degs] = _shape(genera, m, degs)
+            total = sum(mu)
+            for edges, walk, inc, units, runs, orders, plan in shape:
+                side_mask, side_mu = masks[:], mu[:]
+                cuts = [0] * (2 * len(edges))
+                for v, idx in walk:  # leaves first: side_* of v is its subtree
+                    a, b = edges[idx]
+                    if a == v:
+                        cuts[2 * idx] = side_mask[v]
+                        cuts[2 * idx + 1] = side_mu[v]
+                        parent = b
+                    else:
+                        cuts[2 * idx] = full ^ side_mask[v]
+                        cuts[2 * idx + 1] = total - side_mu[v]
+                        parent = a
+                    side_mask[parent] |= side_mask[v]
+                    side_mu[parent] += side_mu[v]
+                higher = () if not has_higher else tuple(
+                    (genus, tuple(i - 1 for i in marks),
+                     tuple(i for i in inc[v] if edges[i][1] == v),
+                     tuple(i for i in inc[v] if edges[i][0] == v),
+                     tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
+                    for v, (genus, marks) in enumerate(zip(genera, ends))
+                    if genus)
+                if len(edges) > 1:
+                    cut_of = operator.itemgetter(
+                        *map(positions.__getitem__, cuts[::2]))
+                else:
+                    at = positions[cuts[0]] if edges else 0
+                    cut_of = operator.itemgetter(slice(at, at + len(edges)))
+                records.append(CombinatorialType._make((
+                    genera, ends, edges, tuple(cuts), units, runs, factor,
+                    higher, orders, plan, positions, cut_of)))
+    return tuple(records)
 
 
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
@@ -358,7 +429,10 @@ def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
     as (vertex, parent edge) pairs leaves first, the incidence, the unit
     flows of the free edges, the parallel runs, an empty extension memo and
-    the walk's plan (None on a tree, which has no free weight to walk)."""
+    the walk's plan (None on a tree, which has no free weight to walk).
+    It depends on V and the edges alone, so ``_shape`` builds it once per
+    edge tuple, and every record with those edges shares it, in any
+    ``_types_for`` call."""
     inc: list[list[int]] = [[] for _ in range(V)]
     for idx, (a, b) in enumerate(edges):
         inc[a].append(idx)
@@ -423,47 +497,6 @@ def _solve_flows(edges: Sequence[tuple[int, int]], walk, below: Sequence[int],
         out = (below[v] >> a & 1) - (below[v] >> b & 1)
         flows[idx] = out if edges[idx][1] == v else -out
     return flows
-
-
-def _compile(genera: tuple[int, ...], ends: tuple[tuple[int, ...], ...],
-             e: tuple[int, ...], vertices: tuple, structure: tuple,
-             positions: dict[int, int]) -> CombinatorialType:
-    """A type's record from its vertex data (marking masks, mu values and
-    genus-0 factor, as ``_types_for`` builds them per (genera, blocks)) and
-    its edge structure: the cuts of the tree walk, the genus >= 1 vertices'
-    records and the getter of its cut masks' ``positions``, the call's
-    shared table, into which it adds the masks not yet there.  A one-edge
-    getter slices, as ``itemgetter(i)`` would return a bare item, and so
-    does a no-edge one, as ``itemgetter()`` takes no items."""
-    edges, walk, inc, units, runs, orders, plan = structure
-    masks, mu, genus0_factor = vertices
-    side_mask, side_mu = list(masks), list(mu)
-    full, total = (1 << len(e)) - 1, sum(mu)
-    cuts = [0] * (2 * len(edges))
-    for v, idx in walk:  # leaves first: side_* of v is its subtree
-        a, b = edges[idx]
-        if a == v:
-            cuts[2 * idx] = side_mask[v]
-            cuts[2 * idx + 1] = side_mu[v]
-            parent = b
-        else:
-            cuts[2 * idx] = full ^ side_mask[v]
-            cuts[2 * idx + 1] = total - side_mu[v]
-            parent = a
-        side_mask[parent] |= side_mask[v]
-        side_mu[parent] += side_mu[v]
-    higher = () if not any(genera) else tuple(
-        (genus, tuple(i - 1 for i in marks),
-         tuple(i for i in inc[v] if edges[i][1] == v),
-         tuple(i for i in inc[v] if edges[i][0] == v),
-         tuple(e[i - 1] for i in marks) + (0,) * len(inc[v]))
-        for v, (genus, marks) in enumerate(zip(genera, ends)) if genus)
-    at = [positions.setdefault(mask, len(positions)) for mask in cuts[::2]]
-    cut_of = (operator.itemgetter(*at) if len(at) > 1 else
-              operator.itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
-    return CombinatorialType(genera, ends, edges, tuple(cuts), units, runs,
-                             genus0_factor, higher, orders, plan,
-                             positions, cut_of)
 
 
 def weight_bound(p: Problem) -> int:
@@ -541,6 +574,15 @@ def _close(reach: tuple[int, ...], arcs: Sequence[tuple[int, int]]
             if r >> a & 1:
                 out[v] = r | out[b]
     return tuple(out)
+
+
+class _Positions(dict):
+    """The cut masks of a type list, each mapped to its position: a mask
+    read for the first time takes the next one."""
+
+    def __missing__(self, mask: int) -> int:
+        at = self[mask] = len(self)
+        return at
 
 
 class _SubsetSums(dict):

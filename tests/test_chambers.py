@@ -194,25 +194,28 @@ def test_tree_system_memos_hold_one_leak():
 
 
 def test_counts_and_chambers_compile_each_type_once(monkeypatch):
+    # every record is built by CombinatorialType._make; count the builds by
+    # the value fields (the rest are memos and the shared table)
     calls = Counter()
-    compile_type = enumeration._compile
+    record_type = enumeration.CombinatorialType
+    make = record_type._make
 
-    def counted(genera, ends, e, vertices, structure, positions):
-        # the structure holds a memo dict; its edges name it
-        calls[genera, ends, e, vertices, structure[0]] += 1
-        return compile_type(genera, ends, e, vertices, structure, positions)
+    def counted(cls, fields):
+        fields = tuple(fields)
+        calls[fields[:8]] += 1
+        return make(fields)
 
-    for owner in (enumeration, chambers):  # wherever the name is imported
-        if hasattr(owner, "_compile"):
-            monkeypatch.setattr(owner, "_compile", counted)
+    monkeypatch.setattr(record_type, "_make", classmethod(counted))
     p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
     for cached in (*vars(enumeration).values(), _tree_system):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     compute_H(p)
     chamber_polynomial(p)
-    assert len(calls) == len(enumeration._types_for(0, p.n, p.e)) > 1
+    types = enumeration._types_for(0, p.n, p.e)
+    assert len(calls) == len(types) > 1
     assert set(calls.values()) == {1}
+    assert set(calls) == {tuple(t[:8]) for t in types}
 
 
 def _tree_entry(n, e, ends):

@@ -339,6 +339,15 @@ def test_too_deep_recursion_exits_5(argv):
     assert lines[0].startswith("error: problem too large: maximum recursion")
 
 
+def test_one_vertex_of_many_markings(capsys):
+    # a lone vertex takes every marking, with no search over the markings
+    n = 1000
+    code, out, err = run_cli(capsys, "number", "-x", "1,-1" + ",0" * (n - 2),
+                             "-e", str(n - 3) + ",0" * (n - 1))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"H": "1", "covers": 1}
+
+
 @pytest.mark.parametrize("argv", ["covers -g 1 -k 1 -x 7,-3,-1 -e 1,0,0",
                                   "walls -n 9 --format table"])
 def test_closed_stdout_pipe_exits_quietly(argv):

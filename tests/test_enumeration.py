@@ -375,10 +375,17 @@ def test_count_covers_first_missing_key():
         assert count_covers(p, empty) == (Fraction(20385062), 532)
 
 
+def _clear_type_caches():
+    """Drop the type lists and the shapes they share, so that the next
+    ``_types_for`` call builds its records, structures and memos anew."""
+    _types_for.cache_clear()
+    enumeration._shapes.cache_clear()
+
+
 def test_enumerate_types_idempotent():
     # two enumerations, not two reads of the cache
     first = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
-    _types_for.cache_clear()
+    _clear_type_caches()
     second = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
     assert first is not second
     assert first == second
@@ -745,6 +752,72 @@ def test_records_share_one_cut_mask_table():
     assert _types_for(0, p.n, p.e)[0].cut_masks is not table
 
 
+# the (n, e) cells of the g0_number benchmark workload
+G0_NUMBER_CELLS = [(7, (0,) * 7), (7, (1,) + (0,) * 6), (7, (1, 1) + (0,) * 5),
+                   (7, (2,) + (0,) * 6), (8, (1, 1) + (0,) * 6),
+                   (8, (2,) + (0,) * 7)]
+
+
+def _random_psi_cells(count):
+    rng = random.Random(27)
+    cells = []
+    while len(cells) < count:
+        n = rng.randint(4, 8)
+        e = [0] * n
+        for _ in range(rng.randint(n == 8, n - 4)):  # at least two vertices
+            e[rng.randrange(n)] += 1
+        cells.append((n, tuple(e)))
+    return cells
+
+
+@pytest.mark.parametrize("n, e", G0_NUMBER_CELLS + _random_psi_cells(12),
+                         ids=str)
+def test_genus0_records_hold_their_invariants(n, e):
+    # each record read against its own value fields: the getter picks its
+    # cut masks out of the shared table, each cut is the wall c = |M| - 1 of
+    # its mask M, the factor is the product of the blocks' multinomials, and
+    # the records are sorted and distinct
+    records = _types_for(0, n, e)
+    table = list(records[0].cut_masks)
+    for t in records:
+        assert tuple(t.cut_of(table)) == t.cuts[::2]
+        for mask, c in zip(t.cuts[::2], t.cuts[1::2]):
+            assert c == bin(mask).count("1") - 1
+        factor = 1
+        for block in t.vertex_ends:
+            psi = [e[i - 1] for i in block]
+            factor *= math.factorial(sum(psi)) // math.prod(
+                map(math.factorial, psi))
+        assert t.genus0_factor == factor
+    keys = [(t.vertex_genus, t.vertex_ends, t.edges) for t in records]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_calls_with_equal_vertex_counts_share_shapes():
+    # both cells have V = 4: a record of the second call with edges that the
+    # first call met reads that call's structure, with its extension memo
+    _clear_type_caches()
+    first = _types_for(0, 7, (1,) + (0,) * 6)
+    second = _types_for(0, 8, (2,) + (0,) * 7)
+    structures = {t.edges: t for t in first}
+    shared = [t for t in second if t.edges in structures]
+    assert shared
+    for t in shared:
+        other = structures[t.edges]
+        assert t.edges is other.edges and t.units is other.units
+        assert t.orders is other.orders
+    # the shared memos change no count
+    problems = [Problem.of(0, 1, (6, -2, 3, -1, 1, -3, 1), (1,) + (0,) * 6),
+                Problem.of(0, 2, (5, -2, 4, -3, 2, 6, -1, 1), (2,) + (0,) * 7)]
+    warm = [count_covers(p) for p in (*problems, *problems[::-1])]
+    cold = []
+    for p in (*problems, *problems[::-1]):
+        _clear_type_caches()
+        cold.append(count_covers(p))
+    assert warm == cold
+    assert enumeration._shapes.cache_info().maxsize == 256
+
+
 def _counting_extensions(monkeypatch):
     """The arcs of every call of the extension count, wherever the name is
     imported."""
@@ -765,7 +838,7 @@ def test_tree_groups_count_each_orientation_once(monkeypatch):
     # x and 2x at k = 0 have the same sign on every wall, so the second
     # count meets only the orientations that the first one counted
     calls = _counting_extensions(monkeypatch)
-    _types_for.cache_clear()
+    _clear_type_caches()
     x = (7, -3, 5, -2, -4, 1, -4)
     first = count_covers(Problem.of(0, 0, x))
     counted = len(calls)
@@ -932,7 +1005,7 @@ def test_chamber_polynomial_reads_the_orders_counting_filled(monkeypatch):
     # compute_H(p) its polynomial runs no extension count
     calls = _counting_extensions(monkeypatch)
     p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
-    _types_for.cache_clear()
+    _clear_type_caches()
     chambers._tree_system.cache_clear()
     H = compute_H(p)
     assert calls
@@ -954,7 +1027,7 @@ def test_repeated_genus2_count_reads_the_memo(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_close", close)
     p, H, covers = GENUS2_LEAKY[0]
-    _types_for.cache_clear()
+    _clear_type_caches()
     assert count_covers(p) == (H, covers)
     assert calls
     # the records with equal edges share one plan, no two edge tuples one
@@ -978,7 +1051,7 @@ def test_turned_around_count_reads_the_memo(monkeypatch, p):
     # turning p around negates every flow and so reverses every orientation,
     # whose counts the first count stored with its own
     calls = _counting_extensions(monkeypatch)
-    _types_for.cache_clear()
+    _clear_type_caches()
     first = count_covers(p)
     assert calls
     calls.clear()
