@@ -254,17 +254,23 @@ def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int,
     side without the severed edge, is a J with 2 <= |J| < |part|, another
     wall of the full problem with the same form delta_J, nonzero with one
     sign at x+, at x- and so at their mean z, the wall point."""
+    _wall_index(p.n, wall)
     return _find_flanking(p.n, p.k, wall)
+
+
+def _wall_index(n: int, wall: Wall) -> int:
+    """The wall's index in ``walls(n)``; a ``WallError`` if it is none."""
+    i = _walls_of(n).get(wall)
+    if i is None:
+        raise WallError(f"wall subset {wall.subset} is no wall for n = {n}")
+    return i
 
 
 def _check_crossing(p: Problem, wall: Wall) -> int:
     """The wall's index in ``walls(p.n)``, after checking the crossing."""
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
-    i = _walls_of(p.n).get(wall)
-    if i is None:
-        raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
-    return i
+    return _wall_index(p.n, wall)
 
 
 def wall_crossing(p: Problem, wall: Wall) -> Poly:
@@ -280,7 +286,7 @@ def wall_crossing(p: Problem, wall: Wall) -> Poly:
     that type's term (edge orientations, weights and scale) is the same in
     both chambers and cancels exactly.  No chamber polynomial is built."""
     i = _check_crossing(p, wall)
-    x_plus, _ = flanking_points(p, wall)
+    x_plus, _ = _find_flanking(p.n, p.k, wall)
     return _tree_system(p.n, p.e, p.k).crossing(i, tuple(_signs(p.n, p.k, x_plus)))
 
 
@@ -300,7 +306,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    x_plus, _ = flanking_points(p, wall)
+    x_plus, _ = _find_flanking(n, k, wall)
     # each factor is composed onto x1..x_{n-1} and k(n - 2) - x1 - ... -
     # x_{n-1}, so the product is built in normal form
     coords = hyperplane_coordinates(n - 1, k * (n - 2))

@@ -10,17 +10,19 @@ The pipeline runs in three stages:
    h1 = g - sum_v g(v), that is 2(V - 1 + h1) as V = 2g - 2 + n - |e|; and
    val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even.
    ``_types_for`` splits this stage in two: a shape stage enumerates the
-   multigraphs once per shape (genera, number of marked vertices, edge
+   multigraphs once per shape (genera, number m of marked vertices, edge
    degrees) and keeps of each the smallest edge tuple over the permutations
-   of its runs of unmarked vertices of equal genus (``_shape``), and a
-   labelling stage gives each marking partition the canonical multigraphs
-   of its shape.  The shapes are kept across calls (``_shapes``), so the
-   calls with the same number of vertices share them.  The partitions are
-   pruned as they are built (``_end_partitions``): a block B whose excess
-   sum_{i in B} (1 - e_i) is above 2 leaves its vertex too few edges at
-   any genus, and a lone vertex takes every marking.  A vertex's mu(v) and
-   genus-0 factor depend on its block alone, so they are computed once per
-   block, and one loop over a partition's blocks gathers them;
+   of its runs of unmarked vertices of equal genus, and a labelling stage
+   gives each marking partition the canonical multigraphs of its shape.
+   Each cache is keyed by what it depends on: a shape's structures by
+   (genera, m, degs) (``_shape``), shared by calls with equal V, and a
+   structure by (V, edges) (``_edge_structure``), shared by equal edges in
+   any shape.  The partitions are pruned as they are built
+   (``_end_partitions``): a block B whose excess sum_{i in B} (1 - e_i) is
+   above 2 leaves its vertex too few edges at any genus, and a lone vertex
+   takes every marking.  A vertex's mu(v) and genus-0 factor depend on its
+   block alone, so they are computed once per block, and one loop over a
+   partition's blocks gathers them;
 2. weights: edge flows solving the balance law.  On a tree the flows are
    determined and come out as affine-linear forms in x and k; each cycle
    edge contributes one free integer weight, bounded by the proven
@@ -62,16 +64,17 @@ structures of a partition's shape, and caches that one record per type: it
 feeds counting, listing and the genus-0 chamber polynomials of
 ``chambers``.  What a record takes from its edges alone
 (``_edge_structure``: spanning tree, unit flows, parallel runs, the
-extension memo, the walk plan) is built once per edge tuple on V vertices
-and shared by every record with those edges, across calls.
+extension memo, the walk plan) is cached under (V, edges) and shared by
+every record with those edges, across shapes and calls.
 A tree edge's flow is the cut expression S[mask] - k c of the markings
 ``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
 being the subset sums of x, each computed when a cut first reads it
 (``_SubsetSums``); cycle edges add the unit flows of the free weights,
 read off the vertex masks of the tree's subtrees (``_solve_flows``).  In
 genus 0 a vertex factor is a multinomial that ignores the flows, so the
-record folds them into one integer.  Counting a problem is then integer arithmetic, with the fixture
-table read (by ``vertexdata.vertex_mult``) for genus >= 1 vertices only.
+record folds them into one integer.  Counting a problem is then integer
+arithmetic, with the fixture table read (by ``vertexdata.vertex_mult``) for
+genus >= 1 vertices only.
 """
 
 from __future__ import annotations
@@ -128,9 +131,9 @@ class CombinatorialType(NamedTuple):
     genus >= 1 vertex, in vertex order.
 
     ``orders`` memoizes :meth:`extensions`, one count per orientation and
-    its reverse, stored under both, and ``plan`` holds the cycle
-    weight walk's plan and its memo of sign patterns (None on a tree), for
-    every record with these edges, in any ``_types_for`` call (``_shapes``).
+    its reverse, stored under both, and ``plan`` holds the cycle weight
+    walk's plan and its memo of sign patterns (None on a tree); both come
+    from the structure cached under (V, edges) (``_edge_structure``).
     ``cut_masks`` maps each distinct cut mask of the call's records to its
     position, in position order, one dict shared by them all, and
     ``cut_of`` picks the record's edges' entries, in edge order, out of a
@@ -152,9 +155,13 @@ class CombinatorialType(NamedTuple):
     cut_of: operator.itemgetter | None = None
 
     def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
         return self[:8] == other[:8]
 
     def __ne__(self, other):  # tuple's own __ne__ would compare the memos
+        if not isinstance(other, tuple):
+            return NotImplemented
         return self[:8] != other[:8]
 
     def __hash__(self):
@@ -281,35 +288,20 @@ def _canonical_edges(V: int, runs: Sequence[tuple[int, ...]],
     return min(map(relabeled, itertools.product(*map(itertools.permutations, runs))))
 
 
-@functools.lru_cache(maxsize=256)
-def _shapes(degs: tuple[int, ...]) -> tuple[dict, dict]:
-    """The shapes with edge degrees ``degs`` that ``_types_for`` calls have
-    met, shared by every call: each (genera, m) mapped to its canonical edge
-    structures, and each structure under its edges.  Two shapes, of one call
-    or of two, can hold equal edges, which then get one structure, with one
-    extension memo and one walk plan: a structure depends on (V, edges)
-    alone, and the edges fix ``degs``."""
-    return {}, {}
-
-
+@functools.lru_cache(maxsize=1024)
 def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
     """The canonical edge structures of the shape (genera, m, degs), sorted
     by edges: every connected multigraph with these edge degrees,
     canonicalized (``_canonical_edges``) over the runs of unmarked vertices
-    of one genus, read from ``_shapes(degs)`` or built there."""
-    shapes, structures = _shapes(degs)
-    shape = shapes.get((genera, m))
-    if shape is None:
-        V = len(degs)
-        runs = [tuple(run) for _, run in
-                itertools.groupby(range(m, V), genera.__getitem__)]
-        shape = shapes[genera, m] = tuple(
-            structures.get(edges) or structures.setdefault(
-                edges, _edge_structure(V, edges))
-            for edges in sorted({_canonical_edges(V, runs, edges)
-                                 for edges in _edge_multisets(degs)
-                                 if is_connected(V, edges)}))
-    return shape
+    of one genus, each read from ``_edge_structure``.  A call meets a few
+    dozen shapes (46 at (0, 9, 0^9)); the bound holds those of many."""
+    V = len(degs)
+    runs = [tuple(run) for _, run in
+            itertools.groupby(range(m, V), genera.__getitem__)]
+    return tuple(_edge_structure(V, edges)
+                 for edges in sorted({_canonical_edges(V, runs, edges)
+                                      for edges in _edge_multisets(degs)
+                                      if is_connected(V, edges)}))
 
 
 @functools.lru_cache(maxsize=128)
@@ -341,8 +333,8 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     (``_Positions``, see ``CombinatorialType``).  A one-edge getter slices,
     as ``itemgetter(i)`` would return a bare item, and so does a no-edge
     one, as ``itemgetter()`` takes no items.  The table lives on the
-    records, so it goes when the cache drops them; the shapes, with their
-    structures and memos, stay in ``_shapes``.
+    records, so it goes when the cache drops them; the shapes and their
+    structures stay in their own caches (``_shape``, ``_edge_structure``).
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -369,7 +361,6 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
             factors.append(factor)
         labelled.append((blocks, V - blocks.count(()), degs0, masks, mu,
                          factors))
-    shapes: dict[tuple, tuple] = {}
     positions = _Positions()
     full = (1 << n) - 1
     records = []
@@ -386,11 +377,9 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                 degs, factor = tuple(degs0), math.prod(factors)
             if min(degs) < least:
                 continue
-            shape = shapes.get((genera, m, degs))
-            if shape is None:
-                shape = shapes[genera, m, degs] = _shape(genera, m, degs)
             total = sum(mu)
-            for edges, walk, inc, units, runs, orders, plan in shape:
+            for edges, walk, inc, units, runs, orders, plan in _shape(
+                    genera, m, degs):
                 side_mask, side_mu = masks[:], mu[:]
                 cuts = [0] * (2 * len(edges))
                 for v, idx in walk:  # leaves first: side_* of v is its subtree
@@ -424,15 +413,18 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     return tuple(records)
 
 
+@functools.lru_cache(maxsize=4096)
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """What a type's record takes from its edges alone: the edges, the walk
     of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
     as (vertex, parent edge) pairs leaves first, the incidence, the unit
     flows of the free edges, the parallel runs, an empty extension memo and
     the walk's plan (None on a tree, which has no free weight to walk).
-    It depends on V and the edges alone, so ``_shape`` builds it once per
-    edge tuple, and every record with those edges shares it, in any
-    ``_types_for`` call."""
+    It depends on V and the edges alone, so it is cached under them and
+    every record with those edges shares it, in any shape and call.  The
+    bound exceeds the structures of one call up to (0, 9, 0^9), 3,795.  One
+    evicted while a cached shape still holds it may be built again for
+    another shape; the two copies keep separate memos, which count alike."""
     inc: list[list[int]] = [[] for _ in range(V)]
     for idx, (a, b) in enumerate(edges):
         inc[a].append(idx)

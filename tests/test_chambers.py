@@ -348,13 +348,13 @@ def test_subproblem_references_are_generic():
 
 
 @pytest.mark.parametrize("wall", [Wall.of(6, (2, 5)), Wall.of(6, (1, 2, 3, 4)),
-                                  Wall.of(5, (1, 2, 3))])
+                                  Wall.of(5, (1, 2, 3)), Wall.of(6, (1, 6))])
 def test_wall_of_another_marking_count_is_a_wall_error(wall):
     p = Problem.of(0, 1, (2, 0, 0, 0))
-    for crossing in (wall_crossing, wall_crossing_formula):
+    for call in (wall_crossing, wall_crossing_formula, flanking_points):
         with pytest.raises(WallError,
                            match=re.escape(f"{wall.subset} is no wall for n = 4")):
-            crossing(p, wall)
+            call(p, wall)
 
 
 @pytest.mark.parametrize("crossing", [wall_crossing, wall_crossing_formula])

@@ -376,10 +376,12 @@ def test_count_covers_first_missing_key():
 
 
 def _clear_type_caches():
-    """Drop the type lists and the shapes they share, so that the next
-    ``_types_for`` call builds its records, structures and memos anew."""
+    """Drop the type lists and the shapes and structures they share, so that
+    the next ``_types_for`` call builds its records, structures and memos
+    anew."""
     _types_for.cache_clear()
-    enumeration._shapes.cache_clear()
+    enumeration._shape.cache_clear()
+    enumeration._edge_structure.cache_clear()
 
 
 def test_enumerate_types_idempotent():
@@ -815,7 +817,33 @@ def test_calls_with_equal_vertex_counts_share_shapes():
         _clear_type_caches()
         cold.append(count_covers(p))
     assert warm == cold
-    assert enumeration._shapes.cache_info().maxsize == 256
+    assert enumeration._shape.cache_info().maxsize == 1024
+    assert enumeration._edge_structure.cache_info().maxsize == 4096
+
+
+@pytest.mark.parametrize("problems", [
+    (GOLDEN, Problem.of(1, -1, (-2, -5, 4), (1, 0, 0))),
+    (Problem.of(2, 1, (-3, 7), (0, 1)), Problem.of(2, -2, (-4, -4), (0, 1)))],
+    ids=lambda problems: str(problems[0].e))
+def test_shapes_of_one_call_share_equal_edges(problems):
+    # two genus vectors or marked-vertex counts of one call meet equal
+    # edges: their records read one structure, with one extension memo
+    _clear_type_caches()
+    p = problems[0]
+    shapes, first = {}, {}
+    for t in _types_for(p.genus, p.n, p.e):
+        other = first.setdefault(t.edges, t)
+        assert t.orders is other.orders and t.units is other.units
+        shapes.setdefault(t.edges, set()).add(
+            (t.vertex_genus, sum(map(bool, t.vertex_ends))))
+    assert any(len(met) > 1 for met in shapes.values())
+    # the shared memos change no count
+    warm = [count_covers(q) for q in (*problems, *problems[::-1])]
+    cold = []
+    for q in (*problems, *problems[::-1]):
+        _clear_type_caches()
+        cold.append(count_covers(q))
+    assert warm == cold
 
 
 def _counting_extensions(monkeypatch):
@@ -1076,3 +1104,13 @@ def test_records_with_filled_memos_keep_their_values(p):
             cut_masks=None, cut_of=None)
         assert t == fresh and not t != fresh and hash(t) == hash(fresh)
     assert records == _types_one_partition_at_a_time(p.genus, p.n, p.e)
+
+
+def test_records_compare_with_other_objects():
+    # a record equals the tuple of its value fields, and no other kind of
+    # object: comparing with one falls back to identity
+    t = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)[0]
+    assert t == tuple(t[:8]) and not t != tuple(t[:8])
+    assert (t == None) is False and (t != None) is True  # noqa: E711
+    assert (t != 0) is True and (t == "") is False
+    assert t in [None, t] and None not in [t]
