@@ -28,9 +28,8 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, _types_for
@@ -44,8 +43,7 @@ class WallError(ValueError):
     """A reference point on a wall, or a wall foreign to the problem."""
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A potential discontinuity locus sum_{i in I} x_i = k (|I| - 1).
 
     The stored subset is the lexicographically smaller of I and its
@@ -57,6 +55,9 @@ class Wall:
 
     @staticmethod
     def of(n: int, subset: Sequence[int]) -> "Wall":
+        for i in subset:
+            if type(i) is not int:
+                raise WallError(f"wall subset entry {i!r} is not an integer")
         I = tuple(sorted(subset))
         if n < 4:
             raise WallError(f"n = {n} markings have no walls: walls need n >= 4")

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import vertexdata
 from .exactarith import rat_str
@@ -38,19 +37,28 @@ class CoverError(ValueError):
     """A cover violating one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Input record (g, k, x, e), validated as it is built; n = len(x)."""
-
+class _ProblemFields(NamedTuple):
     genus: int
     k: int
     x: tuple[int, ...]
     e: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "e", tuple(self.e))
-        validate_problem(self)
+
+class Problem(_ProblemFields):
+    """Input record (g, k, x, e), validated as it is built; n = len(x).
+
+    ``_replace``, pickling and ``copy`` build through ``__new__`` too, so
+    every Problem in hand is admissible."""
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, k: int, x: Sequence[int], e: Sequence[int]):
+        return validate_problem(
+            super().__new__(cls, genus, k, tuple(x), tuple(e)))
+
+    @classmethod
+    def _make(cls, iterable) -> "Problem":
+        return cls(*iterable)
 
     @staticmethod
     def of(genus: int, k: int, x: Sequence[int],
@@ -78,6 +86,14 @@ class Problem:
 
 def validate_problem(p: Problem) -> Problem:
     """Check the problem invariants, raising a distinct diagnostic for each."""
+    for name in ("genus", "k"):
+        value = getattr(p, name)
+        if type(value) is not int:
+            raise ProblemError(f"{name} must be an integer, got {value!r}")
+    for name in ("x", "e"):
+        for v in getattr(p, name):
+            if type(v) is not int:
+                raise ProblemError(f"{name} must hold integers, got {v!r}")
     if p.genus < 0:
         raise ProblemError(f"genus {p.genus} must be nonnegative")
     if len(p.e) != p.n:
@@ -100,8 +116,7 @@ def validate_problem(p: Problem) -> Problem:
     return p
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(NamedTuple):
     """One tropical leaky cover.
 
     ``vertex_ends`` partitions 1..n over the vertices; ``edges`` stores
@@ -121,9 +136,6 @@ class CoverGraph:
     def valence(self, v: int) -> int:
         deg = sum(1 for a, b, _ in self.edges if a == v or b == v)
         return deg + len(self.vertex_ends[v])
-
-    def sort_key(self):
-        return self.vertex_genus, self.vertex_ends, self.edges, self.order
 
 
 def _balance_residual(p: Problem, c: CoverGraph, v: int) -> int:
@@ -237,8 +249,7 @@ def vertex_key_of(p: Problem, c: CoverGraph, v: int) -> VertexKey:
                      degrees=tuple(degrees), psi=tuple(psi))
 
 
-@dataclass(frozen=True)
-class WeightedCover:
+class WeightedCover(NamedTuple):
     """A cover with its assembled exact multiplicity and the factors behind
     it."""
 

@@ -712,7 +712,7 @@ def enumerate_covers(p: Problem,
            for t, edges in _weighted_types(p)
            for order in linear_extensions(t.num_vertices,
                                           [(a, b) for a, b, _ in edges])]
-    out.sort(key=lambda wc: wc.cover.sort_key())
+    out.sort(key=lambda wc: wc.cover)
     return out
 
 

@@ -26,10 +26,9 @@ onto the same coordinates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 def rat_str(value: Fraction | int) -> str:
@@ -45,8 +44,7 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(NamedTuple):
     """Affine-linear form  sum_i coeff_i * x_i + k_coeff * k + const.
 
     ``coeffs`` holds (variable index, coefficient) pairs with 1-based

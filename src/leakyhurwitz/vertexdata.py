@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .exactarith import parse_rat, rat_str
 
@@ -35,28 +34,36 @@ class MissingVertexData(LookupError):
         super().__init__(f"no vertex multiplicity on record for {key}")
 
 
-@dataclass(frozen=True)
-class VertexKey:
+class _VertexKeyFields(NamedTuple):
+    genus: int
+    k: int
+    degrees: tuple[int, ...]
+    psi: tuple[int, ...]
+
+
+class VertexKey(_VertexKeyFields):
     """Local signature of a cover vertex.
 
     ``degrees`` lists the signed expansion factors of all incident slots
     (markings and edges; inbound positive, outbound negative, weight-0
     markings as 0) and ``psi`` the aligned psi exponents (0 on edge slots).
     Keys are compared after jointly sorting the (degree, psi) pairs, so slot
-    order never matters.
+    order never matters; ``_replace``, pickling and ``copy`` sort them too.
     """
 
-    genus: int
-    k: int
-    degrees: tuple[int, ...]
-    psi: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.degrees) != len(self.psi):
+    def __new__(cls, genus: int, k: int, degrees: tuple[int, ...],
+                psi: tuple[int, ...]):
+        if len(degrees) != len(psi):
             raise ValueError("degrees and psi must have equal length")
-        pairs = sorted(zip(self.degrees, self.psi))
-        object.__setattr__(self, "degrees", tuple(d for d, _ in pairs))
-        object.__setattr__(self, "psi", tuple(p for _, p in pairs))
+        pairs = sorted(zip(degrees, psi))
+        return super().__new__(cls, genus, k, tuple(d for d, _ in pairs),
+                               tuple(p for _, p in pairs))
+
+    @classmethod
+    def _make(cls, iterable) -> "VertexKey":
+        return cls(*iterable)
 
     @property
     def valence(self) -> int:

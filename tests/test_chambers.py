@@ -64,6 +64,10 @@ def test_wall_subset_bounds():
         Wall.of(4, (1, 2, 3))
     with pytest.raises(WallError, match=re.escape("(1, 1, 2) repeats a marking")):
         Wall.of(4, (1, 1, 2))
+    with pytest.raises(WallError, match="entry '1' is not an integer"):
+        Wall.of(4, "12")
+    with pytest.raises(WallError, match="entry 1.0 is not an integer"):
+        Wall.of(4, (1.0, 2))
 
 
 def test_chamber_polynomial_example():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -59,7 +58,14 @@ def test_validate_problem_distinct_diagnostics():
     (lambda: Problem.of(0, 0, (1, -1)), "unstable"),
     (lambda: Problem.of(0, 1, (3, -1, -1), (1, 0, 0)), "psi budget"),
     (lambda: Problem.of(0, 0, (0, 0, 0), (-1, 1, 0)), "nonnegative"),
-    (lambda: dataclasses.replace(GOLDEN, k=2), "degree"),
+    (lambda: GOLDEN._replace(k=2), "degree"),
+    (lambda: Problem.of(1.0, 0, (1, -1)), "genus must be an integer, got 1.0"),
+    (lambda: Problem.of(0, True, (1, 0, 0)), "k must be an integer, got True"),
+    (lambda: Problem.of(0, 1, (1.5, -0.5, 0)), "x must hold integers, got 1.5"),
+    (lambda: Problem.of(0, 1, (Fraction(3, 2), Fraction(-1, 2), 0)),
+     "x must hold integers, got Fraction"),
+    (lambda: Problem.of(0, 1, (3, -1, -1, 1), (0.5, 0.5, 0, 0)),
+     "e must hold integers, got 0.5"),
 ])
 def test_problem_validates_as_it_is_built(build, match):
     # no invalid Problem exists, so no function taking one checks it again
@@ -107,7 +113,7 @@ BROKEN = [  # (problem, edit of PI_3, the CoverError message)
 def test_check_cover_names_each_violation(p, edit, message):
     # one edit of a golden cover per diagnostic, each checked in full
     with pytest.raises(CoverError) as err:
-        check_cover(p, dataclasses.replace(PI_3, **edit))
+        check_cover(p, PI_3._replace(**edit))
     assert str(err.value) == message
 
 

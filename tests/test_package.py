@@ -1,14 +1,24 @@
 """Package hygiene: every public name resolves, no module keeps an import
 or a private function or class that it never uses (the leftovers that
-deletions tend to leave), and every module cache is bounded."""
+deletions tend to leave), every module cache is bounded, start-up imports
+no heavy stdlib module, and the public records keep the tuple contract."""
 
 import ast
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import leakyhurwitz
+from leakyhurwitz.chambers import Wall
+from leakyhurwitz.covers import CoverGraph, Problem, assemble_multiplicity
+from leakyhurwitz.exactarith import LinForm
+from leakyhurwitz.vertexdata import VertexKey
 
 MODULES = sorted(path for path in Path(leakyhurwitz.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
@@ -150,3 +160,50 @@ def test_cache_bound_check_sees_a_module_level_memo():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_caches_are_bounded(path):
     assert _unbounded_caches(path.read_text()) == []
+
+
+STARTUP = """
+import sys
+import leakyhurwitz, leakyhurwitz.cli
+leakyhurwitz.default_fixtures()
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # each CLI query and each bench pass is a fresh interpreter, which would
+    # pay for both modules and for ast, dis and tokenize behind inspect
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(leakyhurwitz.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", STARTUP], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
+COVER = CoverGraph((1, 0), ((1,), (2, 3)), ((0, 1, 5),), (0, 1))
+RECORDS = [GOLDEN, COVER, assemble_multiplicity(GOLDEN, COVER),
+           VertexKey(1, 3, (3, -1), (0, 1)), LinForm.of({1: 1, 2: 1}, k=-1),
+           Wall.of(5, (1, 2))]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_frozen_tuples(record):
+    assert hash(record) == hash(tuple(record))
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert clone == record and type(clone) is type(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_checking_records_check_on_replace():
+    assert repr(GOLDEN) == "Problem(genus=1, k=1, x=(7, -3, -1), e=(1, 0, 0))"
+    key = VertexKey(1, 3, (3, -1), (0, 1))
+    assert key == (1, 3, (-1, 3), (1, 0))
+    assert key._replace(degrees=(5, -2)) == (1, 3, (-2, 5), (0, 1))
+    with pytest.raises(ValueError, match="equal length"):
+        key._replace(psi=(0,))
