@@ -55,6 +55,8 @@ class Wall(NamedTuple):
 
     @staticmethod
     def of(n: int, subset: Sequence[int]) -> "Wall":
+        if type(n) is not int:
+            raise WallError(f"marking count {n!r} is not an integer")
         for i in subset:
             if type(i) is not int:
                 raise WallError(f"wall subset entry {i!r} is not an integer")
@@ -75,6 +77,8 @@ class Wall(NamedTuple):
 
 def walls(n: int) -> list[Wall]:
     """All walls for n markings, with k kept symbolic in their forms."""
+    if type(n) is not int:
+        raise ProblemError(f"marking count {n!r} is not an integer")
     if n < 3:
         raise ProblemError(f"unstable marking count: n = {n} must be at least 3")
     return list(_walls_of(n))
@@ -176,30 +180,16 @@ def _tree_system(n: int, e: tuple[int, ...], k: int) -> _TreeSystem:
     return _TreeSystem(n, e, k)
 
 
-def chamber_polynomial(p: Problem, at: Sequence | None = None) -> Poly:
-    """Chamber polynomial at the reference point (p.x by default), in normal
-    form with x_n eliminated.
-
-    The reference may have rational entries; it only selects the chamber,
-    and must have length n and lie on the degree hyperplane and on no wall.
-    Evaluating the result at any integer point of the chamber equals the
-    cover count there.
-    """
+def chamber_polynomial(p: Problem) -> Poly:
+    """Polynomial of the chamber holding p.x (on no wall), in normal form with
+    x_n eliminated; at each integer point of the chamber it is the cover count."""
     if p.genus != 0:
         raise ProblemError("chamber polynomials exist for genus 0 only")
-    x0 = tuple(p.x) if at is None else tuple(at)
-    if len(x0) != p.n:
-        raise ProblemError(f"reference point has length {len(x0)}, expected {p.n}")
-    expected = p.k * (p.n - 2)
-    if sum(x0) != expected:
-        raise ProblemError(
-            f"reference point off the degree hyperplane: sum = {sum(x0)}, "
-            f"expected {expected}")
-    chamber = tuple(_signs(p.n, p.k, x0))
+    chamber = tuple(_signs(p.n, p.k, p.x))
     if 0 in chamber:
         wall = list(_walls_of(p.n))[chamber.index(0)]
         raise WallError(
-            f"reference point {list(x0)} lies on the wall {list(wall.subset)}")
+            f"reference point {list(p.x)} lies on the wall {list(wall.subset)}")
     return _tree_system(p.n, p.e, p.k).polynomial(chamber)
 
 

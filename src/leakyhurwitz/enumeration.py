@@ -235,9 +235,6 @@ def _end_partitions(e: tuple[int, ...], blocks: int
 
 
 def _genus_vectors(blocks: int, g: int) -> Iterator[tuple[int, ...]]:
-    if g == 0:
-        yield (0,) * blocks
-        return
     for combo in itertools.product(range(g + 1), repeat=blocks):
         if sum(combo) <= g:
             yield combo

@@ -1,11 +1,11 @@
-"""Exact scalars, integer affine-linear forms, and sparse rational polynomials.
+"""Exact scalars, integer linear forms in x and k, and sparse rational polynomials.
 
 Rational values are plain ``fractions.Fraction`` objects; the helpers here
 pin down the canonical ``"p/q"`` string format used everywhere else (the
 denominator is omitted when it equals 1).
 
-A :class:`LinForm` is an integer-coefficient affine expression in profile
-variables x1..xn plus the leak parameter k.  Walls, whose forms are also the
+A :class:`LinForm` is an integer-coefficient linear expression in the profile
+variables x1..xn and the leak parameter k.  Walls, whose forms are also the
 genus-0 tree edge weights, are stored in this shape, so evaluating one at an
 integer point always gives an integer.  A form has no printer of its own:
 the CLI prints a wall's form through ``as_poly`` and ``Poly.__str__``.
@@ -45,7 +45,7 @@ def parse_rat(text: str) -> Fraction:
 
 
 class LinForm(NamedTuple):
-    """Affine-linear form  sum_i coeff_i * x_i + k_coeff * k + const.
+    """Linear form  sum_i coeff_i * x_i + k_coeff * k.
 
     ``coeffs`` holds (variable index, coefficient) pairs with 1-based
     indices, sorted, and never stores a zero coefficient.
@@ -53,19 +53,17 @@ class LinForm(NamedTuple):
 
     coeffs: tuple[tuple[int, int], ...] = ()
     k_coeff: int = 0
-    const: int = 0
 
     @staticmethod
-    def of(coeffs: Mapping[int, int], k: int = 0, const: int = 0) -> "LinForm":
+    def of(coeffs: Mapping[int, int], k: int = 0) -> "LinForm":
         if min(coeffs, default=1) < 1:
             raise ValueError(f"variable index {min(coeffs)} must be >= 1")
-        return LinForm(tuple(sorted((i, c) for i, c in coeffs.items() if c)),
-                       k, const)
+        return LinForm(tuple(sorted((i, c) for i, c in coeffs.items() if c)), k)
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
         """Evaluate at a profile and leak; x must cover all indices used
         (``x[i - 1]`` raises ``IndexError`` otherwise, as i >= 1)."""
-        total = self.const + self.k_coeff * k
+        total = self.k_coeff * k
         for i, c in self.coeffs:
             total += c * x[i - 1]
         return total
@@ -73,7 +71,7 @@ class LinForm(NamedTuple):
     def as_poly(self, nvars: int, k_value: int) -> "Poly":
         """Convert to a polynomial in x1..x_nvars with k substituted."""
         zero = (0,) * nvars
-        terms = {zero: self.const + self.k_coeff * k_value}
+        terms = {zero: self.k_coeff * k_value}
         for i, c in self.coeffs:
             if not 1 <= i <= nvars:
                 raise ValueError(f"variable index {i} out of range 1..{nvars}")

@@ -161,7 +161,7 @@ def test_criterion_6_degree_bound():
                     wall = walls(n)[0]
                     from leakyhurwitz.chambers import flanking_points
                     x_plus, _ = flanking_points(prob, wall)
-                    poly = chamber_polynomial(prob, at=x_plus)
+                    poly = chamber_polynomial(prob._replace(x=x_plus))
                     assert poly.total_degree() <= n - 3 - sum(e), (n, k, e)
 
 

@@ -532,6 +532,52 @@ def test_compute_H_genus1_family():
             assert value == expected
 
 
+def _sinh_ratio(a, order):
+    """S(a t) = sinh(a t / 2) / (a t / 2) = sum_j (a t / 2)^(2j) / (2j + 1)!,
+    as its coefficients of t^0..t^order."""
+    return [Fraction(a ** j, 2 ** j * math.factorial(j + 1)) if j % 2 == 0 else 0
+            for j in range(order + 1)]
+
+
+def _series_mul(a, b):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _gjv(g, x):
+    """H_g((d), -mu) at k = 0 and e = 0, x = (d, -mu_1, ..., -mu_l), by the
+    Goulden-Jackson-Vakil formula (Adv. Math. 2005, Thm 3.1)
+    r! d^(r-1) [t^(2g)] prod_i S(mu_i t) / S(t), with r = 2g - 1 + l."""
+    d, mu = x[0], [-v for v in x[1:]]
+    order = 2 * g
+    s = _sinh_ratio(1, order)
+    series = [Fraction(1)]  # 1 / S(t), term by term
+    for m in range(1, order + 1):
+        series.append(-sum(s[i] * series[m - i] for i in range(1, m + 1)))
+    for part in mu:
+        series = _series_mul(series, _sinh_ratio(part, order))
+    r = 2 * g - 1 + len(mu)
+    return math.factorial(r) * d ** (r - 1) * series[order]
+
+
+def test_gjv_oracle_examples():
+    # in genus 0 the coefficient is 1, leaving r! d^(r - 1)
+    assert _gjv(0, (6, -3, -2, -1)) == 2 * 6
+    assert _gjv(1, (6, -3, -2, -1)) == 2808
+    assert _gjv(1, (6, -2, -2, -1, -1)) == 58320
+    assert _gjv(2, (3, -2, -1)) == 81
+    assert _gjv(2, (20, -20)) == 15866900
+
+
+# genus 2 is left out: the engine counts a cover once per automorphism of
+# its unmarked vertices, (2, 0, (3, -2, -1)) gives 93 where GJV gives 81
+@pytest.mark.parametrize("g, x", [
+    (g, x) for g in (0, 1)
+    for x in ((3, -2, -1), (6, -3, -2, -1), (3, -1, -1, -1), (7, -4, -3),
+              (6, -2, -2, -1, -1), (4, -3, -1))] + [(1, (5, -5))], ids=str)
+def test_one_part_counts_match_gjv(g, x):
+    assert compute_H(Problem.of(g, 0, x)) == _gjv(g, x)
+
+
 def test_genus0_multiplicities_nonnegative():
     rng = random.Random(11)
     for _ in range(40):

@@ -1,12 +1,15 @@
 """Package hygiene: every public name resolves, no module keeps an import
 or a private function or class that it never uses (the leftovers that
-deletions tend to leave), every module cache is bounded, start-up imports
-no heavy stdlib module, and the public records keep the tuple contract."""
+deletions tend to leave), no doc names a private that is gone, every module
+cache is bounded, start-up imports no heavy stdlib module, and the public
+records keep the tuple contract."""
 
 import ast
 import copy
+import importlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +25,8 @@ from leakyhurwitz.vertexdata import VertexKey
 
 MODULES = sorted(path for path in Path(leakyhurwitz.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
+README = Path(__file__).resolve().parents[1] / "README.md"
+DOCUMENTED = sorted(Path(leakyhurwitz.__file__).parent.glob("*.py")) + [README]
 
 
 def test_public_names_resolve_once():
@@ -86,6 +91,35 @@ def test_no_unreferenced_privates():
     package = Path(leakyhurwitz.__file__).parent
     assert _unreferenced_privates(
         [path.read_text() for path in sorted(package.glob("*.py"))]) == []
+
+
+def _dead_references(text: str, names: set[str]) -> list[str]:
+    """The private names (one leading underscore) in backticks in text that
+    are not in names.  A backtick stands in Python source only inside a
+    string or a comment, so a module's whole text is read."""
+    return sorted(set(re.findall(r"`+(_[A-Za-z]\w*)", text)) - names)
+
+
+def test_dead_reference_check_sees_a_leftover():
+    text = ('"""Built by ``_kept``, once by ``_gone.run``; ``__init__`` and\n'
+            'plain _free are no references."""\n# see `_kept` and `_left`\n')
+    assert _dead_references(text, {"_kept"}) == ["_gone", "_left"]
+
+
+def _package_attributes() -> set[str]:
+    """The attribute names of every package module and of every class in one."""
+    names = set()
+    for module in [leakyhurwitz] + [importlib.import_module(
+            f"leakyhurwitz.{path.stem}") for path in MODULES]:
+        names.update(vars(module))
+        names.update(name for value in vars(module).values()
+                     if isinstance(value, type) for name in dir(value))
+    return names
+
+
+@pytest.mark.parametrize("path", DOCUMENTED, ids=lambda path: path.name)
+def test_doc_references_resolve(path):
+    assert _dead_references(path.read_text(), _package_attributes()) == []
 
 
 MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List,
