@@ -102,13 +102,12 @@ class _TreeSystem:
     wall's subset, and minus it on the degree hyperplane (side -1) when mask
     is the complement.  At wall sign s the edge points along its stored
     (u, v) when s * side > 0 and weighs s * (wall form) = |delta|.  All
-    polynomials are built in normal form, in x1..x_{n-1}: a wall subset I
-    holding n enters as minus its complement's form, which omits x_n, as
-    delta_I + delta_{I^c} = sum x - k(|I| - 1) - k(n - |I| - 1) = 0 on the
-    degree hyperplane sum x = k(n - 2).  The product of each type's wall
-    polynomials and vertex multinomials is built with the system, not
-    memoized: a chamber polynomial reads every product, and crossing every
-    wall reads the product of every type with an edge.  ``on_wall[i]``
+    polynomials are built in normal form, in x1..x_{n-1}, and ``wall_polys``
+    is ``_wall_polys(n, k)``, shared by every system of that (n, k).  The
+    product of each type's wall polynomials and vertex multinomials is
+    built with the system, not memoized: a chamber polynomial reads every
+    product, and crossing every wall reads the product of every type with
+    an edge.  ``on_wall[i]``
     lists the types with an edge on wall i, the only ones a crossing of
     wall i reads.  Chamber polynomials are memoized per wall signs, and
     extension counts in the records (``CombinatorialType.extensions``).
@@ -121,11 +120,7 @@ class _TreeSystem:
         for w, i in _walls_of(n).items():
             mask = sum(1 << (j - 1) for j in w.subset)
             sides[mask], sides[full ^ mask] = (i, 1), (i, -1)
-        self.wall_polys = tuple(
-            (w.form if n not in w.subset else LinForm.of(
-                {j: -1 for j in range(1, n) if j not in w.subset},
-                k=n - len(w.subset) - 1)).as_poly(n - 1, k)
-            for w in _walls_of(n))
+        self.wall_polys = _wall_polys(n, k)
         self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
             (t, tuple(sides[mask] for mask in t.cuts[::2]))
             for t in _types_for(0, n, e)]
@@ -180,6 +175,19 @@ def _tree_system(n: int, e: tuple[int, ...], k: int) -> _TreeSystem:
     return _TreeSystem(n, e, k)
 
 
+@functools.lru_cache(maxsize=128)
+def _wall_polys(n: int, k: int) -> tuple[Poly, ...]:
+    """Each wall form of n markings at leak k on the degree hyperplane, in
+    x1..x_{n-1}: a wall subset I holding n enters as minus its complement's
+    form, which omits x_n, as delta_I + delta_{I^c} = sum x - k(|I| - 1) -
+    k(n - |I| - 1) = 0 on the hyperplane sum x = k(n - 2)."""
+    return tuple(
+        (w.form if n not in w.subset else LinForm.of(
+            {j: -1 for j in range(1, n) if j not in w.subset},
+            k=n - len(w.subset) - 1)).as_poly(n - 1, k)
+        for w in _walls_of(n))
+
+
 def chamber_polynomial(p: Problem) -> Poly:
     """Polynomial of the chamber holding p.x (on no wall), in normal form with
     x_n eliminated; at each integer point of the chamber it is the cover count."""
@@ -227,20 +235,45 @@ def _find_flanking(n: int, k: int, wall: Wall):
     s_J = [a in J] - [b in J], delta_J(x+-) = delta_J(z) +- s_J, and two
     numbers d + s and d - s have the same nonzero sign exactly when their
     product d^2 - s^2 is positive, that is when |delta_J(z)| > |s_J|.
+
+    When none of the 400 seeded candidates is kept (from n = 14 on) z is
+    constructed: z_i = M 2^i for i not in {a, b}, M = 2|k|n + 3, and z_a,
+    z_b solve delta_I(z) = 0 and sum z = k(n - 2).  Then delta_J(z) =
+    M sum_i c_i 2^i + r, with c_i = [i in J] - [a in J] on I - {a} and
+    [i in J] - [b in J] on I^c - {b}, and r = k([a in J](|I| - 1) +
+    [b in J](n - |I| - 1) - (|J| - 1)), so |r| <= 2|k|n.  The c_i are all
+    0 only when J meets each of I and I^c in nothing or all of it, that is
+    when J is I or I^c; for every other wall the c_i in {-1, 0, 1} give
+    |sum c_i 2^i| >= 1, and |delta_J(z)| >= M - 2|k|n = 3 > |s_J|.
     """
     for attempt in range(400):
         z, a, b = _flank_candidate(n, k, wall, attempt)
         if all(abs(w.form.evaluate(z, k)) > ((a in w.subset) != (b in w.subset))
                for w in _walls_of(n) if w.subset != wall.subset):
-            step = [(i == a) - (i == b) for i in range(1, n + 1)]
-            return (tuple(c + d for c, d in zip(z, step)),
-                    tuple(c - d for c, d in zip(z, step)))
-    raise WallError(f"no generic flanking points found for wall {wall.subset}")
+            break
+    else:
+        big = 2 * abs(k) * n + 3
+        z = [big << i for i in range(1, n + 1)]
+        z[a - 1] = k * (len(wall.subset) - 1) - sum(
+            z[i - 1] for i in wall.subset if i != a)
+        z[b - 1] += k * (n - 2) - sum(z)
+    step = [(i == a) - (i == b) for i in range(1, n + 1)]
+    return (tuple(c + d for c, d in zip(z, step)),
+            tuple(c - d for c, d in zip(z, step)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _flank_chamber(n: int, k: int, wall: Wall) -> tuple[int, ...]:
+    """The wall signs at x+, the chamber that every crossing of the wall
+    at (n, k) starts from, whatever its psi vector."""
+    x_plus, _ = _find_flanking(n, k, wall)
+    return tuple(_signs(n, k, x_plus))
 
 
 def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic generic integer points with delta = +1 and -1 that agree
-    in sign on every other wall.  Read off x+, the subproblem references of
+    in sign on every other wall, for every wall of any n (see
+    ``_find_flanking``).  Read off x+, the subproblem references of
     ``wall_crossing_formula`` need no check: a subproblem wall, read on the
     side without the severed edge, is a J with 2 <= |J| < |part|, another
     wall of the full problem with the same form delta_J, nonzero with one
@@ -275,14 +308,27 @@ def wall_crossing(p: Problem, wall: Wall) -> Poly:
     summed over the tree types with an edge on the wall alone: every edge of
     any other type lies on another wall, where x+ and x- have one sign, so
     that type's term (edge orientations, weights and scale) is the same in
-    both chambers and cancels exactly.  No chamber polynomial is built."""
+    both chambers and cancels exactly.  No chamber polynomial is built, and
+    the chamber of x+ is read from ``_flank_chamber``, computed once per
+    (n, k, wall) for every psi vector."""
     i = _check_crossing(p, wall)
-    x_plus, _ = _find_flanking(p.n, p.k, wall)
-    return _tree_system(p.n, p.e, p.k).crossing(i, tuple(_signs(p.n, p.k, x_plus)))
+    return _tree_system(p.n, p.e, p.k).crossing(i, _flank_chamber(p.n, p.k, wall))
 
 
 def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
-    """Closed form binom(r; r1, r2) * delta * P_I * P_Ic, in normal form."""
+    """Closed form binom(r; r1, r2) * delta * P_I * P_Ic, in normal form.
+
+    delta is composed from ``wall.form``, and each factor is the chamber
+    polynomial of a cut-off subproblem of m < n markings, read from its tree
+    system at the wall signs of its reference point: nothing here reads the
+    tree system or the wall polynomials of the crossed problem, so the
+    formula stays an independent check on ``wall_crossing``.  No ``Problem``
+    is built for a subproblem, as every check of ``validate_problem`` holds
+    by construction: the reference sums to delta_I(x+) + k(|I| - 1) - 1 =
+    k(m - 2) on the I side and to k(n - 2) - sum_I x+ + 1 = k(m - 2) on the
+    other; the psi budget |e_part| <= m - 2 is r1 >= 1 (r2 >= 1), tested
+    before any factor is read; and the reference lies on no subproblem wall
+    (see ``flanking_points``)."""
     _check_crossing(p, wall)
     n, k = p.n, p.k
     I = wall.subset
@@ -306,7 +352,8 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     for part, cut in ((I, -1), (comp, 1)):
         ref = tuple(x_plus[i - 1] for i in part) + (cut,)
         sub_e = tuple(p.e[i - 1] for i in part) + (0,)
-        sub_poly = chamber_polynomial(Problem.of(0, k, ref, sub_e))
+        m = len(ref)
+        sub_poly = _tree_system(m, sub_e, k).polynomial(tuple(_signs(m, k, ref)))
         # the normal form dropped the cut variable, so substituting the
         # surviving markings alone reproduces the factor exactly
         product = product * sub_poly.compose([coords[i - 1] for i in part])

@@ -274,9 +274,11 @@ class Poly:
         return f"Poly({self.nvars}, {self})"
 
 
-def hyperplane_coordinates(m: int, total: int) -> list[Poly]:
+@functools.lru_cache(maxsize=256)
+def hyperplane_coordinates(m: int, total: int) -> tuple[Poly, ...]:
     """x1..x_m and total - x1 - ... - x_m, in m variables: what x1..x_{m+1}
-    become on the hyperplane x1 + ... + x_{m+1} = total in normal form."""
-    coords = [Poly.variable(m, i) for i in range(1, m + 1)]
-    return coords + [Poly.weighted_sum(
-        m, [(Poly.const(m, total), 1)] + [(x, -1) for x in coords])]
+    become on the hyperplane x1 + ... + x_{m+1} = total in normal form.
+    Shared by every caller: no Poly is changed in place."""
+    coords = tuple(Poly.variable(m, i) for i in range(1, m + 1))
+    return coords + (Poly.weighted_sum(
+        m, [(Poly.const(m, total), 1)] + [(x, -1) for x in coords]),)

@@ -328,6 +328,111 @@ def test_find_flanking_matches_the_two_point_definition():
     assert cases == 1917
 
 
+def test_flanking_points_past_the_seeded_search():
+    # none of the 400 seeded candidates is generic for this wall, so the
+    # points are the constructed ones; they meet the two-point definition
+    # against each of the other 8,176 walls of n = 14
+    n, k = 14, 1
+    wall = Wall.of(n, (1, 3, 4, 5, 6, 10, 11, 14))
+    x_plus, x_minus = flanking_points(Problem.of(0, k, (1,) * 13 + (-1,)), wall)
+    assert sum(x_plus) == sum(x_minus) == k * (n - 2)
+    assert (wall.form.evaluate(x_plus, k), wall.form.evaluate(x_minus, k)) == (1, -1)
+    others = [w for w in walls(n) if w != wall]
+    assert len(others) == 8176
+    assert all(w.form.evaluate(x_plus, k) * w.form.evaluate(x_minus, k) > 0
+               for w in others)
+
+
+def test_flank_chamber_is_the_chamber_of_x_plus():
+    for n in range(4, 8):
+        for k in range(-2, 3):
+            p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
+            for wall in walls(n):
+                assert chambers._flank_chamber(n, k, wall) == tuple(
+                    chambers._signs(n, k, flanking_points(p, wall)[0]))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_wall_polys_are_shared_per_leak(n):
+    # each wall form, a subset holding n entering as minus its complement's
+    # form, in x1..x_{n-1}; one tuple serves every system of the (n, k)
+    for k in range(-3, 4):
+        assert chambers._wall_polys(n, k) == tuple(
+            (w.form if n not in w.subset else LinForm.of(
+                {j: -1 for j in range(1, n) if j not in w.subset},
+                k=n - len(w.subset) - 1)).as_poly(n - 1, k)
+            for w in walls(n)), (n, k)
+        first = _TreeSystem(n, (n - 3,) + (0,) * (n - 1), k)
+        second = _TreeSystem(n, (0,) * (n - 1) + (n - 3,), k)
+        assert first.wall_polys is second.wall_polys is chambers._wall_polys(n, k)
+
+
+def _crossing_cases(ns):
+    for n in ns:
+        for k in (-1, 0, 2):
+            for e in _psi_vectors(n)[:3]:
+                p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e)
+                for wall in walls(n):
+                    yield p, wall
+
+
+def test_formula_reads_no_system_of_the_crossed_problem(monkeypatch):
+    # the closed form checks the enumerated crossing only while it reads
+    # neither the crossed problem's tree system nor its wall polynomials
+    system_of, wall_polys_of = _tree_system, getattr(chambers, "_wall_polys", None)
+    crossed = {}
+
+    def tree_system(n, e, k):
+        assert (n, e, k) != crossed["system"], "read the crossed system"
+        return system_of(n, e, k)
+
+    def wall_polys(n, k):
+        assert (n, k) != crossed["walls"], "read the crossed wall polynomials"
+        return wall_polys_of(n, k)
+
+    monkeypatch.setattr(chambers, "_tree_system", tree_system)
+    monkeypatch.setattr(chambers, "_wall_polys", wall_polys, raising=False)
+    crossings = 0
+    for p, wall in _crossing_cases((5, 6)):
+        crossed.update(system=(p.n, p.e, p.k), walls=(p.n, p.k))
+        wall_crossing_formula(p, wall)
+        crossings += 1
+    assert crossings == 315
+
+
+def test_formula_factors_are_the_subproblem_chamber_polynomials(monkeypatch):
+    # each factor the formula reads equals the chamber polynomial of its
+    # cut-off subproblem, built and checked as a Problem
+    expected, cases = [], list(_crossing_cases((5, 6, 7)))
+    for p, wall in cases:
+        comp = tuple(i for i in range(1, p.n + 1) if i not in wall.subset)
+        parts = ((wall.subset, -1), (comp, 1))
+        if any(len(part) - 1 - sum(p.e[i - 1] for i in part) < 1
+               for part, _ in parts):
+            continue
+        x_plus, _ = flanking_points(p, wall)
+        for part, cut in parts:
+            sub = Problem.of(0, p.k, tuple(x_plus[i - 1] for i in part) + (cut,),
+                             tuple(p.e[i - 1] for i in part) + (0,))
+            expected.append(((sub.n, sub.e, sub.k), chamber_polynomial(sub)))
+    system_of, read = _tree_system, []
+
+    class Recorded:
+        def __init__(self, *key):
+            self.key = key
+
+        def polynomial(self, chamber):
+            poly = system_of(*self.key).polynomial(chamber)
+            read.append((self.key, poly))
+            return poly
+
+    monkeypatch.setattr(chambers, "_tree_system", Recorded)
+    for p, wall in cases:
+        wall_crossing_formula(p, wall)
+    assert len(read) == len(expected) > 300
+    assert read == expected
+
+
 def test_subproblem_references_are_generic():
     # wall_crossing_formula reads each cut-off subproblem's reference off x+
     # unchecked: the part's markings and the severed edge's -1 (I side) or

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -234,6 +235,32 @@ def test_wallcross_command(capsys):
     payload = json.loads(out)
     assert payload["equal"] is True
     assert payload["computed"] == payload["formula"] == "2*x1 + 2*x2 + 2*x3 - 4"
+
+
+def _wallcross_argv():
+    """wallcross on every wall of n = 4..6, k in {-1, 0, 2}, psi 0 and e1,
+    in both formats: 456 command lines."""
+    for n in (4, 5, 6):
+        subsets = sorted(I for size in range(2, n - 1)
+                         for I in itertools.combinations(range(1, n + 1), size)
+                         if I[0] == 1)
+        for I, k, psi, fmt in itertools.product(
+                subsets, (-1, 0, 2), (0, 1), ("json", "table")):
+            yield ["wallcross", "-k", str(k), "-e", _csv((psi,) + (0,) * (n - 1)),
+                   "--subset", _csv(I), "--format", fmt]
+
+
+def test_wallcross_bytes(capsys):
+    # the chamber layer's output pinned as one digest of (argv, exit code,
+    # stdout, stderr) over every command line, recorded before the crossing
+    # inputs were cached
+    digest, lines = hashlib.sha256(), 0
+    for argv in _wallcross_argv():
+        digest.update(json.dumps([argv, *run_cli(capsys, *argv)]).encode())
+        lines += 1
+    assert lines == 456
+    assert digest.hexdigest() == (
+        "4e288ba689d118dbefe38e70f2b332c2e87a0622417a3e33325420235774d7ea")
 
 
 def test_classify_command(capsys):
