@@ -11,28 +11,43 @@ integer point always gives an integer.  A form has no printer of its own:
 the CLI prints a wall's form through ``as_poly`` and ``Poly.__str__``.
 
 A :class:`Poly` is a sparse multivariate polynomial over the rationals,
-stored as a dict from exponent tuples to nonzero coefficients (the zero
-polynomial stores no terms).  An integral coefficient is stored as an ``int``
-and any other as a ``Fraction``, so genus-0 arithmetic, whose coefficients
-are all integers, runs on plain ints.  Profiles live on the hyperplane
-x1 + ... + xn = total for a problem-specific integer, so polynomial
-identities are only meaningful modulo that relation; the canonical normal
-form eliminates x_n against it.  ``substitute_degree`` composes onto the
+stored as a dict from packed monomials to nonzero coefficients (the zero
+polynomial stores no terms).  A monomial packs into one int with a 16-bit
+field per exponent, x1 in the highest field, so a product of monomials is
+one int addition and sorted keys follow the exponent tuples' order.  Each
+exponent stays below 2^15: the constructor rejects a larger one, and a
+product or composition whose result reaches 2^15 raises ``OverflowError``
+before a sum could carry into the next field.  ``terms`` unpacks to a new
+dict keyed by exponent tuples on each read.  An integral coefficient is
+stored as an ``int`` and any other as a ``Fraction``, so genus-0
+arithmetic, whose coefficients are all integers, runs on plain ints.
+Profiles live on the hyperplane x1 + ... + xn = total for a
+problem-specific integer, so polynomial identities are only meaningful
+modulo that relation; the canonical normal form eliminates x_n against it.  ``substitute_degree`` composes onto the
 hyperplane coordinates (``hyperplane_coordinates``) through ``compose``, the
 one substitution routine; the closed-form wall crossing composes its factors
-onto the same coordinates.
+onto the same coordinates.  ``compose`` moves the exponent field of each
+argument that is a bare variable and expands only the others through their
+powers, in practice the last coordinate, total - x1 - ... - x_m.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import add, mul
+from operator import or_
+from struct import unpack
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+_FIELD = 16  # bits per exponent in a packed monomial ("H" in ``Poly.terms``)
+_FIELD_MASK = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 1)  # exponents stay below this
 
 
 def rat_str(value: Fraction | int) -> str:
     """Render a rational as "p/q", omitting "/q" when the denominator is 1."""
+    if type(value) is int:
+        return str(value)
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
@@ -70,13 +85,12 @@ class LinForm(NamedTuple):
 
     def as_poly(self, nvars: int, k_value: int) -> "Poly":
         """Convert to a polynomial in x1..x_nvars with k substituted."""
-        zero = (0,) * nvars
-        terms = {zero: self.k_coeff * k_value}
+        terms = {0: self.k_coeff * k_value}
         for i, c in self.coeffs:
             if not 1 <= i <= nvars:
                 raise ValueError(f"variable index {i} out of range 1..{nvars}")
-            exp = zero[:i - 1] + (1,) + zero[i:]
-            terms[exp] = terms.get(exp, 0) + c
+            key = 1 << _FIELD * (nvars - i)
+            terms[key] = terms.get(key, 0) + c
         return Poly._of(nvars, _cleaned(terms))
 
 
@@ -94,31 +108,59 @@ def _cleaned(terms: dict) -> dict:
             for exp, c in terms.items() if c}
 
 
+def _check_fields(nvars: int, terms: dict) -> dict:
+    """The terms, after checking that no packed key sets the top bit of an
+    exponent field, which only a sum of two exponents below 2^15 can set."""
+    # (2^(16 nvars) - 1) / (2^16 - 1) sets the lowest bit of every field
+    guard = (1 << _FIELD * nvars) // _FIELD_MASK << (_FIELD - 1)
+    if functools.reduce(or_, terms, 0) & guard:
+        raise OverflowError(f"an exponent reached {_LIMIT}")
+    return terms
+
+
+def _shifts(nvars: int) -> range:
+    """The bit offset of each exponent field, x1 first."""
+    return range(_FIELD * (nvars - 1), -1, -_FIELD)
+
+
 class Poly:
     """Sparse polynomial in x1..x_nvars with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
-        cleaned: dict[tuple[int, ...], int | Fraction] = {}
+        cleaned: dict[int, int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != nvars:
                     raise ValueError(f"exponent {exp} does not have {nvars} entries")
+                key = 0
+                for e in exp:
+                    if type(e) is not int or not 0 <= e < _LIMIT:
+                        raise ValueError(
+                            f"exponent {exp} must hold ints in 0..{_LIMIT - 1}")
+                    key = key << _FIELD | e
                 c = _scalar(coeff)
                 if c != 0:
-                    cleaned[tuple(exp)] = c
-        self.terms = cleaned
+                    cleaned[key] = c
+        self._terms = cleaned
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "Poly":
-        """Wrap a dict that is already clean: exponent tuples of length
-        nvars, nonzero coefficients, integral ones stored as int."""
+        """Wrap a dict that is already clean: packed monomials of nvars
+        fields, nonzero coefficients, integral ones stored as int."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p._terms = terms
         return p
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The terms keyed by exponent tuple, in a new dict on each read."""
+        fmt, size = f">{self.nvars}H", 2 * self.nvars
+        return {unpack(fmt, key.to_bytes(size, "big")): c
+                for key, c in self._terms.items()}
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -127,34 +169,32 @@ class Poly:
     @staticmethod
     def const(nvars: int, value: Fraction | int) -> "Poly":
         c = _scalar(value)
-        return Poly._of(nvars, {(0,) * nvars: c} if c else {})
+        return Poly._of(nvars, {0: c} if c else {})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         """The polynomial x_i, with 1-based index i."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        exp = [0] * nvars
-        exp[i - 1] = 1
-        return Poly._of(nvars, {tuple(exp): 1})
+        return Poly._of(nvars, {1 << _FIELD * (nvars - i): 1})
 
     @staticmethod
     def weighted_sum(nvars: int,
                      parts: Iterable[tuple["Poly", Fraction | int]]) -> "Poly":
         """sum(scale * poly for poly, scale in parts), added up in one dict."""
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         get = out.get
         for poly, scale in parts:
             if poly.nvars != nvars:
                 raise ValueError("polynomials in different variable counts")
             scale = _scalar(scale)
-            for exp, coeff in poly.terms.items():
+            for exp, coeff in poly._terms.items():
                 out[exp] = get(exp, 0) + coeff * scale
         return Poly._of(nvars, _cleaned(out))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._terms == other._terms
         return NotImplemented
 
     def __hash__(self):
@@ -167,7 +207,7 @@ class Poly:
         return Poly.weighted_sum(self.nvars, ((self, 1), (self._coerce(other), -1)))
 
     def __neg__(self) -> "Poly":
-        return Poly._of(self.nvars, {exp: -c for exp, c in self.terms.items()})
+        return Poly._of(self.nvars, {exp: -c for exp, c in self._terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -176,13 +216,14 @@ class Poly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different variable counts")
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         get = out.get
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(map(add, ea, eb))
+        right = tuple(other._terms.items())
+        for ea, ca in self._terms.items():
+            for eb, cb in right:
+                exp = ea + eb
                 out[exp] = get(exp, 0) + ca * cb
-        return Poly._of(self.nvars, _cleaned(out))
+        return Poly._of(self.nvars, _check_fields(self.nvars, _cleaned(out)))
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -195,9 +236,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def eval(self, values: Sequence[int | Fraction]) -> Fraction:
         if len(values) != self.nvars:
@@ -228,32 +267,60 @@ class Poly:
         for a in args:
             if a.nvars != m:
                 raise ValueError("substitution polynomials in different variable counts")
-        # powers[i][e - 1] = args[i] ** e, for every e the terms reach
-        powers = [[a] for a in args]
-        for exp in self.terms:
-            for row, a, e in zip(powers, args, exp):
-                while len(row) < e:
-                    row.append(row[-1] * a)
-
-        def monomial(exp: tuple[int, ...]) -> Poly:
-            factors = [row[e - 1] for row, e in zip(powers, exp) if e]
-            return functools.reduce(mul, factors) if factors else Poly.const(m, 1)
-
-        return Poly.weighted_sum(
-            m, ((monomial(exp), coeff) for exp, coeff in self.terms.items()))
+        # an argument whose variable no term holds is skipped.  A bare
+        # variable x_j, unless an earlier one took x_j, moves its exponent
+        # field onto x_j's: fields moved by one offset move under one mask,
+        # shifted left by the offset plus ``drop`` and then right by
+        # ``drop``.  Every other argument is expanded, with row[e - 1] =
+        # arg ** e for every e the terms reach.
+        present = functools.reduce(or_, self._terms, 0)
+        variables = {1 << s: s for s in _shifts(m)}
+        drop = _FIELD * self.nvars
+        masks: dict[int, int] = {}  # lift -> the fields it moves
+        expanded = []
+        for shift, a in zip(_shifts(self.nvars), args):
+            if not present >> shift & _FIELD_MASK:
+                continue
+            key = next(iter(a._terms)) if len(a._terms) == 1 else None
+            if key in variables and a._terms[key] == 1:
+                lift = variables.pop(key) - shift + drop
+                masks[lift] = masks.get(lift, 0) | _FIELD_MASK << shift
+            else:
+                expanded.append((shift, a, [a]))
+        moves = tuple(masks.items())
+        one = {0: 1}
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        for key, coeff in self._terms.items():
+            moved = 0
+            for lift, mask in moves:
+                moved |= (key & mask) << lift
+            moved >>= drop
+            rest = None
+            for src, a, row in expanded:
+                e = key >> src & _FIELD_MASK
+                if e:
+                    while len(row) < e:
+                        row.append(row[-1] * a)
+                    rest = row[e - 1] if rest is None else rest * row[e - 1]
+            for exp, c in (one if rest is None else rest._terms).items():
+                exp += moved
+                out[exp] = get(exp, 0) + coeff * c
+        return Poly._of(m, _check_fields(m, _cleaned(out)))
 
     def to_terms(self) -> list[dict]:
         """Term list sorted by exponent tuple, with "p/q" coefficients."""
-        return [{"exp": list(exp), "coeff": rat_str(self.terms[exp])}
-                for exp in sorted(self.terms)]
+        return [{"exp": list(exp), "coeff": rat_str(coeff)}
+                for exp, coeff in sorted(self.terms.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        ordered = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
         parts: list[str] = []
         for exp in ordered:
-            coeff = self.terms[exp]
+            coeff = terms[exp]
             symbol = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exp) if e)

@@ -608,10 +608,10 @@ def test_polynomiality_random_larger():
 def test_chamber_polynomials_match_counts_off_the_walls(n):
     # chamber polynomials against the enumerator, an independent path, at
     # seeded signed points off every wall: every leak -2..2, at e = 0 and
-    # with one psi (n = 7 with one psi only, as e = 0 there is slow)
+    # with one psi
     rng = random.Random(f"chambers-vs-counts:{n}")
     for k in range(-2, 3):
-        for psi in ((False, True) if n < 7 else (True,)):
+        for psi in (False, True):
             e = [0] * n
             if psi:
                 e[rng.randrange(n)] = 1

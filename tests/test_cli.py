@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -261,6 +262,41 @@ def test_wallcross_bytes(capsys):
     assert lines == 456
     assert digest.hexdigest() == (
         "4e288ba689d118dbefe38e70f2b332c2e87a0622417a3e33325420235774d7ea")
+
+
+def _polynomial_argv():
+    """polynomial at n = 4..7, k in {-1, 0, 2}, three psi vectors (four from
+    n = 6) and four seeded points each, some on a wall, in both formats,
+    then walls at n = 4..8 for the same k: 366 command lines."""
+    for n in (4, 5, 6, 7):
+        psis = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)]
+        if n >= 6:
+            psis.append((0, 1, 1) + (0,) * (n - 3))
+        for k, psi in itertools.product((-1, 0, 2), psis):
+            rng = random.Random(f"polynomial:{n}:{k}:{psi}")
+            for _ in range(4):
+                x = [rng.randint(-20, 20) for _ in range(n - 1)]
+                x.append(k * (n - 2) - sum(x))
+                for fmt in ("json", "table"):
+                    yield ["polynomial", "-k", str(k), "-x", _csv(x),
+                           "-e", _csv(psi), "--format", fmt]
+    for n, k, fmt in itertools.product(range(4, 9), (-1, 0, 2),
+                                       ("json", "table")):
+        yield ["walls", "-n", str(n), "-k", str(k), "--format", fmt]
+
+
+def test_polynomial_bytes(capsys):
+    # the polynomial printer pinned as one digest of (argv, exit code,
+    # stdout, stderr), recorded before Poly packed its monomials into ints
+    digest, codes = hashlib.sha256(), []
+    for argv in _polynomial_argv():
+        result = run_cli(capsys, *argv)
+        digest.update(json.dumps([argv, *result]).encode())
+        codes.append(result[0])
+    assert len(codes) == 366
+    assert set(codes) == {0, 4}  # chamber points and on-wall points
+    assert digest.hexdigest() == (
+        "5eb3ffe75b88fb076de246e794b443e39fc7f9c5e6559efe3309a93b4df73c56")
 
 
 def test_classify_command(capsys):

@@ -199,3 +199,85 @@ def test_substitute_degree_matches_powers_of_last_oracle():
         got = p.substitute_degree(total)
         assert got == _powers_of_last_oracle(p, total), (p, total)
         assert got.nvars == nvars - 1 and _integral_as_int(got)
+
+
+@pytest.mark.parametrize("exp", [(-1, 0), (1.5, 0), (0, 2 ** 15), (True, 0)])
+def test_poly_rejects_exponents_outside_the_packed_field(exp):
+    # a monomial packs each exponent into a 16-bit field, so each must be an
+    # int in 0..2^15 - 1; an x1^-1 would print, then fail in eval
+    with pytest.raises(ValueError, match="must hold ints in 0..32767"):
+        Poly(2, {exp: 1})
+
+
+def test_poly_accepts_exponents_up_to_the_field_limit():
+    p = Poly(2, {(2 ** 15 - 1, 0): 1, (0, 2 ** 15 - 1): -2})
+    assert p.terms == {(2 ** 15 - 1, 0): 1, (0, 2 ** 15 - 1): -2}
+    assert str(p) == "x1^32767 - 2*x2^32767"
+    assert p * Poly.const(2, 3) == Poly(2, {exp: 3 * c for exp, c in p.terms.items()})
+    # terms is a fresh tuple-keyed dict on each read, and cannot be assigned
+    p.terms.clear()
+    assert len(p.terms) == 2
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_squaring_a_variable_overflows_at_2_to_the_15(i):
+    # the top bit of each field stays clear, so a sum of two exponents never
+    # carries into the next field: the product that reaches 2^15 raises
+    p, exponent = Poly.variable(3, i), 1
+    with pytest.raises(OverflowError, match="reached 32768"):
+        while True:
+            p = p * p
+            exponent *= 2
+    assert exponent == 2 ** 14
+    assert p.terms == {tuple(exponent if j == i else 0 for j in (1, 2, 3)): 1}
+
+
+def test_compose_overflows_where_a_moved_field_meets_an_expanded_one():
+    # x2 -> x1 is expanded, as x1 was taken by the bare x1 before it, and
+    # x1^(2^14) * x1^(2^14) reaches 2^15
+    x1 = Poly.variable(1, 1)
+    assert Poly(2, {(3, 2): 1}).compose([x1, x1]) == Poly(1, {(5,): 1})
+    with pytest.raises(OverflowError):
+        Poly(2, {(2 ** 14, 2 ** 14): 1}).compose([x1, x1])
+
+
+def _tuple_product(a, b):
+    """Tuple-keyed convolution of two term dicts, zero sums dropped."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+def _tuple_sum(parts):
+    out = {}
+    for terms, scale in parts:
+        for exp, c in terms.items():
+            out[exp] = out.get(exp, 0) + c * scale
+    return {exp: c for exp, c in out.items() if c}
+
+
+def _wide_polys(nvars):
+    # exponents up to 2^14 - 1, so that a product stays below 2^15 and every
+    # field of a packed key is exercised
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 14 - 1))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    return st.dictionaries(st.tuples(*[exponent] * nvars), coeffs, max_size=5)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), _wide_polys(n), _wide_polys(n))), st.integers(-3, 3))
+def test_packed_kernel_matches_tuple_oracle(polys, scale):
+    n, a_terms, b_terms = polys
+    a, b = Poly(n, a_terms), Poly(n, b_terms)
+    assert (a * b).terms == _tuple_product(a.terms, b.terms)
+    assert Poly.weighted_sum(n, [(a, scale), (b, 1)]).terms == _tuple_sum(
+        [(a.terms, scale), (b.terms, 1)])
+    assert Poly(n, a.terms) == a and hash(Poly(n, a.terms)) == hash(a)
+    assert a.terms == {exp: c for exp, c in a_terms.items() if c}
+    assert [term["exp"] for term in a.to_terms()] == sorted(
+        list(exp) for exp in a.terms)
