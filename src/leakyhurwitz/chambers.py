@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, _types_for
@@ -54,9 +54,10 @@ class Wall(NamedTuple):
     form: LinForm
 
     @staticmethod
-    def of(n: int, subset: Sequence[int]) -> "Wall":
+    def of(n: int, subset: Iterable[int]) -> "Wall":
         if type(n) is not int:
             raise WallError(f"marking count {n!r} is not an integer")
+        subset = tuple(subset)
         for i in subset:
             if type(i) is not int:
                 raise WallError(f"wall subset entry {i!r} is not an integer")
@@ -64,7 +65,7 @@ class Wall(NamedTuple):
         if n < 4:
             raise WallError(f"n = {n} markings have no walls: walls need n >= 4")
         if len(set(I)) < len(I):
-            raise WallError(f"wall subset {tuple(subset)} repeats a marking")
+            raise WallError(f"wall subset {subset} repeats a marking")
         if not 2 <= len(I) <= n - 2:
             raise WallError(f"wall subset {I} must have size 2..{n - 2}")
         if any(i < 1 or i > n for i in I):

@@ -32,7 +32,10 @@ The pipeline runs in three stages:
    k <= 0.  The free weights are fixed one at a time
    (``_admissible_flows``), each over the interval that keeps the edges it
    settles within [-B, B] and the parallel edges it settles in ascending
-   order, walked in segments on which those edges keep their signs.  Which
+   order, walked in segments on which those edges keep their signs.  Only
+   the zeros of those edges inside the interval split it, since one outside
+   would bound only empty segments or one that starts (ends) at the
+   interval's end without it, and an empty interval ends the level.  Which
    edges each weight settles, the parallel pairs and the bridges depend on
    the edges alone: they form the type's walk plan (``_WalkPlan``), built
    once per edge tuple, and a problem computes only the numbers, the base
@@ -610,14 +613,18 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
     at different levels, where their entries are 0 and 1.  A tree edge
     parallel to free edge j has entry -1 in unit j (their 2-cycle), so it
     settles at level j, with entries -1 and 1, or later, with entries +-1
-    and 0.  The zeros -u flows[i] of the settled edges (w = 0 among them:
-    free edge j has flow w_j) split the interval into segments on which
-    each settled edge keeps its sign, and so its arc; a segment whose arcs
-    close a directed cycle with those of the earlier levels is skipped
-    whole.  Those arcs are fixed by the signs of the edges settled so far,
-    so their closure is read from the plan's memo, and ``_close`` runs once
-    per new sign pattern of an edge tuple.  An edge no unit moves is a
-    bridge: it lies on no cycle, and a zero bridge rules out the type.
+    and 0.  An empty interval [lo, hi] ends the level.  Otherwise the
+    zeros -u flows[i] of the settled edges that lie in [lo, hi] (w = 0
+    among them when it lies there: free edge j has flow w_j) split it into
+    segments on which each settled edge keeps its sign, and so its arc.
+    A zero below lo (above hi) would bound only empty segments, or one that
+    starts at lo (ends at hi) without it, so leaving it out changes no
+    segment.  A segment whose arcs close a directed cycle with those of the
+    earlier levels is skipped whole.  Those arcs are fixed by the signs of
+    the edges settled so far, so their closure is read from the plan's
+    memo, and ``_close`` runs once per new sign pattern of an edge tuple.
+    An edge no unit moves is a bridge: it lies on no cycle, and a zero
+    bridge rules out the type.
     Every edge is settled by the last level and every cut is exact, so the
     vectors yielded are those of the box of nonzero weights in [-B, B]^h
     that pass the four tests, in its lexicographic order.  Along a segment
@@ -643,11 +650,13 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                 hi = min(hi, gap // d)
             else:
                 lo = max(lo, -(gap // -d))
-        zeros = sorted({-shift for shift in shifts})
+        if lo > hi:
+            return
+        zeros = sorted({z for shift in shifts if lo <= (z := -shift) <= hi})
         unit = t.units[j]
         last = j + 1 == len(levels)
         for start, stop in zip([lo - 1, *zeros], [*zeros, hi + 1]):
-            start, stop = max(start + 1, lo), min(stop - 1, hi)
+            start, stop = start + 1, stop - 1
             if start > stop:
                 continue
             key = signs + tuple(flows[i] + start * u > 0 for i, u in settled)

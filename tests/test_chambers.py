@@ -79,6 +79,11 @@ def test_wall_subset_bounds():
         with pytest.raises(WallError, match=f"marking count {re.escape(repr(n))} "
                                             "is not an integer"):
             Wall.of(n, (1, 2))
+    # the subset is read once, so an iterator or a generator is a subset too
+    assert Wall.of(5, iter((1, 2))) == Wall.of(5, (1, 2))
+    assert Wall.of(5, (i for i in (4, 2, 5))) == Wall.of(5, (1, 3))
+    with pytest.raises(WallError, match=re.escape("(2, 1, 2) repeats a marking")):
+        Wall.of(5, iter((2, 1, 2)))
 
 
 def test_chamber_polynomial_example():

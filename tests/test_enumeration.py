@@ -1022,7 +1022,10 @@ GENUS2_N2 = [Problem.of(2, -1, (-3, -1)), Problem.of(2, 0, (7, -7)),
 WALKED = [*GENUS1_FAMILY, *GENUS2_N2,
           Problem.of(2, -1, (2, -3, -4)), Problem.of(2, 0, (3, -1, -2)),
           Problem.of(2, 1, (3, 3, -1)), Problem.of(2, 2, (6, 5, -1)),
-          Problem.of(3, 0, (3, -3), (1, 0))]  # three free weights
+          Problem.of(3, 0, (3, -3), (1, 0)),  # three free weights
+          # g2_scan shapes of the benchmark
+          Problem.of(2, 0, (20, -20)), Problem.of(2, -1, (-10, 6)),
+          Problem.of(2, 0, (8, -5, -3)), Problem.of(2, 0, (5, 5, -10))]
 
 
 @pytest.mark.parametrize("p, widen", [
