@@ -1,8 +1,7 @@
 """Exact k-leaky double Hurwitz descendant counts via tropical covers."""
 
 from .chambers import (POSITIVE, Wall, WallError, ZERO, chamber_polynomial,
-                       classify, flanking_points, wall_crossing,
-                       wall_crossing_formula, walls)
+                       classify, wall_crossing, wall_crossing_formula, walls)
 from .covers import (CoverGraph, CoverError, Problem, ProblemError,
                      WeightedCover, assemble_multiplicity, automorphism_order,
                      check_cover, validate_problem)
@@ -19,8 +18,8 @@ __all__ = [
     "VertexKey", "Wall", "WallError", "WeightedCover", "ZERO",
     "assemble_multiplicity", "automorphism_order", "chamber_polynomial",
     "check_cover", "classify", "compute_H", "count_linear_extensions",
-    "default_fixtures", "enumerate_covers", "flanking_points",
-    "load_fixtures", "parse_rat", "psi_integral", "psi_kappa_integral",
-    "rat_str", "recursion_rhs", "validate_problem", "vertex_mult",
-    "wall_crossing", "wall_crossing_formula", "walls",
+    "default_fixtures", "enumerate_covers", "load_fixtures", "parse_rat",
+    "psi_integral", "psi_kappa_integral", "rat_str", "recursion_rhs",
+    "validate_problem", "vertex_mult", "wall_crossing",
+    "wall_crossing_formula", "walls",
 ]

@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .covers import Problem, ProblemError
 from .enumeration import CombinatorialType, _types_for
@@ -194,7 +194,7 @@ def chamber_polynomial(p: Problem) -> Poly:
     x_n eliminated; at each integer point of the chamber it is the cover count."""
     if p.genus != 0:
         raise ProblemError("chamber polynomials exist for genus 0 only")
-    chamber = tuple(_signs(p.n, p.k, p.x))
+    chamber = _signs(p.n, p.k, p.x)
     if 0 in chamber:
         wall = list(_walls_of(p.n))[chamber.index(0)]
         raise WallError(
@@ -202,11 +202,13 @@ def chamber_polynomial(p: Problem) -> Poly:
     return _tree_system(p.n, p.e, p.k).polynomial(chamber)
 
 
-def _signs(n: int, k: int, point: Sequence) -> Iterator[int]:
-    """The sign, -1, 0 or +1, of each wall form of n markings at point, lazily."""
+def _signs(n: int, k: int, point: Sequence) -> tuple[int, ...]:
+    """The sign, -1, 0 or +1, of each wall form of n markings at point."""
+    signs = []
     for w in _walls_of(n):
         value = w.form.evaluate(point, k)
-        yield (value > 0) - (value < 0)
+        signs.append((value > 0) - (value < 0))
+    return tuple(signs)
 
 
 def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
@@ -228,8 +230,10 @@ def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
 
 @functools.lru_cache(maxsize=1024)
 def _find_flanking(n: int, k: int, wall: Wall):
-    """The flanking points (x+, x-) of the wall; they depend on n, k and the
-    wall only, so every psi vector shares them.
+    """The flanking points of the wall and the chamber of x+, (x+, x-, wall
+    signs at x+): generic integer points with delta = +1 and -1 that agree
+    in sign on every other wall.  They depend on n, k and the wall only, so
+    every crossing of the wall shares them, whatever its psi vector.
 
     A candidate x+- = z +- (e_a - e_b) is kept when x+ and x- have the same
     nonzero sign on every other wall J, read off one evaluation at z: with
@@ -246,6 +250,12 @@ def _find_flanking(n: int, k: int, wall: Wall):
     0 only when J meets each of I and I^c in nothing or all of it, that is
     when J is I or I^c; for every other wall the c_i in {-1, 0, 1} give
     |sum c_i 2^i| >= 1, and |delta_J(z)| >= M - 2|k|n = 3 > |s_J|.
+
+    Read off x+, the subproblem references of ``wall_crossing_formula``
+    need no check: a subproblem wall, read on the side without the severed
+    edge, is a J with 2 <= |J| < |part|, another wall of the full problem
+    with the same form delta_J, nonzero with one sign at x+, at x- and so
+    at their mean z, the wall point.
     """
     for attempt in range(400):
         z, a, b = _flank_candidate(n, k, wall, attempt)
@@ -259,43 +269,19 @@ def _find_flanking(n: int, k: int, wall: Wall):
             z[i - 1] for i in wall.subset if i != a)
         z[b - 1] += k * (n - 2) - sum(z)
     step = [(i == a) - (i == b) for i in range(1, n + 1)]
-    return (tuple(c + d for c, d in zip(z, step)),
-            tuple(c - d for c, d in zip(z, step)))
-
-
-@functools.lru_cache(maxsize=1024)
-def _flank_chamber(n: int, k: int, wall: Wall) -> tuple[int, ...]:
-    """The wall signs at x+, the chamber that every crossing of the wall
-    at (n, k) starts from, whatever its psi vector."""
-    x_plus, _ = _find_flanking(n, k, wall)
-    return tuple(_signs(n, k, x_plus))
-
-
-def flanking_points(p: Problem, wall: Wall) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Deterministic generic integer points with delta = +1 and -1 that agree
-    in sign on every other wall, for every wall of any n (see
-    ``_find_flanking``).  Read off x+, the subproblem references of
-    ``wall_crossing_formula`` need no check: a subproblem wall, read on the
-    side without the severed edge, is a J with 2 <= |J| < |part|, another
-    wall of the full problem with the same form delta_J, nonzero with one
-    sign at x+, at x- and so at their mean z, the wall point."""
-    _wall_index(p.n, wall)
-    return _find_flanking(p.n, p.k, wall)
-
-
-def _wall_index(n: int, wall: Wall) -> int:
-    """The wall's index in ``walls(n)``; a ``WallError`` if it is none."""
-    i = _walls_of(n).get(wall)
-    if i is None:
-        raise WallError(f"wall subset {wall.subset} is no wall for n = {n}")
-    return i
+    x_plus = tuple(c + d for c, d in zip(z, step))
+    return x_plus, tuple(c - d for c, d in zip(z, step)), _signs(n, k, x_plus)
 
 
 def _check_crossing(p: Problem, wall: Wall) -> int:
-    """The wall's index in ``walls(p.n)``, after checking the crossing."""
+    """The wall's index in ``walls(p.n)``, after checking the crossing; a
+    ``WallError`` if the wall is none of p.n markings."""
     if p.genus != 0:
         raise ProblemError("wall crossings are computed for genus 0 only")
-    return _wall_index(p.n, wall)
+    i = _walls_of(p.n).get(wall)
+    if i is None:
+        raise WallError(f"wall subset {wall.subset} is no wall for n = {p.n}")
+    return i
 
 
 def wall_crossing(p: Problem, wall: Wall) -> Poly:
@@ -310,10 +296,10 @@ def wall_crossing(p: Problem, wall: Wall) -> Poly:
     any other type lies on another wall, where x+ and x- have one sign, so
     that type's term (edge orientations, weights and scale) is the same in
     both chambers and cancels exactly.  No chamber polynomial is built, and
-    the chamber of x+ is read from ``_flank_chamber``, computed once per
-    (n, k, wall) for every psi vector."""
+    the chamber of x+ is read from ``_find_flanking``, which computes it
+    with the points, once per (n, k, wall) for every psi vector."""
     i = _check_crossing(p, wall)
-    return _tree_system(p.n, p.e, p.k).crossing(i, _flank_chamber(p.n, p.k, wall))
+    return _tree_system(p.n, p.e, p.k).crossing(i, _find_flanking(p.n, p.k, wall)[2])
 
 
 def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
@@ -329,7 +315,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     k(m - 2) on the I side and to k(n - 2) - sum_I x+ + 1 = k(m - 2) on the
     other; the psi budget |e_part| <= m - 2 is r1 >= 1 (r2 >= 1), tested
     before any factor is read; and the reference lies on no subproblem wall
-    (see ``flanking_points``)."""
+    (see ``_find_flanking``)."""
     _check_crossing(p, wall)
     n, k = p.n, p.k
     I = wall.subset
@@ -344,7 +330,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    x_plus, _ = _find_flanking(n, k, wall)
+    x_plus = _find_flanking(n, k, wall)[0]
     # each factor is composed onto x1..x_{n-1} and k(n - 2) - x1 - ... -
     # x_{n-1}, so the product is built in normal form
     coords = hyperplane_coordinates(n - 1, k * (n - 2))
@@ -354,7 +340,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
         ref = tuple(x_plus[i - 1] for i in part) + (cut,)
         sub_e = tuple(p.e[i - 1] for i in part) + (0,)
         m = len(ref)
-        sub_poly = _tree_system(m, sub_e, k).polynomial(tuple(_signs(m, k, ref)))
+        sub_poly = _tree_system(m, sub_e, k).polynomial(_signs(m, k, ref))
         # the normal form dropped the cut variable, so substituting the
         # surviving markings alone reproduces the factor exactly
         product = product * sub_poly.compose([coords[i - 1] for i in part])

@@ -14,10 +14,10 @@ The pipeline runs in three stages:
    degrees) and keeps of each the smallest edge tuple over the permutations
    of its runs of unmarked vertices of equal genus, and a labelling stage
    gives each marking partition the canonical multigraphs of its shape.
-   Each cache is keyed by what it depends on: a shape's structures by
-   (genera, m, degs) (``_shape``), shared by calls with equal V, and a
-   structure by (V, edges) (``_edge_structure``), shared by equal edges in
-   any shape.  The partitions are pruned as they are built
+   A shape's structures are cached under (genera, m, degs) (``_shape``),
+   shared by calls with equal V, and each shape builds its own
+   (``_edge_structure``): two shapes with equal edges keep separate memos,
+   which count alike.  The partitions are pruned as they are built
    (``_end_partitions``): a block B whose excess sum_{i in B} (1 - e_i) is
    above 2 leaves its vertex too few edges at any genus, and a lone vertex
    takes every marking.  A vertex's mu(v) and genus-0 factor depend on its
@@ -38,7 +38,7 @@ The pipeline runs in three stages:
    interval's end without it, and an empty interval ends the level.  Which
    edges each weight settles, the parallel pairs and the bridges depend on
    the edges alone: they form the type's walk plan (``_WalkPlan``), built
-   once per edge tuple, and a problem computes only the numbers, the base
+   once per structure, and a problem computes only the numbers, the base
    flows, the cuts and the zeros;
 3. positions: the positive flows orient the edges, and every linear
    extension of that orientation yields one cover, since vertices occupy
@@ -50,7 +50,7 @@ The pipeline runs in three stages:
    so the plan memoizes it per sign pattern, across problems.  No edge
    changes sign along a segment of the last weight, so stage 2 counts the
    extensions of its one orientation once (``CombinatorialType.extensions``,
-   memoized per edge tuple with one count per orientation and its reverse,
+   memoized per structure with one count per orientation and its reverse,
    as reversing every arc reverses every extension, and read by chambers
    too) and yields the count with each of its vectors: ``compute_H`` sums the
    counts, and listing generates the extensions instead.  In genus 0
@@ -67,8 +67,8 @@ structures of a partition's shape, and caches that one record per type: it
 feeds counting, listing and the genus-0 chamber polynomials of
 ``chambers``.  What a record takes from its edges alone
 (``_edge_structure``: spanning tree, unit flows, parallel runs, the
-extension memo, the walk plan) is cached under (V, edges) and shared by
-every record with those edges, across shapes and calls.
+extension memo, the walk plan) is built once per structure of a shape and
+shared by every record of the shape with those edges, across calls.
 A tree edge's flow is the cut expression S[mask] - k c of the markings
 ``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
 being the subset sums of x, each computed when a cut first reads it
@@ -136,7 +136,7 @@ class CombinatorialType(NamedTuple):
     ``orders`` memoizes :meth:`extensions`, one count per orientation and
     its reverse, stored under both, and ``plan`` holds the cycle weight
     walk's plan and its memo of sign patterns (None on a tree); both come
-    from the structure cached under (V, edges) (``_edge_structure``).
+    from its shape's structure with these edges (``_edge_structure``).
     ``cut_masks`` maps each distinct cut mask of the call's records to its
     position, in position order, one dict shared by them all, and
     ``cut_of`` picks the record's edges' entries, in edge order, out of a
@@ -293,8 +293,9 @@ def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
     """The canonical edge structures of the shape (genera, m, degs), sorted
     by edges: every connected multigraph with these edge degrees,
     canonicalized (``_canonical_edges``) over the runs of unmarked vertices
-    of one genus, each read from ``_edge_structure``.  A call meets a few
-    dozen shapes (46 at (0, 9, 0^9)); the bound holds those of many."""
+    of one genus, each built by ``_edge_structure`` and owned by the shape.
+    A call meets a few dozen shapes (46 at (0, 9, 0^9)); the bound holds
+    those of many."""
     V = len(degs)
     runs = [tuple(run) for _, run in
             itertools.groupby(range(m, V), genera.__getitem__)]
@@ -334,7 +335,7 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     as ``itemgetter(i)`` would return a bare item, and so does a no-edge
     one, as ``itemgetter()`` takes no items.  The table lives on the
     records, so it goes when the cache drops them; the shapes and their
-    structures stay in their own caches (``_shape``, ``_edge_structure``).
+    structures stay in ``_shape``'s cache.
     """
     V = 2 * g - 2 + n - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
@@ -413,18 +414,15 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     return tuple(records)
 
 
-@functools.lru_cache(maxsize=4096)
 def _edge_structure(V: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """What a type's record takes from its edges alone: the edges, the walk
     of a BFS tree from vertex 0 (``_types_for`` keeps connected types only)
     as (vertex, parent edge) pairs leaves first, the incidence, the unit
     flows of the free edges, the parallel runs, an empty extension memo and
     the walk's plan (None on a tree, which has no free weight to walk).
-    It depends on V and the edges alone, so it is cached under them and
-    every record with those edges shares it, in any shape and call.  The
-    bound exceeds the structures of one call up to (0, 9, 0^9), 3,795.  One
-    evicted while a cached shape still holds it may be built again for
-    another shape; the two copies keep separate memos, which count alike."""
+    It depends on V and the edges alone, but each shape builds its own
+    (``_shape``): two shapes with equal edges keep separate memos, which
+    count alike."""
     inc: list[list[int]] = [[] for _ in range(V)]
     for idx, (a, b) in enumerate(edges):
         inc[a].append(idx)

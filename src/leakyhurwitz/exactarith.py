@@ -23,12 +23,13 @@ stored as an ``int`` and any other as a ``Fraction``, so genus-0
 arithmetic, whose coefficients are all integers, runs on plain ints.
 Profiles live on the hyperplane x1 + ... + xn = total for a
 problem-specific integer, so polynomial identities are only meaningful
-modulo that relation; the canonical normal form eliminates x_n against it.  ``substitute_degree`` composes onto the
-hyperplane coordinates (``hyperplane_coordinates``) through ``compose``, the
-one substitution routine; the closed-form wall crossing composes its factors
-onto the same coordinates.  ``compose`` moves the exponent field of each
-argument that is a bare variable and expands only the others through their
-powers, in practice the last coordinate, total - x1 - ... - x_m.
+modulo that relation; the canonical normal form eliminates x_n against it.
+``substitute_degree`` composes onto the hyperplane coordinates
+(``hyperplane_coordinates``) through ``compose``, the one substitution
+routine; the closed-form wall crossing composes its factors onto the same
+coordinates.  ``compose`` moves the exponent field of each argument that is
+a bare variable and expands only the others through their powers, in
+practice the last coordinate, total - x1 - ... - x_m.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ import leakyhurwitz.chambers as chambers
 import leakyhurwitz.enumeration as enumeration
 from leakyhurwitz.chambers import (POSITIVE, ZERO, Wall, WallError, _TreeSystem,
                                    _tree_system, chamber_polynomial, classify,
-                                   flanking_points, wall_crossing,
-                                   wall_crossing_formula, walls)
+                                   wall_crossing, wall_crossing_formula, walls)
 from leakyhurwitz.covers import Problem, ProblemError
 from leakyhurwitz.enumeration import compute_H
 from leakyhurwitz.exactarith import LinForm, Poly
@@ -296,7 +295,7 @@ def test_flanking_points_straddle_their_wall_alone():
         for k in range(-2, 3):
             p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
             for wall in walls(n):
-                x_plus, x_minus = flanking_points(p, wall)
+                x_plus, x_minus = chambers._find_flanking(p.n, p.k, wall)[:2]
                 assert sum(x_plus) == sum(x_minus) == k * (n - 2)
                 assert wall.form.evaluate(x_plus, k) == 1
                 assert wall.form.evaluate(x_minus, k) == -1
@@ -327,7 +326,7 @@ def test_find_flanking_matches_the_two_point_definition():
     for n in range(4, 9):
         for k in range(-4, 5):
             for wall in walls(n):
-                assert chambers._find_flanking(n, k, wall) == \
+                assert chambers._find_flanking(n, k, wall)[:2] == \
                     _two_point_flanking(n, k, wall), (n, k, wall.subset)
                 cases += 1
     assert cases == 1917
@@ -339,7 +338,7 @@ def test_flanking_points_past_the_seeded_search():
     # against each of the other 8,176 walls of n = 14
     n, k = 14, 1
     wall = Wall.of(n, (1, 3, 4, 5, 6, 10, 11, 14))
-    x_plus, x_minus = flanking_points(Problem.of(0, k, (1,) * 13 + (-1,)), wall)
+    x_plus, x_minus = chambers._find_flanking(n, k, wall)[:2]
     assert sum(x_plus) == sum(x_minus) == k * (n - 2)
     assert (wall.form.evaluate(x_plus, k), wall.form.evaluate(x_minus, k)) == (1, -1)
     others = [w for w in walls(n) if w != wall]
@@ -351,10 +350,22 @@ def test_flanking_points_past_the_seeded_search():
 def test_flank_chamber_is_the_chamber_of_x_plus():
     for n in range(4, 8):
         for k in range(-2, 3):
-            p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
             for wall in walls(n):
-                assert chambers._flank_chamber(n, k, wall) == tuple(
-                    chambers._signs(n, k, flanking_points(p, wall)[0]))
+                x_plus, _, chamber = chambers._find_flanking(n, k, wall)
+                assert chamber == chambers._signs(n, k, x_plus)
+
+
+def test_crossings_of_one_wall_share_one_flanking_search():
+    # both crossings of a wall, for each psi vector, read x+ and its chamber
+    # from one _find_flanking entry
+    wall = Wall.of(6, (1, 2, 3))
+    chambers._find_flanking.cache_clear()
+    for e in ((0,) * 6, (1,) + (0,) * 5):
+        p = Problem.of(0, 1, (4,) + (0,) * 5, e)
+        wall_crossing(p, wall)
+        wall_crossing_formula(p, wall)
+    info = chambers._find_flanking.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -415,7 +426,7 @@ def test_formula_factors_are_the_subproblem_chamber_polynomials(monkeypatch):
         if any(len(part) - 1 - sum(p.e[i - 1] for i in part) < 1
                for part, _ in parts):
             continue
-        x_plus, _ = flanking_points(p, wall)
+        x_plus, _ = chambers._find_flanking(p.n, p.k, wall)[:2]
         for part, cut in parts:
             sub = Problem.of(0, p.k, tuple(x_plus[i - 1] for i in part) + (cut,),
                              tuple(p.e[i - 1] for i in part) + (0,))
@@ -448,7 +459,7 @@ def test_subproblem_references_are_generic():
         for k in range(-2, 3):
             p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1))
             for wall in walls(n):
-                x_plus, x_minus = flanking_points(p, wall)
+                x_plus, x_minus = chambers._find_flanking(p.n, p.k, wall)[:2]
                 comp = tuple(i for i in range(1, n + 1) if i not in wall.subset)
                 for part, cut in ((wall.subset, -1), (comp, 1)):
                     ref = tuple(x_plus[i - 1] for i in part) + (cut,)
@@ -467,7 +478,7 @@ def test_subproblem_references_are_generic():
                                   Wall.of(5, (1, 2, 3)), Wall.of(6, (1, 6))])
 def test_wall_of_another_marking_count_is_a_wall_error(wall):
     p = Problem.of(0, 1, (2, 0, 0, 0))
-    for call in (wall_crossing, wall_crossing_formula, flanking_points):
+    for call in (wall_crossing, wall_crossing_formula):
         with pytest.raises(WallError,
                            match=re.escape(f"{wall.subset} is no wall for n = 4")):
             call(p, wall)
@@ -486,7 +497,7 @@ def test_wall_crossing_k0_two_chambers():
     # count at its reference point, and the difference is 2 (x1 + x2)
     p = Problem.of(0, 0, (1, 1, -1, -1))
     wall = Wall.of(4, (1, 2))
-    x_plus, x_minus = flanking_points(p, wall)
+    x_plus, x_minus = chambers._find_flanking(p.n, p.k, wall)[:2]
     plus_poly = chamber_polynomial(p._replace(x=x_plus))
     minus_poly = chamber_polynomial(p._replace(x=x_minus))
     assert plus_poly.eval(x_plus[:-1]) == compute_H(Problem.of(0, 0, x_plus))
@@ -513,7 +524,7 @@ def test_wall_crossing_is_the_difference_of_flanking_chambers():
     for n, k, e in cases:
         p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e)
         for wall in walls(n):
-            x_plus, x_minus = flanking_points(p, wall)
+            x_plus, x_minus = chambers._find_flanking(p.n, p.k, wall)[:2]
             assert wall_crossing(p, wall) == (
                 chamber_polynomial(p._replace(x=x_plus))
                 - chamber_polynomial(p._replace(x=x_minus))), \

@@ -376,12 +376,11 @@ def test_count_covers_first_missing_key():
 
 
 def _clear_type_caches():
-    """Drop the type lists and the shapes and structures they share, so that
-    the next ``_types_for`` call builds its records, structures and memos
-    anew."""
+    """Drop the type lists and the shapes whose structures they share, so
+    that the next ``_types_for`` call builds its records, structures and
+    memos anew."""
     _types_for.cache_clear()
     enumeration._shape.cache_clear()
-    enumeration._edge_structure.cache_clear()
 
 
 def test_enumerate_types_idempotent():
@@ -568,12 +567,22 @@ def test_gjv_oracle_examples():
     assert _gjv(2, (20, -20)) == 15866900
 
 
-# genus 2 is left out: the engine counts a cover once per automorphism of
-# its unmarked vertices, (2, 0, (3, -2, -1)) gives 93 where GJV gives 81
+# above genus 1 the engine counts a cover once per automorphism of its
+# unmarked vertices (ROADMAP item 1): it gives 93, 1152 and 12268 where GJV
+# gives 81, 976 and 9604.  Item 1's fix turns these cases into passes and
+# must remove their marks.
+OVERCOUNTED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: genus >= 2 covers counted once per automorphism "
+           "of their unmarked vertices")
+
+
 @pytest.mark.parametrize("g, x", [
     (g, x) for g in (0, 1)
     for x in ((3, -2, -1), (6, -3, -2, -1), (3, -1, -1, -1), (7, -4, -3),
-              (6, -2, -2, -1, -1), (4, -3, -1))] + [(1, (5, -5))], ids=str)
+              (6, -2, -2, -1, -1), (4, -3, -1))] + [(1, (5, -5))] + [
+    pytest.param(2, x, marks=OVERCOUNTED)
+    for x in ((3, -2, -1), (4, -2, -2), (7, -7))], ids=str)
 def test_one_part_counts_match_gjv(g, x):
     assert compute_H(Problem.of(g, 0, x)) == _gjv(g, x)
 
@@ -864,7 +873,6 @@ def test_calls_with_equal_vertex_counts_share_shapes():
         cold.append(count_covers(p))
     assert warm == cold
     assert enumeration._shape.cache_info().maxsize == 1024
-    assert enumeration._edge_structure.cache_info().maxsize == 4096
 
 
 @pytest.mark.parametrize("problems", [
@@ -873,17 +881,24 @@ def test_calls_with_equal_vertex_counts_share_shapes():
     ids=lambda problems: str(problems[0].e))
 def test_shapes_of_one_call_share_equal_edges(problems):
     # two genus vectors or marked-vertex counts of one call meet equal
-    # edges: their records read one structure, with one extension memo
+    # edges: the records of one shape read one structure, with one
+    # extension memo, and each shape holds its own
     _clear_type_caches()
     p = problems[0]
-    shapes, first = {}, {}
+    # (genera, m, edges) names one structure: the edges fix the degrees
+    by_structure, by_edges = {}, {}
     for t in _types_for(p.genus, p.n, p.e):
-        other = first.setdefault(t.edges, t)
+        key = (t.vertex_genus, sum(map(bool, t.vertex_ends)), t.edges)
+        other = by_structure.setdefault(key, t)
         assert t.orders is other.orders and t.units is other.units
-        shapes.setdefault(t.edges, set()).add(
-            (t.vertex_genus, sum(map(bool, t.vertex_ends))))
-    assert any(len(met) > 1 for met in shapes.values())
-    # the shared memos change no count
+        by_edges.setdefault(t.edges, {})[key] = t
+    split = [list(met.values()) for met in by_edges.values() if len(met) > 1]
+    assert split
+    for ts in split:
+        assert len({id(t.orders) for t in ts}) == len(ts)
+        for up in itertools.product((True, False), repeat=len(ts[0].edges)):
+            assert len({t.extensions(up) for t in ts}) == 1
+    # neither the shared nor the separate memos change a count
     warm = [count_covers(q) for q in (*problems, *problems[::-1])]
     cold = []
     for q in (*problems, *problems[::-1]):

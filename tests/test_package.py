@@ -1,6 +1,6 @@
-"""Package hygiene: every public name resolves, no module keeps an import
-or a private function or class that it never uses (the leftovers that
-deletions tend to leave), no doc names a private that is gone, every module
+"""Package hygiene: every public name resolves and has a caller, no module
+keeps an import or a private function or class that it never uses (the
+leftovers that deletions tend to leave), no doc names a private that is gone, every module
 cache is bounded, start-up imports no heavy stdlib module, and the public
 records keep the tuple contract."""
 
@@ -33,6 +33,48 @@ def test_public_names_resolve_once():
     names = leakyhurwitz.__all__
     assert sorted(name for name in set(names) if names.count(name) > 1) == []
     assert [name for name in names if not hasattr(leakyhurwitz, name)] == []
+
+
+# exports that no module of the package and no bench script calls
+UNCALLED_EXPORTS = {
+    "check_cover": "the validator that the tests check listed covers with",
+    "recursion_rhs": "the README's recursion checker, kept or moved by the owner",
+}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read within node, as a name or an attribute."""
+    return Counter(ref.id if isinstance(ref, ast.Name) else ref.attr
+                   for ref in ast.walk(node)
+                   if isinstance(ref, ast.Attribute) or isinstance(ref, ast.Name)
+                   and isinstance(ref.ctx, ast.Load))
+
+
+def _uncalled_exports(names: list[str], sources: list[str]) -> list[str]:
+    """The names that no source reads outside their own top-level function
+    or class; an import alone is no read."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum(map(_reads, trees), Counter())
+    own = Counter()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own[node.name] += _reads(node)[node.name]
+    return [name for name in names if everywhere[name] == own[name]]
+
+
+def test_uncalled_export_check_sees_a_leftover():
+    sources = ["def used(): pass\ndef left(): return left()\nLIMIT = 3\n"
+               "class Kept:\n    def of(self): return Kept()\n",
+               "from a import used, left\nimport a\nprint(used(), a.Kept)\n"]
+    assert _uncalled_exports(["used", "left", "LIMIT", "Kept"], sources) == [
+        "left", "LIMIT"]
+
+
+def test_every_export_has_a_caller():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sources = [path.read_text() for path in MODULES + sorted(bench.glob("*.py"))]
+    assert sorted(_uncalled_exports(leakyhurwitz.__all__, sources)) == sorted(
+        UNCALLED_EXPORTS)
 
 
 def _unused_imports(source: str) -> list[str]:
