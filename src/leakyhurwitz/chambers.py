@@ -101,14 +101,16 @@ class _TreeSystem:
     side) per edge: the edge's cut (mask, c) has c = |mask| - 1, so its form
     sum_{i in mask} x_i - k c is the wall's form (side +1) when mask is the
     wall's subset, and minus it on the degree hyperplane (side -1) when mask
-    is the complement.  At wall sign s the edge points along its stored
-    (u, v) when s * side > 0 and weighs s * (wall form) = |delta|.  All
-    polynomials are built in normal form, in x1..x_{n-1}, and ``wall_polys``
-    is ``_wall_polys(n, k)``, shared by every system of that (n, k).  The
-    product of each type's wall polynomials and vertex multinomials is
-    built with the system, not memoized: a chamber polynomial reads every
-    product, and crossing every wall reads the product of every type with
-    an edge.  ``on_wall[i]``
+    is the complement.  The pair is looked up once per position of the
+    type list's cut table, and each record reads its edges' pairs by
+    position (``CombinatorialType.cut_of``).  At wall sign s the edge
+    points along its stored (u, v) when s * side > 0 and weighs
+    s * (wall form) = |delta|.  All polynomials are built in normal form,
+    in x1..x_{n-1}, and ``wall_polys`` is ``_wall_polys(n, k)``, shared by
+    every system of that (n, k).  The product of each type's wall
+    polynomials and vertex multinomials is built with the system, not
+    memoized: a chamber polynomial reads every product, and crossing every
+    wall reads the product of every type with an edge.  ``on_wall[i]``
     lists the types with an edge on wall i, the only ones a crossing of
     wall i reads.  Chamber polynomials are memoized per wall signs, and
     extension counts in the records (``CombinatorialType.extensions``).
@@ -117,14 +119,16 @@ class _TreeSystem:
     def __init__(self, n: int, e: tuple[int, ...], k: int):
         self.n = n
         full = (1 << n) - 1
-        sides: dict[int, tuple[int, int]] = {}
-        for w, i in _walls_of(n).items():
-            mask = sum(1 << (j - 1) for j in w.subset)
-            sides[mask], sides[full ^ mask] = (i, 1), (i, -1)
+        # a wall's subset is the side of its cut that holds marking 1
+        index = {sum(1 << (j - 1) for j in w.subset): i
+                 for w, i in _walls_of(n).items()}
         self.wall_polys = _wall_polys(n, k)
+        types = _types_for(0, n, e)
+        # types[0] exists: the markings can always be shared out along a path
+        at = tuple((index[mask], 1) if mask & 1 else (index[full ^ mask], -1)
+                   for mask, _ in types[0].cut_table)
         self.entries: list[tuple[CombinatorialType, tuple[tuple[int, int], ...]]] = [
-            (t, tuple(sides[mask] for mask in t.cuts[::2]))
-            for t in _types_for(0, n, e)]
+            (t, t.cut_of(at)) for t in types]
         self.products = [
             functools.reduce(mul, (self.wall_polys[i] for i, _ in edge_walls),
                              Poly.const(n - 1, t.genus0_factor))

@@ -193,12 +193,16 @@ def cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"number": cmd_number, "covers": cmd_covers,
                 "polynomial": cmd_polynomial, "walls": cmd_walls,
                 "wallcross": cmd_wallcross, "classify": cmd_classify}
+    # exact integers parse and print in full, past the int-str digit limit
+    # that Python 3.11 added
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except BrokenPipeError:  # the signal module docs' recipe: exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -218,6 +222,9 @@ def main(argv=None) -> int:
     except MissingVertexData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FIXTURE
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

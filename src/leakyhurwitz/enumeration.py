@@ -57,10 +57,11 @@ The pipeline runs in three stages:
    counting skips stage 2: a genus-0 type is a tree, so each edge's flow
    is a wall value delta(M) = S[M] - k(|M| - 1) of the markings M on its
    tail side (``_count_trees``).  The records of a type list share one
-   table of their distinct cut masks, and each reads its edges' entries
-   by position with a C-level getter, so a problem computes delta once per
-   distinct mask and a type's flows, sizes and orientation are one getter
-   call each.
+   table of their distinct cuts, and each reads its edges' entries by
+   position with a C-level getter, so a problem computes each cut's flow
+   once (``_cut_flows``) and a type's flows, sizes and orientation are
+   one getter call each.  In genus 0 a cut's c is |M| - 1, so the table
+   holds one cut per distinct mask.
 
 ``_types_for`` builds each type's record once, where it loops over the
 structures of a partition's shape, and caches that one record per type: it
@@ -72,12 +73,15 @@ shared by every record of the shape with those edges, across calls.
 A tree edge's flow is the cut expression S[mask] - k c of the markings
 ``mask`` and the summed mu(v) = 2g(v) - 2 + val(v) on its tail side, S
 being the subset sums of x, each computed when a cut first reads it
-(``_SubsetSums``); cycle edges add the unit flows of the free weights,
-read off the vertex masks of the tree's subtrees (``_solve_flows``).  In
-genus 0 a vertex factor is a multinomial that ignores the flows, so the
-record folds them into one integer.  Counting a problem is then integer
-arithmetic, with the fixture table read (by ``vertexdata.vertex_mult``) for
-genus >= 1 vertices only.
+(``_SubsetSums``).  The records of a type list share one table of their
+distinct cuts (``CombinatorialType.cut_table``), and every stage reads an
+edge's cut through it: counting in every genus takes each type's base
+flows with one getter call, and ``chambers`` each edge's wall.  Cycle
+edges add the unit flows of the free weights, read off the vertex masks
+of the tree's subtrees (``_solve_flows``).  In genus 0 a vertex factor is
+a multinomial that ignores the flows, so the record folds them into one
+integer.  Counting a problem is then integer arithmetic, with the fixture
+table read (by ``vertexdata.vertex_mult``) for genus >= 1 vertices only.
 """
 
 from __future__ import annotations
@@ -119,14 +123,6 @@ class CombinatorialType(NamedTuple):
     ``edges`` lists unordered pairs (u, v) with u < v, repeated with
     multiplicity and sorted; parallel edges are therefore adjacent.
 
-    ``cuts`` holds a pair (mask, c) per edge, flattened.  The edge's flow,
-    in its stored (u, v) direction and with every free weight at 0, is the
-    cut expression ``S[mask] - k * c``: ``mask`` is the set of markings (bit
-    i-1 for marking i) on the tail side of the spanning-tree cut through the
-    edge, ``c`` the sum of mu(v) = 2g(v) - 2 + val(v) over that side and
-    ``S`` the subset sums of x; the head side has the complementary mask and
-    2g-2+n - c.  Free (non-tree) edges hold mask 0 and c 0.
-
     ``units`` are the flows of one unit on each free edge, ``runs`` the
     (start, stop) index ranges of parallel edges, ``genus0_factor`` the
     product of the genus-0 vertex multinomials, and ``higher`` one (genus,
@@ -137,38 +133,46 @@ class CombinatorialType(NamedTuple):
     its reverse, stored under both, and ``plan`` holds the cycle weight
     walk's plan and its memo of sign patterns (None on a tree); both come
     from its shape's structure with these edges (``_edge_structure``).
-    ``cut_masks`` maps each distinct cut mask of the call's records to its
-    position, in position order, one dict shared by them all, and
-    ``cut_of`` picks the record's edges' entries, in edge order, out of a
-    tuple laid out by those positions; it returns a tuple for any edge
-    count.  Equality and hashing ignore these four.
+
+    Each edge has a cut (mask, c).  The edge's flow, in its stored (u, v)
+    direction and with every free weight at 0, is the cut expression
+    ``S[mask] - k * c``: ``mask`` is the set of markings (bit i-1 for
+    marking i) on the tail side of the spanning-tree cut through the edge,
+    ``c`` the sum of mu(v) = 2g(v) - 2 + val(v) over that side and ``S``
+    the subset sums of x; the head side has the complementary mask and
+    2g-2+n - c.  Free (non-tree) edges have the cut (0, 0).  ``cut_table``
+    maps each distinct cut of the call's records to its position, in
+    position order, one dict shared by them all, and ``cut_of`` picks the
+    record's edges' entries, in edge order, out of a tuple laid out by
+    those positions; it returns a tuple for any edge count.  Counting in
+    every genus and ``chambers`` read an edge's cut only through them
+    (``_cut_flows``).  Equality and hashing ignore these four fields.
     """
 
     vertex_genus: tuple[int, ...]
     vertex_ends: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    cuts: tuple[int, ...]
     units: tuple[tuple[int, ...], ...]
     runs: tuple[tuple[int, int], ...]
     genus0_factor: int
     higher: tuple[tuple, ...]
     orders: dict[tuple[bool, ...], int]
     plan: _WalkPlan | None
-    cut_masks: dict[int, int] | None = None
+    cut_table: dict[tuple[int, int], int] | None = None
     cut_of: operator.itemgetter | None = None
 
     def __eq__(self, other):
         if not isinstance(other, tuple):
             return NotImplemented
-        return self[:8] == other[:8]
+        return self[:7] == other[:7]
 
     def __ne__(self, other):  # tuple's own __ne__ would compare the memos
         if not isinstance(other, tuple):
             return NotImplemented
-        return self[:8] != other[:8]
+        return self[:7] != other[:7]
 
     def __hash__(self):
-        return hash(self[:8])
+        return hash(self[:7])
 
     @property
     def num_vertices(self) -> int:
@@ -330,7 +334,7 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     product over its genus-0 vertices.  A record is built where the loop
     meets its structure: the cuts of the tree walk, mask and mu summed
     subtree by subtree, the genus >= 1 vertices' records (none in genus
-    0), and the getter of its cut masks' positions in the call's one table
+    0), and the getter of its cuts' positions in the call's one table
     (``_Positions``, see ``CombinatorialType``).  A one-edge getter slices,
     as ``itemgetter(i)`` would return a bare item, and so does a no-edge
     one, as ``itemgetter()`` takes no items.  The table lives on the
@@ -382,16 +386,14 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
             for edges, walk, inc, units, runs, orders, plan in _shape(
                     genera, m, degs):
                 side_mask, side_mu = masks[:], mu[:]
-                cuts = [0] * (2 * len(edges))
+                cuts = [(0, 0)] * len(edges)
                 for v, idx in walk:  # leaves first: side_* of v is its subtree
                     a, b = edges[idx]
                     if a == v:
-                        cuts[2 * idx] = side_mask[v]
-                        cuts[2 * idx + 1] = side_mu[v]
+                        cuts[idx] = side_mask[v], side_mu[v]
                         parent = b
                     else:
-                        cuts[2 * idx] = full ^ side_mask[v]
-                        cuts[2 * idx + 1] = total - side_mu[v]
+                        cuts[idx] = full ^ side_mask[v], total - side_mu[v]
                         parent = a
                     side_mask[parent] |= side_mask[v]
                     side_mu[parent] += side_mu[v]
@@ -404,13 +406,13 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
                     if genus)
                 if len(edges) > 1:
                     cut_of = operator.itemgetter(
-                        *map(positions.__getitem__, cuts[::2]))
+                        *map(positions.__getitem__, cuts))
                 else:
                     at = positions[cuts[0]] if edges else 0
                     cut_of = operator.itemgetter(slice(at, at + len(edges)))
                 records.append(CombinatorialType._make((
-                    genera, ends, edges, tuple(cuts), units, runs, factor,
-                    higher, orders, plan, positions, cut_of)))
+                    genera, ends, edges, units, runs, factor, higher, orders,
+                    plan, positions, cut_of)))
     return tuple(records)
 
 
@@ -567,23 +569,23 @@ def _close(reach: tuple[int, ...], arcs: Sequence[tuple[int, int]]
 
 
 class _Positions(dict):
-    """The cut masks of a type list, each mapped to its position: a mask
-    read for the first time takes the next one."""
+    """The cuts (mask, c) of a type list, each mapped to its position: a
+    cut read for the first time takes the next one."""
 
-    def __missing__(self, mask: int) -> int:
-        at = self[mask] = len(self)
+    def __missing__(self, cut: tuple[int, int]) -> int:
+        at = self[cut] = len(self)
         return at
 
 
 class _SubsetSums(dict):
-    """``base`` plus the sum of ``values[i]`` over the bits i of a mask, for
-    the masks read only: S[M] = S[M ^ low] + values[low bit], filled on the
-    first read of M, with S[0] = ``base``.  So a problem fills only the
-    cut masks of its types' edges and the masks they leave as their lowest
-    bits are cleared one by one, never all 2^n: a lone vertex fills none."""
+    """The sum of ``values[i]`` over the bits i of a mask, for the masks
+    read only: S[M] = S[M ^ low] + values[low bit], filled on the first
+    read of M, with S[0] = 0.  So a problem fills only the masks of its
+    type list's cut table and the masks they leave as their lowest bits
+    are cleared one by one, never all 2^n: a lone vertex fills none."""
 
-    def __init__(self, values: Sequence[int], base: int = 0):
-        super().__init__({0: base})
+    def __init__(self, values: Sequence[int]):
+        super().__init__({0: 0})
         self.values = values
 
     def __missing__(self, mask: int) -> int:
@@ -591,6 +593,17 @@ class _SubsetSums(dict):
         value = self[mask ^ low] + self.values[low.bit_length() - 1]
         self[mask] = value
         return value
+
+
+def _cut_flows(p: Problem, types: Sequence[CombinatorialType]
+               ) -> tuple[int, ...]:
+    """The flow S[mask] - k c of each cut (mask, c) of the types' shared
+    table (``CombinatorialType.cut_table``), in position order, S the
+    subset sums of x; an empty type list has no table and no flows."""
+    sums = _SubsetSums(p.x)
+    k = p.k
+    return tuple([sums[mask] - k * c
+                  for mask, c in (types[0].cut_table if types else ())])
 
 
 def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
@@ -601,7 +614,8 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
     flow, without a directed cycle; and with the number of linear
     extensions of that orientation.
 
-    Every flow is affine in the free weights, base + sum_j w_j * units[j],
+    Every flow is affine in the free weights, base + sum_j w_j * units[j]
+    (base read with one getter call from the cut flows, ``_cut_flows``),
     and the weights are fixed one at a time, in unit order, as the type's
     ``plan`` lays out.  An edge that unit j moves and no later unit moves
     is settled by w_j, with unit entry u = +-1.  Level j cuts the interval
@@ -632,8 +646,7 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
     an orientation with a linear extension has no weight above B
     (``weight_bound``).
     """
-    sums = _SubsetSums(p.x)  # sums[mask]: the degrees of the markings in mask
-    k = p.k
+    cut_flows = _cut_flows(p, types)
     bound = weight_bound(p)
 
     def walk(t, levels, closures, j, flows, signs, reach):
@@ -678,11 +691,10 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
                 yield t, [f + w * u for f, u in zip(flows, unit)], orders
 
     for t in types:
-        pairs = iter(t.cuts)
-        base = [sums[m] - k * cut for m, cut in zip(pairs, pairs)]
+        base = t.cut_of(cut_flows)
         if t.plan is None:
             if all(base):
-                yield t, base, t.extensions(tuple(f > 0 for f in base))
+                yield t, list(base), t.extensions(tuple(f > 0 for f in base))
             continue
         levels, bridges, closures = t.plan
         if not all(base[i] for i in bridges):
@@ -723,11 +735,8 @@ def enumerate_covers(p: Problem,
 def _count_trees(p: Problem) -> tuple[Fraction, int]:
     """``count_covers`` in genus 0, where every flow is a wall value (the
     proof is in ``count_covers``)."""
-    k = p.k
     types = _types_for(0, p.n, p.e)
-    wall = _SubsetSums([v - k for v in p.x], k).__getitem__  # S(M) - k(|M| - 1)
-    # types[0] exists: the markings can always be shared out along a path
-    flows = tuple(map(wall, types[0].cut_masks))
+    flows = _cut_flows(p, types)  # each S[M] - k(|M| - 1)
     sizes = tuple(map(abs, flows))
     ups = tuple(map((0).__lt__, flows))
     skip = 0 in sizes
@@ -737,9 +746,7 @@ def _count_trees(p: Problem) -> tuple[Fraction, int]:
         if skip and 0 in w:
             continue
         up = t.cut_of(ups)
-        orders = t.orders.get(up)
-        if orders is None:
-            orders = t.extensions(up)
+        orders = t.orders.get(up) or t.extensions(up)  # a tree's count is >= 1
         count += orders
         whole += orders * t.genus0_factor * math.prod(w)
     return Fraction(whole), count
@@ -775,18 +782,18 @@ def count_covers(p: Problem,
     and meets the edge once, so its summed mu(v) = val(v) - 2 is
     c = |M| + 2(s - 1) + 1 - 2s = |M| - 1, and the flow is the wall value
     delta(M) = S[M] - k(|M| - 1), which a problem computes once per
-    distinct mask of the type list's shared table (``_SubsetSums`` with
-    values x_i - k and delta(0) = k), along with its size |delta(M)| and
-    its sign.  Each type reads its sizes and its orientation from those by
-    position (``CombinatorialType.cut_of``).  No fixture is read, so each
-    type adds the integer orders * genus0_factor * prod |flows|.  A type
-    with a zero flow is skipped, as stage 2 skips it, and only a table
-    that holds a zero is searched for one; any other orientation of a tree
-    is acyclic.  In every genus ``orders`` is read from the record
-    (``CombinatorialType.extensions``), which keeps one count per
-    orientation of its edges and its reverse, so a turned-around problem,
-    whose flows are all negated, counts no extension again; ``chambers``
-    reads the same counts.
+    distinct cut of the type list's shared table (``_cut_flows``, the
+    helper that gives every genus its base flows), along with its size
+    |delta(M)| and its sign.  Each type reads its sizes and its
+    orientation from those by position (``CombinatorialType.cut_of``).  No
+    fixture is read, so each type adds the integer orders * genus0_factor *
+    prod |flows|.  A type with a zero flow is skipped, as stage 2 skips it,
+    and only a table that holds a zero is searched for one; any other
+    orientation of a tree is acyclic.  In every genus ``orders`` is read
+    from the record (``CombinatorialType.extensions``), which keeps one
+    count per orientation of its edges and its reverse, so a turned-around
+    problem, whose flows are all negated, counts no extension again;
+    ``chambers`` reads the same counts.
     """
     if not p.genus:
         return _count_trees(p)

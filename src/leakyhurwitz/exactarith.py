@@ -74,6 +74,8 @@ class LinForm(NamedTuple):
     def of(coeffs: Mapping[int, int], k: int = 0) -> "LinForm":
         if min(coeffs, default=1) < 1:
             raise ValueError(f"variable index {min(coeffs)} must be >= 1")
+        if any(type(c) is not int for c in (*coeffs.values(), k)):
+            raise TypeError(f"coefficients {dict(coeffs)} and k = {k!r} must be ints")
         return LinForm(tuple(sorted((i, c) for i, c in coeffs.items() if c)), k)
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
@@ -96,11 +98,13 @@ class LinForm(NamedTuple):
 
 
 def _scalar(value) -> int | Fraction:
-    """An exact coefficient: int when integral, else Fraction."""
+    """An exact coefficient, an int or a Fraction: int when integral.  A
+    float, str or bool is refused, not converted."""
     if type(value) is int:
         return value
-    c = Fraction(value)
-    return c.numerator if c.denominator == 1 else c
+    if type(value) is not Fraction:
+        raise TypeError(f"coefficient {value!r} is not an int or Fraction")
+    return value.numerator if value.denominator == 1 else value
 
 
 def _cleaned(terms: dict) -> dict:
@@ -227,13 +231,10 @@ class Poly:
         return Poly._of(self.nvars, _check_fields(self.nvars, _cleaned(out)))
 
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("polynomials in different variable counts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.nvars, other)
-        raise TypeError(f"cannot combine Poly with {type(other)!r}")
+        """other as a Poly: a scalar goes through ``_scalar``, which refuses
+        anything but an int or a Fraction, and ``weighted_sum`` checks the
+        variable count."""
+        return other if isinstance(other, Poly) else Poly.const(self.nvars, other)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
@@ -242,12 +243,13 @@ class Poly:
     def eval(self, values: Sequence[int | Fraction]) -> Fraction:
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
+        values = [_scalar(v) for v in values]
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
             for e, v in zip(exp, values):
                 if e:
-                    term *= Fraction(v) ** e
+                    term *= v ** e
             total += term
         return total
 

@@ -149,6 +149,29 @@ def test_tree_system_cache_is_bounded():
         _tree_system(EXPP.n, EXPP.e, EXPP.k)
 
 
+def _tail_sides(t):
+    """Each edge's tail side (marking mask, summed mu) of a genus-0 record,
+    derived from its markings and edges alone, never from its cut table:
+    the tree minus the edge splits in two, and the side holding the edge's
+    stored tail u holds the markings M and sums mu(v) = val(v) - 2."""
+    val = [len(ends) for ends in t.vertex_ends]
+    for a, b in t.edges:
+        val[a] += 1
+        val[b] += 1
+    sides = []
+    for idx, (u, _) in enumerate(t.edges):
+        side, todo = {u}, [u]
+        while todo:
+            v = todo.pop()
+            for j, (a, b) in enumerate(t.edges):
+                if j != idx and v in (a, b) and a + b - v not in side:
+                    side.add(a + b - v)
+                    todo.append(a + b - v)
+        sides.append((sum(1 << (i - 1) for v in side for i in t.vertex_ends[v]),
+                      sum(val[v] - 2 for v in side)))
+    return tuple(sides)
+
+
 def test_tree_system_holds_the_type_records():
     _tree_system.cache_clear()
     entries = _tree_system(EXPP.n, EXPP.e, EXPP.k).entries
@@ -160,21 +183,25 @@ def test_tree_system_holds_the_type_records():
     wall_list = walls(EXPP.n)
     for t, edge_walls in entries:
         assert len(edge_walls) == len(t.edges)
-        for mask, (i, side) in zip(t.cuts[::2], edge_walls):
+        for (mask, _), (i, side) in zip(_tail_sides(t), edge_walls):
             tail = tuple(j for j in range(1, EXPP.n + 1) if mask >> (j - 1) & 1)
             assert Wall.of(EXPP.n, tail) == wall_list[i]
             assert (wall_list[i].subset == tail) == (side == 1)
 
 
 def test_genus0_cuts_are_walls():
-    # the cut (mask, c) of a tree edge is the wall of mask: c = |mask| - 1,
-    # and both sides hold at least two markings
+    # the cut (mask, c) of a tree edge, read from the type list's table, is
+    # its tail side, and the wall of mask: c = |mask| - 1, and both sides
+    # hold at least two markings
     for n in range(4, 8):
         for e in itertools.product(range(n - 2), repeat=n):
             if sum(e) > n - 3:
                 continue
-            for t in enumeration._types_for(0, n, e):
-                for mask, c in zip(t.cuts[::2], t.cuts[1::2]):
+            types = enumeration._types_for(0, n, e)
+            table = tuple(types[0].cut_table)
+            for t in types:
+                assert t.cut_of(table) == _tail_sides(t)
+                for mask, c in t.cut_of(table):
                     size = bin(mask).count("1")
                     assert c == size - 1 and 2 <= size <= n - 2, (n, e, t)
 
@@ -212,7 +239,7 @@ def test_counts_and_chambers_compile_each_type_once(monkeypatch):
 
     def counted(cls, fields):
         fields = tuple(fields)
-        calls[fields[:8]] += 1
+        calls[fields[:7]] += 1
         return make(fields)
 
     monkeypatch.setattr(record_type, "_make", classmethod(counted))
@@ -225,7 +252,7 @@ def test_counts_and_chambers_compile_each_type_once(monkeypatch):
     types = enumeration._types_for(0, p.n, p.e)
     assert len(calls) == len(types) > 1
     assert set(calls.values()) == {1}
-    assert set(calls) == {tuple(t[:8]) for t in types}
+    assert set(calls) == {tuple(t[:7]) for t in types}
 
 
 def _tree_entry(n, e, ends):

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.cli import main
+from leakyhurwitz.covers import Problem
+from leakyhurwitz.enumeration import count_covers
 from leakyhurwitz.vertexdata import VertexKey, default_fixtures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -409,6 +411,33 @@ def test_one_vertex_of_many_markings(capsys):
                              "-e", str(n - 3) + ",0" * (n - 1))
     assert (code, err) == (0, "")
     assert json.loads(out) == {"H": "1", "covers": 1}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-str digit limit before Python 3.11")
+def test_count_past_the_int_str_digit_limit(capsys):
+    # a count of more than 4,300 digits prints in full, and the interpreter's
+    # digit limit is restored when main returns
+    nines = "9" * 1500
+    x = ",".join([nines, "-" + nines] * 2 + ["1", "-1"])
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "number", "-x", x)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    payload = json.loads(out)
+    assert len(payload["H"]) > limit
+    code, covers, err = run_cli(capsys, "covers", "-x", x)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    p = Problem.of(0, 0, tuple(map(int, x.split(","))))
+    expected = count_covers(p)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (Fraction(payload["H"]), payload["covers"]) == expected
+        mults = [Fraction(line["multiplicity"]) for line in json.loads(covers)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (sum(mults), len(mults)) == expected
 
 
 @pytest.mark.parametrize("argv", ["covers -g 1 -k 1 -x 7,-3,-1 -e 1,0,0",

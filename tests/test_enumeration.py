@@ -66,7 +66,8 @@ def test_compiled_type_cache_is_bounded():
     assert not hasattr(enumeration, "_compiled_for")
     types = types_for(1, 3, (1, 0, 0))
     assert types is types_for(1, 3, (1, 0, 0))
-    assert all(len(t.cuts) == 2 * len(t.edges) for t in types)
+    table = tuple(types[0].cut_table)
+    assert all(t.cut_of(table) == _edge_cuts(t) for t in types)
 
 
 def _set_partitions(n, blocks):
@@ -231,27 +232,39 @@ def _solve_flows(edges, fixed, order, parent_edge, inc):
     return [flows[i] for i in range(len(edges))]
 
 
-def _compile_alone(genera, ends, edges, e):
-    """A type's record as it was compiled before edge structures were shared,
-    its unit flows solved vertex by vertex rather than read off subtrees; it
-    has no walk plan, as these records are only compared."""
+def _edge_cuts(t):
+    """Each edge's cut (mask, c) of the record t, derived from its genera,
+    markings and edges alone, never from its cut table: the markings and
+    the summed mu(v) = 2g(v) - 2 + val(v) on the tail side of the BFS
+    spanning-tree cut through the edge, and (0, 0) on a free edge."""
+    genera, ends, edges = t.vertex_genus, t.vertex_ends, t.edges
     V = len(genera)
     order, parent_edge, inc = _spanning_structure(V, edges)
     side_mask = [sum(1 << (i - 1) for i in marks) for marks in ends]
     side_mu = [2 * genera[v] - 2 + len(inc[v]) + len(ends[v]) for v in range(V)]
-    full, total = (1 << len(e)) - 1, sum(side_mu)
-    cuts = [0] * (2 * len(edges))
+    full = sum(side_mask)
+    total = sum(side_mu)
+    cuts = [(0, 0)] * len(edges)
     for v in reversed(order[1:]):
         idx = parent_edge[v]
         a, b = edges[idx]
         if a == v:
-            cuts[2 * idx:2 * idx + 2] = side_mask[v], side_mu[v]
+            cuts[idx] = side_mask[v], side_mu[v]
             parent = b
         else:
-            cuts[2 * idx:2 * idx + 2] = full ^ side_mask[v], total - side_mu[v]
+            cuts[idx] = full ^ side_mask[v], total - side_mu[v]
             parent = a
         side_mask[parent] |= side_mask[v]
         side_mu[parent] += side_mu[v]
+    return tuple(cuts)
+
+
+def _compile_alone(genera, ends, edges, e):
+    """A type's record as it was compiled before edge structures were shared,
+    its unit flows solved vertex by vertex rather than read off subtrees; it
+    has no walk plan and no cut table, as these records are only compared."""
+    V = len(genera)
+    order, parent_edge, inc = _spanning_structure(V, edges)
     tree_idx = set(parent_edge.values())
     free_idx = [i for i in range(len(edges)) if i not in tree_idx]
     units = tuple(tuple(_solve_flows(
@@ -275,8 +288,9 @@ def _compile_alone(genera, ends, edges, e):
                            tuple(i for i in inc[v] if edges[i][0] == v),
                            psi + (0,) * len(inc[v])))
     return enumeration.CombinatorialType(
-        genera, ends, edges, tuple(cuts), units, tuple(runs), genus0_factor,
-        tuple(higher), {}, None)
+        vertex_genus=genera, vertex_ends=ends, edges=edges, units=units,
+        runs=tuple(runs), genus0_factor=genus0_factor, higher=tuple(higher),
+        orders={}, plan=None)
 
 
 def _types_one_partition_at_a_time(g, n, e):
@@ -309,8 +323,11 @@ def _types_one_partition_at_a_time(g, n, e):
     ids=str)
 def test_types_match_one_partition_at_a_time(g, e):
     n = len(e)
-    assert (enumeration._types_for.__wrapped__(g, n, e)
-            == _types_one_partition_at_a_time(g, n, e))
+    records = enumeration._types_for.__wrapped__(g, n, e)
+    assert records == _types_one_partition_at_a_time(g, n, e)
+    # the cuts are no value field: each record's are read from its table
+    table = tuple(records[0].cut_table)
+    assert all(t.cut_of(table) == _edge_cuts(t) for t in records)
 
 
 def _assert_balanced(p):
@@ -706,7 +723,7 @@ def _on_a_wall(p):
     summed from x directly: such a type has no cover at p."""
     return any(sum(v for i, v in enumerate(p.x) if mask >> i & 1) == p.k * c
                for t in _types_for(0, p.n, p.e)
-               for mask, c in zip(t.cuts[::2], t.cuts[1::2]))
+               for mask, c in _edge_cuts(t))
 
 
 @pytest.mark.parametrize("p", [
@@ -728,14 +745,14 @@ def test_count_covers_matches_listing_genus0_on_walls(p):
 
 def _per_type_sum(p, orders):
     """(H, covers) of a genus-0 p summed type by type, apart from the
-    records' table of cut masks: each flow delta(M) = S[M] - k(|M| - 1)
-    summed over the bits of its mask M, and the extensions counted once per
+    records' cut table: each flow delta(M) = S[M] - k(|M| - 1) summed over
+    the bits of the tail-side markings M, and the extensions counted once per
     orientation, memoized in ``orders``; also the number of types skipped
     for a zero flow."""
     whole = count = skipped = 0
     for t in _types_for(0, p.n, p.e):
         flows = []
-        for mask in t.cuts[::2]:
+        for mask, _ in _edge_cuts(t):
             bits = [i for i in range(p.n) if mask >> i & 1]
             flows.append(sum(p.x[i] for i in bits) - p.k * (len(bits) - 1))
         if 0 in flows:
@@ -767,7 +784,7 @@ def _random_genus0(rng, on_wall):
 
 
 def test_count_covers_matches_per_type_sum_genus0():
-    # the shared cut-mask table and the types' getters against plain sums
+    # the shared cut table and the types' getters against plain sums
     rng = random.Random(17)
     orders = {}
     skipped = 0
@@ -786,27 +803,54 @@ def test_count_covers_matches_per_type_sum_genus0():
 ], ids=str)
 def test_count_covers_matches_per_type_sum_small(p, edges):
     types = _types_for(0, p.n, p.e)
-    table = tuple(types[0].cut_masks)
+    table = tuple(types[0].cut_table)
     for t in types:
         assert len(t.edges) == edges
-        assert t.cut_of(table) == t.cuts[::2]  # a tuple for any edge count
+        assert t.cut_of(table) == _edge_cuts(t)  # a tuple for any edge count
     expected, skipped = _per_type_sum(p, {})
     assert (skipped > 0) == (edges == 2)
     assert count_covers(p) == expected
 
 
-def test_records_share_one_cut_mask_table():
+def test_records_share_one_cut_table():
     p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
     _types_for.cache_clear()
     first = count_covers(p)
     records = _types_for(0, p.n, p.e)
-    table = records[0].cut_masks
-    assert all(t.cut_masks is table for t in records)
-    assert set(table) == {mask for t in records for mask in t.cuts[::2]}
+    table = records[0].cut_table
+    assert all(t.cut_table is table for t in records)
+    assert set(table) == {cut for t in records for cut in _edge_cuts(t)}
     assert list(table.values()) == list(range(len(table)))
     _types_for.cache_clear()  # the next call builds its records and table anew
     assert count_covers(p) == first
-    assert _types_for(0, p.n, p.e)[0].cut_masks is not table
+    assert _types_for(0, p.n, p.e)[0].cut_table is not table
+
+
+@pytest.mark.parametrize("p", [
+    Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0)),
+    Problem.of(0, 2, (6, -3, 1, 2, -4, 5, 3), (0, 0, 1, 1, 0, 0, 0)),
+    GOLDEN, Problem.of(1, -1, (2, -3, 1, -4)), Problem.of(2, 1, (6, -2, 1)),
+    Problem.of(2, 0, (4, 4, -8)), Problem.of(3, 1, (7, -1)),
+    Problem.of(3, 0, (3, -3)), Problem.of(3, 2, (11, 1), (1, 0))], ids=str)
+def test_cut_table_holds_each_distinct_cut_once(p):
+    # one position per distinct cut of the type list, in position order; a
+    # genus-0 cut (mask, c) has c = |mask| - 1, so its mask alone tells it;
+    # and every base flow a record reads through its getter is the cut
+    # expression S[mask] - k c of the cut derived from its own edges
+    records = _types_for(p.genus, p.n, p.e)
+    table = records[0].cut_table
+    assert list(table.values()) == list(range(len(table)))
+    assert set(table) == {cut for t in records for cut in _edge_cuts(t)}
+    if not p.genus:
+        assert all(c == bin(mask).count("1") - 1 for mask, c in table)
+    flows = enumeration._cut_flows(p, records)
+    for t in records:
+        assert t.cut_of(flows) == tuple(
+            sum(v for i, v in enumerate(p.x) if mask >> i & 1) - p.k * c
+            for mask, c in _edge_cuts(t))
+    # an empty type list has no table to read
+    assert enumeration._cut_flows(p, ()) == ()
+    assert list(enumeration._admissible_flows(p, ())) == []
 
 
 # the (n, e) cells of the g0_number benchmark workload
@@ -831,14 +875,14 @@ def _random_psi_cells(count):
                          ids=str)
 def test_genus0_records_hold_their_invariants(n, e):
     # each record read against its own value fields: the getter picks its
-    # cut masks out of the shared table, each cut is the wall c = |M| - 1 of
-    # its mask M, the factor is the product of the blocks' multinomials, and
-    # the records are sorted and distinct
+    # edges' cuts out of the shared table, each cut is the wall c = |M| - 1
+    # of its mask M, the factor is the product of the blocks' multinomials,
+    # and the records are sorted and distinct
     records = _types_for(0, n, e)
-    table = list(records[0].cut_masks)
+    table = tuple(records[0].cut_table)
     for t in records:
-        assert tuple(t.cut_of(table)) == t.cuts[::2]
-        for mask, c in zip(t.cuts[::2], t.cuts[1::2]):
+        assert t.cut_of(table) == _edge_cuts(t)
+        for mask, c in t.cut_of(table):
             assert c == bin(mask).count("1") - 1
         factor = 1
         for block in t.vertex_ends:
@@ -996,8 +1040,7 @@ def _box_scan(p, types):
     bound = enumeration.weight_bound(p)
     values = [v for v in range(-bound, bound + 1) if v != 0]
     for t in types:
-        pairs = iter(t.cuts)
-        base = [sums[m] - p.k * c for m, c in zip(pairs, pairs)]
+        base = [sums[m] - p.k * c for m, c in _edge_cuts(t)]
         if not t.units:
             if all(base):
                 yield t, base, _orders(t, base)
@@ -1165,7 +1208,7 @@ def test_records_with_filled_memos_keep_their_values(p):
     for t in records:
         fresh = t._replace(
             orders={}, plan=t.plan and t.plan._replace(closures={}),
-            cut_masks=None, cut_of=None)
+            cut_table=None, cut_of=None)
         assert t == fresh and not t != fresh and hash(t) == hash(fresh)
     assert records == _types_one_partition_at_a_time(p.genus, p.n, p.e)
 
@@ -1174,7 +1217,7 @@ def test_records_compare_with_other_objects():
     # a record equals the tuple of its value fields, and no other kind of
     # object: comparing with one falls back to identity
     t = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)[0]
-    assert t == tuple(t[:8]) and not t != tuple(t[:8])
+    assert t == tuple(t[:7]) and not t != tuple(t[:7])
     assert (t == None) is False and (t != None) is True  # noqa: E711
     assert (t != 0) is True and (t == "") is False
     assert t in [None, t] and None not in [t]

@@ -209,6 +209,38 @@ def test_poly_rejects_exponents_outside_the_packed_field(exp):
         Poly(2, {exp: 1})
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, "3", True])
+def test_poly_rejects_inexact_coefficients(value):
+    # a float would turn into its binary fraction and a str into a number:
+    # each entry point takes an int or a Fraction only
+    x1 = Poly.variable(1, 1)
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        Poly(1, {(1,): value})
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        Poly.const(1, value)
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        Poly.weighted_sum(1, [(x1, value)])
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        x1.eval([value])
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        Poly.const(1, 5).eval([value])  # read even where no term uses it
+
+
+def test_poly_eval_reads_fraction_values():
+    p = Poly(1, {(2,): 2, (0,): Fraction(1, 3)})
+    assert p.eval([Fraction(3, 2)]) == Fraction(29, 6)
+    assert p.eval([Fraction(4, 2)]) == Fraction(25, 3)
+
+
+@pytest.mark.parametrize("coeffs, k", [({1: 0.5}, 0), ({1: Fraction(1, 2)}, 0),
+                                       ({1: True}, 0), ({1: 1}, 0.5),
+                                       ({1: 1}, Fraction(1)), ({1: "2"}, 0)])
+def test_linform_takes_int_coefficients_only(coeffs, k):
+    # as_poly would store a float coefficient in the polynomial as it is
+    with pytest.raises(TypeError, match="must be ints"):
+        LinForm.of(coeffs, k)
+
+
 def test_poly_accepts_exponents_up_to_the_field_limit():
     p = Poly(2, {(2 ** 15 - 1, 0): 1, (0, 2 ** 15 - 1): -2})
     assert p.terms == {(2 ** 15 - 1, 0): 1, (0, 2 ** 15 - 1): -2}
