@@ -11,9 +11,10 @@ The pipeline runs in three stages:
    val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even.
    ``_types_for`` splits this stage in two: a shape stage enumerates the
    multigraphs once per shape (genera, number m of marked vertices, edge
-   degrees) and keeps of each the smallest edge tuple over the permutations
-   of its runs of unmarked vertices of equal genus, and a labelling stage
-   gives each marking partition the canonical multigraphs of its shape.
+   degrees) and sweeps them by orbit under the permutations of its runs of
+   unmarked vertices of equal genus, relabelling each orbit once and
+   keeping its smallest edge tuple, and a labelling stage gives each
+   marking partition the canonical multigraphs of its shape.
    A shape's structures are cached under (genera, m, degs) (``_shape``),
    shared by calls with equal V, and each shape builds its own
    (``_edge_structure``): two shapes with equal edges keep separate memos,
@@ -275,38 +276,39 @@ def _edge_multisets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int],
     yield from rec(0)
 
 
-def _canonical_edges(V: int, runs: Sequence[tuple[int, ...]],
-                     edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The smallest sorted edge tuple over the permutations of each run, a
-    run being consecutive unmarked vertices of one genus: swapping two of
-    them changes neither the genera nor the ends."""
-    label = list(range(V))
-
-    def relabeled(assignment):
-        for run, perm in zip(runs, assignment):
-            label[run[0]:run[-1] + 1] = perm
-        return tuple(sorted(
-            (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
-            for a, b in edges))
-
-    return min(map(relabeled, itertools.product(*map(itertools.permutations, runs))))
-
-
 @functools.lru_cache(maxsize=1024)
 def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
     """The canonical edge structures of the shape (genera, m, degs), sorted
-    by edges: every connected multigraph with these edge degrees,
-    canonicalized (``_canonical_edges``) over the runs of unmarked vertices
-    of one genus, each built by ``_edge_structure`` and owned by the shape.
-    A call meets a few dozen shapes (46 at (0, 9, 0^9)); the bound holds
-    those of many."""
+    by edges, each built by ``_edge_structure`` and owned by the shape.
+
+    A run is consecutive unmarked vertices of one genus, and so of one edge
+    degree: permuting it changes neither the genera, the ends nor the
+    degrees, and so maps the multigraphs ``_edge_multisets`` yields (sorted
+    edge tuples) onto each other.  Each connected multigraph not yet seen
+    starts an orbit: its sorted edge tuples under every relabelling of the
+    runs, generated one at a time (a run can hold dozens of vertices, whose
+    permutations no list could hold).  The whole orbit is marked seen and
+    its smallest tuple kept, so each type's relabellings are walked once,
+    not once per multigraph of its orbit.  A call meets a few dozen shapes
+    (46 at (0, 9, 0^9)); the bound holds those of many."""
     V = len(degs)
     runs = [tuple(run) for _, run in
             itertools.groupby(range(m, V), genera.__getitem__)]
-    return tuple(_edge_structure(V, edges)
-                 for edges in sorted({_canonical_edges(V, runs, edges)
-                                      for edges in _edge_multisets(degs)
-                                      if is_connected(V, edges)}))
+    label = list(range(V))
+    seen, found = set(), []
+    for edges in _edge_multisets(degs):
+        if edges in seen or not is_connected(V, edges):
+            continue
+        orbit = set()
+        for assignment in itertools.product(*map(itertools.permutations, runs)):
+            for run, perm in zip(runs, assignment):
+                label[run[0]:run[-1] + 1] = perm
+            orbit.add(tuple(sorted(
+                (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
+                for a, b in edges)))
+        seen |= orbit
+        found.append(min(orbit))
+    return tuple(_edge_structure(V, edges) for edges in sorted(found))
 
 
 @functools.lru_cache(maxsize=128)

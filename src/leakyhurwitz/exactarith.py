@@ -46,13 +46,10 @@ _LIMIT = 1 << (_FIELD - 1)  # exponents stay below this
 
 
 def rat_str(value: Fraction | int) -> str:
-    """Render a rational as "p/q", omitting "/q" when the denominator is 1."""
-    if type(value) is int:
-        return str(value)
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Render a rational as "p/q", omitting "/q" when the denominator is 1.
+    Only an exact value is rendered: a float, str or bool is refused
+    (``_scalar``)."""
+    return str(_scalar(value))
 
 
 def parse_rat(text: str) -> Fraction:

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -95,8 +97,8 @@ def _set_partitions(n, blocks):
 
 def _canonical_type_with_perm(genera, ends, edges):
     """The canonical relabelling as it was computed while it tracked the
-    winning permutation: an independent oracle for ``_canonical_edges`` and
-    for the vertex layout ``_types_for`` gives each type."""
+    winning permutation: an independent oracle for the canonical edges of
+    ``_shape`` and for the vertex layout ``_types_for`` gives each type."""
     V = len(genera)
     base = sorted(range(V), key=lambda v: (0, ends[v][0], 0) if ends[v]
                   else (1, genera[v], 0))
@@ -127,12 +129,27 @@ def _canonical_type_with_perm(genera, ends, edges):
             tuple(tuple(ends[v]) for v in best_perm), best_edges)
 
 
+def _stabilizer_size(runs, edges):
+    """How many relabellings of the runs map the sorted edge tuple onto
+    itself, each tried."""
+    moved = [v for run in runs for v in run]
+    fixed = 0
+    for assignment in itertools.product(*map(itertools.permutations, runs)):
+        label = dict(zip(moved, itertools.chain(*assignment)))
+        fixed += tuple(sorted(
+            tuple(sorted((label.get(a, a), label.get(b, b)))) for a, b in edges
+        )) == edges
+    return fixed
+
+
 def test_canonical_type_matches_permutation_tracking_oracle():
-    # every labelled multigraph of every vertex layout _types_for builds
-    # (blocks by smallest marking, then unmarked vertices of sorted genera),
-    # including layouts with one and with two runs of swappable unmarked
-    # vertices; each layout also meets the degree sum that _types_for no
-    # longer tests
+    # every vertex layout _types_for builds (blocks by smallest marking,
+    # then unmarked vertices of sorted genera), including layouts with one
+    # and with two runs of swappable unmarked vertices; each layout also
+    # meets the degree sum that _types_for no longer tests.  The shape
+    # keeps the oracle's form of each connected multigraph, once, and by
+    # orbit-stabilizer (|Sym(runs)| / stabilizer per type) the orbits of
+    # those forms hold every connected multigraph exactly once
     layouts = runs_seen = 0
     for g, e in [(0, (0,) * 6), (0, (0,) * 7), (0, (1,) + (0,) * 6),
                  (2, (0,)), (2, (0, 0)), (2, (0, 0, 0)),
@@ -151,10 +168,28 @@ def test_canonical_type_matches_permutation_tracking_oracle():
                 runs = [tuple(v for v in range(m, V) if genera[v] == genus)
                         for genus in sorted(set(genera[m:]))]
                 runs_seen |= 1 << sum(len(run) > 1 for run in runs)
-                for edges in enumeration._edge_multisets(degs):
-                    assert (enumeration._canonical_edges(V, runs, edges)
-                            == _canonical_type_with_perm(genera, blocks, edges)[2])
+                connected = [edges for edges in enumeration._edge_multisets(degs)
+                             if is_connected(V, edges)]
+                canonical = sorted({
+                    _canonical_type_with_perm(genera, blocks, edges)[2]
+                    for edges in connected})
+                assert [structure[0] for structure in enumeration._shape(
+                    genera, m, degs)] == canonical
+                sym = math.prod(math.factorial(len(run)) for run in runs)
+                assert sum(sym // _stabilizer_size(runs, edges)
+                           for edges in canonical) == len(connected)
     assert (layouts, runs_seen) == (550, 0b111)
+
+
+def test_genus3_types_build_cold_within_budget():
+    # each orbit's relabellings are walked once, not once per multigraph of
+    # it: (3, 3, 0^3) has 535 types of 8,427 connected multigraphs
+    enumeration._shape.cache_clear()
+    start = time.perf_counter()
+    types = _types_for.__wrapped__(3, 3, (0, 0, 0))
+    elapsed = time.perf_counter() - start
+    assert len(types) == 535
+    assert elapsed < 1.0, f"cold (3, 3, 0^3) took {elapsed:.2f}s"
 
 
 def _stirling2(n, j):
@@ -319,7 +354,7 @@ def _types_one_partition_at_a_time(g, n, e):
     (1, (0, 2, 0)), (2, (0, 0)), (2, (0, 1, 0)), (3, (0,)), (3, (1, 0)),
     # cells where pruning cuts partitions and the reserve is positive
     (0, (0,) * 7), (0, (0, 0, 0, 0, 2, 0, 0)), (0, (0, 0, 0, 3, 0, 0, 0, 0)),
-    (1, (0, 0, 2, 0, 0)), (2, (0, 2, 0))],
+    (1, (0, 0, 2, 0, 0)), (2, (0, 2, 0)), (3, (0, 0))],
     ids=str)
 def test_types_match_one_partition_at_a_time(g, e):
     n = len(e)
@@ -585,9 +620,9 @@ def test_gjv_oracle_examples():
 
 
 # above genus 1 the engine counts a cover once per automorphism of its
-# unmarked vertices (ROADMAP item 1): it gives 93, 1152 and 12268 where GJV
-# gives 81, 976 and 9604.  Item 1's fix turns these cases into passes and
-# must remove their marks.
+# unmarked vertices (ROADMAP item 1): it gives 93, 1152, 12268 and 933 where
+# GJV gives 81, 976, 9604 and 729.  Item 1's fix turns these cases into
+# passes and must remove their marks.
 OVERCOUNTED = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="ROADMAP item 1: genus >= 2 covers counted once per automorphism "
@@ -599,9 +634,97 @@ OVERCOUNTED = pytest.mark.xfail(
     for x in ((3, -2, -1), (6, -3, -2, -1), (3, -1, -1, -1), (7, -4, -3),
               (6, -2, -2, -1, -1), (4, -3, -1))] + [(1, (5, -5))] + [
     pytest.param(2, x, marks=OVERCOUNTED)
-    for x in ((3, -2, -1), (4, -2, -2), (7, -7))], ids=str)
+    for x in ((3, -2, -1), (4, -2, -2), (7, -7))] + [
+    pytest.param(3, (3, -2, -1), marks=OVERCOUNTED)], ids=str)
 def test_one_part_counts_match_gjv(g, x):
     assert compute_H(Problem.of(g, 0, x)) == _gjv(g, x)
+
+
+def _partitions(d, top=None):
+    """The partitions of d into parts of at most ``top``, largest first."""
+    if not d:
+        yield ()
+        return
+    for first in range(min(d, top or d), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first, *rest)
+
+
+@functools.cache
+def _character(beta, cycles):
+    """chi^lambda at the cycle type ``cycles``, lambda given by its beta-set
+    (lambda_i + l - i), by Murnaghan-Nakayama: a rim hook of length c is a
+    bead moved from b down to an empty b - c, signed by the beads between."""
+    if not cycles:
+        return 1
+    c, rest = cycles[0], cycles[1:]
+    return sum((-1) ** sum(b - c < a < b for a in beta)
+               * _character(beta - {b} | {b - c}, rest)
+               for b in beta if b >= c and b - c not in beta)
+
+
+def _disconnected(x, r):
+    """The possibly disconnected count of degree-d covers with labelled
+    parts mu = x+ over 0 and nu = -x- over infinity and r simple branch
+    points, by Frobenius's formula: |Aut mu| |Aut nu| / (z_mu z_nu) is
+    1 / (prod mu prod nu), and f_2(lambda), the sum of the contents,
+    stands for |C_2| chi^lambda(2) / dim lambda."""
+    mu = tuple(v for v in x if v > 0)
+    nu = tuple(-v for v in x if v < 0)
+    total = 0
+    for lam in _partitions(sum(mu)):
+        beta = frozenset(part + len(lam) - i for i, part in enumerate(lam, 1))
+        f2 = sum(part * (part - 2 * i + 1) for i, part in enumerate(lam, 1)) // 2
+        total += _character(beta, mu) * _character(beta, nu) * f2 ** r
+    return Fraction(total, math.prod(mu) * math.prod(nu))
+
+
+def _frobenius(g, x):
+    """H_g(x) at k = 0 and e = 0, x with no zero: the connected double
+    Hurwitz number with labelled parts and r = 2g - 2 + n branch points,
+    from characters alone (Okounkov, Math. Res. Lett. 2000; GJV 2005, sec.
+    2).  A disconnected cover splits into connected ones, each with a
+    balanced set of the parts and a share of the labelled branch points,
+    so the connected count is the disconnected one less every split whose
+    component through part 0 leaves some parts out."""
+
+    @functools.cache
+    def connected(ends, r):
+        first, rest = ends[0], ends[1:]
+        value = _disconnected([x[i] for i in ends], r)
+        for size in range(len(rest)):
+            for others in itertools.combinations(rest, size):
+                if sum(x[i] for i in (first, *others)):
+                    continue  # unbalanced: no cover has this component
+                left = [x[i] for i in rest if i not in others]
+                value -= sum(math.comb(r, r1) * connected((first, *others), r1)
+                             * _disconnected(left, r - r1)
+                             for r1 in range(r + 1))
+        return value
+
+    return connected(tuple(range(len(x))), 2 * g - 2 + len(x))
+
+
+@pytest.mark.parametrize("g, x", [
+    (0, (6, -3, -2, -1)), (1, (6, -3, -2, -1)), (1, (5, -5)), (2, (3, -2, -1)),
+    (2, (4, -2, -2)), (2, (7, -7)), (3, (3, -2, -1))], ids=str)
+def test_frobenius_oracle_matches_gjv(g, x):
+    assert _frobenius(g, x) == _gjv(g, x)
+
+
+@pytest.mark.parametrize("g, x", [
+    (g, x) for g in (0, 1)
+    for x in ((3, 3, -2, -4), (2, 2, -3, -1), (4, 1, -3, -2), (4, 4, -4, -4),
+              (3, 2, -2, -2, -1), (2, 2, -1, -1, -2))] + [
+    (0, (3, 2, -1, -1, -1, -2)), (1, (4, 2, -3, -3)),
+    # no overcount shows in these two
+    (2, (2, -1, -1)), (3, (2, -2))] + [
+    pytest.param(g, x, marks=OVERCOUNTED) for g, x in (
+        (2, (3, 3, -2, -4)), (2, (2, 2, -3, -1)), (2, (2, 1, -2, -1)),
+        (2, (3, 2, -5)), (3, (3, 2, -5)), (3, (2, 1, -3)), (3, (2, 2, -4)))],
+    ids=str)
+def test_k0_counts_match_frobenius(g, x):
+    assert compute_H(Problem.of(g, 0, x)) == _frobenius(g, x)
 
 
 def test_genus0_multiplicities_nonnegative():

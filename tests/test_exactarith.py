@@ -25,7 +25,15 @@ def test_rat_str_format():
     assert rat_str(Fraction(-3, 2)) == "-3/2"
     assert rat_str(Fraction(4, 1)) == "4"
     assert rat_str(Fraction(0)) == "0"
+    assert rat_str(-7) == "-7"
     assert parse_rat("51/4") == Fraction(51, 4)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True])
+def test_rat_str_rejects_inexact_values(value):
+    # 0.1 would render as its binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        rat_str(value)
 
 
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))

@@ -1,8 +1,9 @@
 """Package hygiene: every public name resolves and has a caller, no module
 keeps an import or a private function or class that it never uses (the
-leftovers that deletions tend to leave), no doc names a private that is gone, every module
-cache is bounded, start-up imports no heavy stdlib module, and the public
-records keep the tuple contract."""
+leftovers that deletions tend to leave), every private name a module
+defines is read by the package or a bench script, no doc names a private
+that is gone, every module cache is bounded, start-up imports no heavy
+stdlib module, and the public records keep the tuple contract."""
 
 import ast
 import copy
@@ -75,6 +76,40 @@ def test_every_export_has_a_caller():
     sources = [path.read_text() for path in MODULES + sorted(bench.glob("*.py"))]
     assert sorted(_uncalled_exports(leakyhurwitz.__all__, sources)) == sorted(
         UNCALLED_EXPORTS)
+
+
+def _module_privates(source: str) -> list[str]:
+    """The private names a module defines at its top level: its functions,
+    classes and assigned names, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def test_unread_private_check_sees_a_leftover():
+    # a helper that only its tests call is read by no source scanned
+    package = ("def _kept(): pass\ndef _left(): return _left()\n_TABLE = {}\n"
+               "_LIMIT: int = 3\nclass _Bench: pass\nprint(_kept(), _LIMIT)\n")
+    bench = "import a\na._Bench()\n"
+    assert _uncalled_exports(_module_privates(package), [package, bench]) == [
+        "_left", "_TABLE"]
+
+
+def test_every_private_has_a_reader():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    package = [path.read_text() for path in sorted(MODULES + [
+        Path(leakyhurwitz.__file__)])]
+    privates = [name for source in package for name in _module_privates(source)]
+    assert privates
+    sources = package + [path.read_text() for path in sorted(bench.glob("*.py"))]
+    assert _uncalled_exports(privates, sources) == []
 
 
 def _unused_imports(source: str) -> list[str]:
