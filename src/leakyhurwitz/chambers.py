@@ -112,8 +112,14 @@ class _TreeSystem:
     memoized: a chamber polynomial reads every product, and crossing every
     wall reads the product of every type with an edge.  ``on_wall[i]``
     lists the types with an edge on wall i, the only ones a crossing of
-    wall i reads.  Chamber polynomials are memoized per wall signs, and
-    extension counts in the records (``CombinatorialType.extensions``).
+    wall i reads.  No two edges of a type share a wall, so each list holds
+    a type once, in ascending index order.  Were two edges to cut off the
+    same marking set or its complement, the part of the tree between them
+    would hold no marking: its m vertices meet the rest of the tree by
+    those two edges alone, so their valences sum to 2(m - 1) + 2 = 2m and
+    one of them has valence at most 2, while a genus-0 vertex has valence
+    sum e_i + 3 >= 3.  Chamber polynomials are memoized per wall signs,
+    and extension counts in the records (``CombinatorialType.extensions``).
     """
 
     def __init__(self, n: int, e: tuple[int, ...], k: int):
@@ -135,7 +141,7 @@ class _TreeSystem:
             for t, edge_walls in self.entries]
         self.on_wall: list[list[int]] = [[] for _ in self.wall_polys]
         for idx, (_, edge_walls) in enumerate(self.entries):
-            for i in {i for i, _ in edge_walls}:
+            for i, _ in edge_walls:
                 self.on_wall[i].append(idx)
         self._chambers: dict[tuple[int, ...], Poly] = {}
 
@@ -215,23 +221,6 @@ def _signs(n: int, k: int, point: Sequence) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _flank_candidate(n: int, k: int, wall: Wall, attempt: int):
-    """One deterministic candidate (z, a, b) for x+- = z +- (e_a - e_b): z an
-    integer point on the wall and the degree hyperplane, a in its subset, b not."""
-    rng = random.Random(f"flank:{n}:{k}:{wall.subset}:{attempt}")
-    spread = 6 + 2 * attempt
-    I = wall.subset
-    comp = tuple(i for i in range(1, n + 1) if i not in I)
-    a, b = I[0], comp[0]
-    z = [0] * n
-    for i in range(1, n + 1):
-        if i not in (a, b):
-            z[i - 1] = rng.randint(-spread, spread)
-    z[a - 1] = k * (len(I) - 1) - sum(z[i - 1] for i in I if i != a)
-    z[b - 1] = k * (n - 2) - sum(z[i - 1] for i in range(1, n + 1) if i != b)
-    return z, a, b
-
-
 @functools.lru_cache(maxsize=1024)
 def _find_flanking(n: int, k: int, wall: Wall):
     """The flanking points of the wall and the chamber of x+, (x+, x-, wall
@@ -239,11 +228,17 @@ def _find_flanking(n: int, k: int, wall: Wall):
     in sign on every other wall.  They depend on n, k and the wall only, so
     every crossing of the wall shares them, whatever its psi vector.
 
-    A candidate x+- = z +- (e_a - e_b) is kept when x+ and x- have the same
+    Candidates are x+- = z +- (e_a - e_b), with a = I[0] and b the first
+    marking outside the wall's subset I.  Attempt t seeds ``random.Random``
+    with "flank:n:k:I:t" and draws z_i in [-(6 + 2t), 6 + 2t] for each i
+    not in {a, b}, in ascending order; z_a and z_b then solve delta_I(z) =
+    0 and sum z = k(n - 2), so z is an integer point on the wall and the
+    degree hyperplane.  A candidate is kept when x+ and x- have the same
     nonzero sign on every other wall J, read off one evaluation at z: with
     s_J = [a in J] - [b in J], delta_J(x+-) = delta_J(z) +- s_J, and two
     numbers d + s and d - s have the same nonzero sign exactly when their
     product d^2 - s^2 is positive, that is when |delta_J(z)| > |s_J|.
+    Each wall's |s_J| is fixed with a and b, before the draws.
 
     When none of the 400 seeded candidates is kept (from n = 14 on) z is
     constructed: z_i = M 2^i for i not in {a, b}, M = 2|k|n + 3, and z_a,
@@ -261,16 +256,24 @@ def _find_flanking(n: int, k: int, wall: Wall):
     with the same form delta_J, nonzero with one sign at x+, at x- and so
     at their mean z, the wall point.
     """
+    I = wall.subset
+    a, b = I[0], next(i for i in range(1, n + 1) if i not in I)
+    others = [(w.form, (a in w.subset) != (b in w.subset))
+              for w in _walls_of(n) if w.subset != I]
     for attempt in range(400):
-        z, a, b = _flank_candidate(n, k, wall, attempt)
-        if all(abs(w.form.evaluate(z, k)) > ((a in w.subset) != (b in w.subset))
-               for w in _walls_of(n) if w.subset != wall.subset):
+        rng = random.Random(f"flank:{n}:{k}:{I}:{attempt}")
+        spread = 6 + 2 * attempt
+        z = [0 if i in (a, b) else rng.randint(-spread, spread)
+             for i in range(1, n + 1)]
+        # z_a and z_b are still 0 in the sums that solve for them
+        z[a - 1] = k * (len(I) - 1) - sum(z[i - 1] for i in I)
+        z[b - 1] = k * (n - 2) - sum(z)
+        if all(abs(form.evaluate(z, k)) > s for form, s in others):
             break
     else:
         big = 2 * abs(k) * n + 3
         z = [big << i for i in range(1, n + 1)]
-        z[a - 1] = k * (len(wall.subset) - 1) - sum(
-            z[i - 1] for i in wall.subset if i != a)
+        z[a - 1] = k * (len(I) - 1) - sum(z[i - 1] for i in I if i != a)
         z[b - 1] += k * (n - 2) - sum(z)
     step = [(i == a) - (i == b) for i in range(1, n + 1)]
     x_plus = tuple(c + d for c, d in zip(z, step))

@@ -53,7 +53,11 @@ def rat_str(value: Fraction | int) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the "p/q" (or bare "p") format produced by :func:`rat_str`."""
+    """Parse any string that ``fractions.Fraction`` reads exactly: the "p/q"
+    (or bare "p") format of :func:`rat_str`, and also decimals such as
+    "1.5" (3/2) or "1e3" (1000), with surrounding whitespace ignored.  A
+    fixture row's value is a JSON integer or such a string: the loader
+    rejects a JSON float, bool or null before reading it."""
     return Fraction(text.strip())
 
 

@@ -105,7 +105,7 @@ def _table_from_rows(rows) -> dict[VertexKey, Fraction]:
             if not (type(degrees) is list and type(psi) is list
                     and all(type(v) is int for v in (genus, k, *degrees, *psi))
                     and type(value) in (int, str)):
-                raise TypeError('genus, k, degrees, psi need ints, value int or "p/q"')
+                raise TypeError("genus, k, degrees, psi need ints, value int or str")
             if genus < 1 or any(e < 0 for e in psi):
                 raise ValueError("genus must be >= 1 and psi nonnegative")
             key = VertexKey(genus, k, tuple(degrees), tuple(psi))

@@ -335,8 +335,21 @@ def test_flanking_points_straddle_their_wall_alone():
 def _two_point_flanking(n, k, wall):
     """The first candidate whose two points have the same nonzero sign on
     every other wall, each point evaluated on its own."""
+    I = wall.subset
+    a = I[0]
+    b = min(set(range(1, n + 1)) - set(I))
     for attempt in range(400):
-        z, a, b = chambers._flank_candidate(n, k, wall, attempt)
+        # the seeded draw: one randint per marking other than a and b, in
+        # ascending order, then z_a on the wall and z_b on sum z = k(n - 2)
+        rng = random.Random(f"flank:{n}:{k}:{I}:{attempt}")
+        spread = 6 + 2 * attempt
+        z = {}
+        for i in range(1, n + 1):
+            if i not in (a, b):
+                z[i] = rng.randint(-spread, spread)
+        z[a] = k * (len(I) - 1) - sum(z[i] for i in I if i != a)
+        z[b] = k * (n - 2) - sum(z.values())
+        z = [z[i] for i in range(1, n + 1)]
         step = [(i == a) - (i == b) for i in range(1, n + 1)]
         x_plus = tuple(c + d for c, d in zip(z, step))
         x_minus = tuple(c - d for c, d in zip(z, step))

@@ -1017,6 +1017,33 @@ def test_genus0_records_hold_their_invariants(n, e):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def _sorted_psi(total, n, top):
+    """Every nonincreasing psi vector of length n summing to total, with
+    entries at most top."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(min(total, top), -1, -1):
+        for rest in _sorted_psi(total - v, n - 1, v):
+            yield (v,) + rest
+
+
+def test_genus0_edges_cut_distinct_bipartitions():
+    # _TreeSystem lists a type once per wall it has an edge on, which needs
+    # no two edges of a genus-0 type to cut off one bipartition {M, M^c}
+    types = 0
+    for n in range(4, 9):
+        full = (1 << n) - 1
+        for total in range(n - 2):
+            for e in _sorted_psi(total, n, total):
+                for t in _types_for(0, n, e):
+                    sides = [min(mask, full ^ mask) for mask, _ in _edge_cuts(t)]
+                    assert len(set(sides)) == len(sides), (n, e, t.edges)
+                    types += 1
+    assert types == 21042
+
+
 def test_calls_with_equal_vertex_counts_share_shapes():
     # both cells have V = 4: a record of the second call with edges that the
     # first call met reads that call's structure, with its extension memo

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -48,6 +49,25 @@ def test_default_fixture_entries():
     assert table.get(VertexKey(1, 1, (7, -5), (1, 0))) == Fraction(35, 24)
     assert table.get(VertexKey(1, 1, (1,), (0,))) == Fraction(-1, 24)
     assert table.get(VertexKey(1, 2, (2,), (0,))) == Fraction(-1, 24)
+
+
+def test_builtin_rows_repeat_no_mirror():
+    # the loader stores every row under its key and its turned-around key,
+    # so a builtin row mirroring another would only repeat it
+    text = resources.files("leakyhurwitz").joinpath(
+        "data/default_fixtures.json").read_text()
+    keys = [VertexKey(r["genus"], r["k"], tuple(r["degrees"]), tuple(r["psi"]))
+            for r in json.loads(text)]
+    mirrors = {VertexKey(g, -k, tuple(-d for d in degrees), psi)
+               for g, k, degrees, psi in keys}
+    assert not mirrors & set(keys)
+    assert dict(default_fixtures()) == {
+        VertexKey(1, 1, (7, -5), (1, 0)): Fraction(35, 24),
+        VertexKey(1, 1, (1,), (0,)): Fraction(-1, 24),
+        VertexKey(1, 2, (2,), (0,)): Fraction(-1, 24),
+        VertexKey(1, -1, (-7, 5), (1, 0)): Fraction(35, 24),
+        VertexKey(1, -1, (-1,), (0,)): Fraction(-1, 24),
+        VertexKey(1, -2, (-2,), (0,)): Fraction(-1, 24)}
 
 
 def test_default_fixtures_are_read_only():
@@ -141,6 +161,14 @@ def test_load_fixtures_rejects_coerced_fields(tmp_path, field, bad):
     path.write_text(json.dumps([dict(GOOD_ROW, **{field: bad})]))
     with pytest.raises(FixtureError, match="bad fixture row"):
         load_fixtures(path)
+
+
+def test_load_fixtures_reads_exact_decimal_strings(tmp_path):
+    # the JSON number 1.5 is rejected above; the string "1.5" is read
+    # exactly, as fractions.Fraction reads it
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps([dict(GOOD_ROW, value="1.5")]))
+    assert load_fixtures(path)[VertexKey(1, 1, (7, -5), (1, 0))] == Fraction(3, 2)
 
 
 def test_load_fixtures_zero_denominator(tmp_path):
