@@ -309,48 +309,65 @@ def wall_crossing(p: Problem, wall: Wall) -> Poly:
     return _tree_system(p.n, p.e, p.k).crossing(i, _find_flanking(p.n, p.k, wall)[2])
 
 
+@functools.lru_cache(maxsize=1024)
+def _formula_frame(n: int, k: int, wall: Wall):
+    """What the closed form reads of (n, k, wall) alone: delta in normal
+    form, and for the I side (severed edge -1) and the complement (+1) its
+    markings, the wall signs of its reference point, the coordinates its
+    factor is composed onto and a memo of its composed factors, keyed by
+    the side's psi restriction."""
+    x_plus = _find_flanking(n, k, wall)[0]
+    # each factor is composed onto x1..x_{n-1} and k(n - 2) - x1 - ... -
+    # x_{n-1}, so the product is built in normal form
+    coords = hyperplane_coordinates(n - 1, k * (n - 2))
+    comp = tuple(i for i in range(1, n + 1) if i not in wall.subset)
+    # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other;
+    # the normal form drops its variable, so a factor composed onto the
+    # surviving markings' coordinates alone is exact
+    return wall.form.as_poly(n, k).compose(coords), tuple(
+        (part, _signs(len(part) + 1, k, tuple(x_plus[i - 1] for i in part) + (cut,)),
+         [coords[i - 1] for i in part], {})
+        for part, cut in ((wall.subset, -1), (comp, 1)))
+
+
 def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
     """Closed form binom(r; r1, r2) * delta * P_I * P_Ic, in normal form.
 
     delta is composed from ``wall.form``, and each factor is the chamber
     polynomial of a cut-off subproblem of m < n markings, read from its tree
-    system at the wall signs of its reference point: nothing here reads the
-    tree system or the wall polynomials of the crossed problem, so the
-    formula stays an independent check on ``wall_crossing``.  No ``Problem``
-    is built for a subproblem, as every check of ``validate_problem`` holds
-    by construction: the reference sums to delta_I(x+) + k(|I| - 1) - 1 =
-    k(m - 2) on the I side and to k(n - 2) - sum_I x+ + 1 = k(m - 2) on the
-    other; the psi budget |e_part| <= m - 2 is r1 >= 1 (r2 >= 1), tested
-    before any factor is read; and the reference lies on no subproblem wall
-    (see ``_find_flanking``)."""
+    system at the wall signs of its reference point.  ``_formula_frame``
+    holds, once per (n, k, wall), delta and each side's markings, chamber
+    and coordinates, and memoizes each side's composed factor by the side's
+    psi restriction, shared by every psi vector that restricts to it.
+    Nothing here reads the tree system or the wall polynomials of the
+    crossed problem, so the formula stays an independent check on
+    ``wall_crossing``.  No ``Problem`` is built for a subproblem, as every
+    check of ``validate_problem`` holds by construction: the reference sums
+    to delta_I(x+) + k(|I| - 1) - 1 = k(m - 2) on the I side and to
+    k(n - 2) - sum_I x+ + 1 = k(m - 2) on the other; the psi budget
+    |e_part| <= m - 2 is r1 >= 1 (r2 >= 1), tested before any factor is
+    read; and the reference lies on no subproblem wall (see
+    ``_find_flanking``)."""
     _check_crossing(p, wall)
     n, k = p.n, p.k
-    I = wall.subset
-    comp = tuple(i for i in range(1, n + 1) if i not in I)
-    e_I = sum(p.e[i - 1] for i in I)
-    e_comp = sum(p.e[i - 1] for i in comp)
+    e_I = sum(p.e[i - 1] for i in wall.subset)
     r = n - 2 - p.psi_total
-    r1 = len(I) - 1 - e_I
-    r2 = len(comp) - 1 - e_comp
+    r1 = len(wall.subset) - 1 - e_I
+    r2 = r - r1  # = |I^c| - 1 - sum_{i in I^c} e_i
     # r1 counts the vertices of the cut-off piece on the I side; without a
     # vertex to carry the severed edge that side admits no covers at all.
     if r1 < 1 or r2 < 1:
         return Poly.zero(n - 1)
 
-    x_plus = _find_flanking(n, k, wall)[0]
-    # each factor is composed onto x1..x_{n-1} and k(n - 2) - x1 - ... -
-    # x_{n-1}, so the product is built in normal form
-    coords = hyperplane_coordinates(n - 1, k * (n - 2))
-    product = wall.form.as_poly(n, k).compose(coords) * math.comb(r, r1)
-    # the severed edge carries -delta(x+) = -1 on the I side, +1 on the other
-    for part, cut in ((I, -1), (comp, 1)):
-        ref = tuple(x_plus[i - 1] for i in part) + (cut,)
+    delta, sides = _formula_frame(n, k, wall)
+    product = delta * math.comb(r, r1)
+    for part, chamber, coords, factors in sides:
         sub_e = tuple(p.e[i - 1] for i in part) + (0,)
-        m = len(ref)
-        sub_poly = _tree_system(m, sub_e, k).polynomial(_signs(m, k, ref))
-        # the normal form dropped the cut variable, so substituting the
-        # surviving markings alone reproduces the factor exactly
-        product = product * sub_poly.compose([coords[i - 1] for i in part])
+        factor = factors.get(sub_e)
+        if factor is None:
+            factor = factors[sub_e] = _tree_system(
+                len(sub_e), sub_e, k).polynomial(chamber).compose(coords)
+        product = product * factor
     return product
 
 

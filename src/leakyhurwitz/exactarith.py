@@ -81,10 +81,13 @@ class LinForm(NamedTuple):
 
     def evaluate(self, x: Sequence[int | Fraction], k: int | Fraction):
         """Evaluate at a profile and leak; x must cover all indices used
-        (``x[i - 1]`` raises ``IndexError`` otherwise, as i >= 1)."""
+        (``x[i - 1]`` raises ``IndexError`` otherwise, as i >= 1).  An
+        inexact value, a float among them, raises ``TypeError``."""
         total = self.k_coeff * k
         for i, c in self.coeffs:
             total += c * x[i - 1]
+        if type(total) is not int and type(total) is not Fraction:
+            raise TypeError(f"form value {total!r} is not an int or Fraction")
         return total
 
     def as_poly(self, nvars: int, k_value: int) -> "Poly":

@@ -397,15 +397,50 @@ def test_flank_chamber_is_the_chamber_of_x_plus():
 
 def test_crossings_of_one_wall_share_one_flanking_search():
     # both crossings of a wall, for each psi vector, read x+ and its chamber
-    # from one _find_flanking entry
+    # from one _find_flanking entry: wall_crossing on every call, the closed
+    # form once, when it builds the wall's frame, which every psi vector shares
     wall = Wall.of(6, (1, 2, 3))
     chambers._find_flanking.cache_clear()
+    chambers._formula_frame.cache_clear()
     for e in ((0,) * 6, (1,) + (0,) * 5):
         p = Problem.of(0, 1, (4,) + (0,) * 5, e)
         wall_crossing(p, wall)
         wall_crossing_formula(p, wall)
     info = chambers._find_flanking.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 2)
+    info = chambers._formula_frame.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _recorded_systems(monkeypatch):
+    """Patch ``_tree_system`` to record each chamber polynomial read from a
+    system, as ((n, e, k), polynomial), in the returned list."""
+    system_of, read = _tree_system, []
+
+    class Recorded:
+        def __init__(self, *key):
+            self.key = key
+
+        def polynomial(self, chamber):
+            poly = system_of(*self.key).polynomial(chamber)
+            read.append((self.key, poly))
+            return poly
+
+    monkeypatch.setattr(chambers, "_tree_system", Recorded)
+    return read
+
+
+def test_formula_reads_each_factor_once_per_psi_restriction(monkeypatch):
+    # e = 0 reads both sides' factors; e = e1 restricts to (1, 0, 0, 0) on
+    # the I side, a new factor, and to (0, 0, 0, 0) on the complement, whose
+    # factor the frame already holds
+    wall = Wall.of(6, (1, 2, 3))
+    chambers._formula_frame.cache_clear()
+    read = _recorded_systems(monkeypatch)
+    for e in ((0,) * 6, (1,) + (0,) * 5):
+        wall_crossing_formula(Problem.of(0, 1, (4,) + (0,) * 5, e), wall)
+    assert [key for key, _ in read] == [
+        (4, (0, 0, 0, 0), 1), (4, (0, 0, 0, 0), 1), (4, (1, 0, 0, 0), 1)]
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -456,6 +491,33 @@ def test_formula_reads_no_system_of_the_crossed_problem(monkeypatch):
     assert crossings == 315
 
 
+def test_formula_builds_without_the_crossed_system(monkeypatch):
+    # a frame built afresh reads neither a wall polynomial nor the crossed
+    # problem's tree system, and gives the closed form of an unguarded build
+    # (which leaves both subproblem systems in the tree-system cache)
+    system_of = _tree_system
+
+    def no_wall_polys(n, k):
+        raise AssertionError(f"read the wall polynomials of {(n, k)}")
+
+    crossings = 0
+    for p, wall in _crossing_cases((4, 5, 6)):
+        chambers._formula_frame.cache_clear()
+        expected = wall_crossing_formula(p, wall)
+
+        def tree_system(n, e, k):
+            assert (n, e, k) != (p.n, p.e, p.k), "read the crossed system"
+            return system_of(n, e, k)
+
+        chambers._formula_frame.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(chambers, "_wall_polys", no_wall_polys)
+            patched.setattr(chambers, "_tree_system", tree_system)
+            assert wall_crossing_formula(p, wall) == expected, (p, wall)
+        crossings += 1
+    assert crossings == 342
+
+
 def test_formula_factors_are_the_subproblem_chamber_polynomials(monkeypatch):
     # each factor the formula reads equals the chamber polynomial of its
     # cut-off subproblem, built and checked as a Problem
@@ -471,19 +533,10 @@ def test_formula_factors_are_the_subproblem_chamber_polynomials(monkeypatch):
             sub = Problem.of(0, p.k, tuple(x_plus[i - 1] for i in part) + (cut,),
                              tuple(p.e[i - 1] for i in part) + (0,))
             expected.append(((sub.n, sub.e, sub.k), chamber_polynomial(sub)))
-    system_of, read = _tree_system, []
-
-    class Recorded:
-        def __init__(self, *key):
-            self.key = key
-
-        def polynomial(self, chamber):
-            poly = system_of(*self.key).polynomial(chamber)
-            read.append((self.key, poly))
-            return poly
-
-    monkeypatch.setattr(chambers, "_tree_system", Recorded)
+    read = _recorded_systems(monkeypatch)
     for p, wall in cases:
+        # a fresh frame, so that every crossing reads both factors
+        chambers._formula_frame.cache_clear()
         wall_crossing_formula(p, wall)
     assert len(read) == len(expected) > 300
     assert read == expected

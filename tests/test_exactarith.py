@@ -56,6 +56,18 @@ def test_linform_evaluate_index_error():
             Poly.variable(2, i)
 
 
+def test_linform_evaluate_refuses_inexact_values():
+    f = LinForm.of({1: 1}, k=-1)
+    # x1 - k at x1 = 1/2, k = 1 would be the float -0.5
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        f.evaluate([0.5], 1)
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        f.evaluate([1], 1.0)
+    assert f.evaluate([3], 1) == 2 and type(f.evaluate([3], 1)) is int
+    assert f.evaluate([Fraction(1, 2)], 1) == Fraction(-1, 2)
+    assert f.evaluate((Fraction(3), 0), Fraction(1, 3)) == Fraction(8, 3)
+
+
 def test_linform_canonical_drops_zeros():
     f = LinForm.of({1: 2, 2: 0, 3: -2})
     assert f.coeffs == ((1, 2), (3, -2))
