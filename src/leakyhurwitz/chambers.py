@@ -85,9 +85,21 @@ def walls(n: int) -> list[Wall]:
     return list(_walls_of(n))
 
 
+# The largest n whose `walls -n n` CLI run peaks under 2 GB: each marking
+# doubles both time and memory, and n = 18, 19, 20 took 9 s, 21 s, 42 s
+# and peaked at 425 MB, 855 MB, 1,745 MB (subprocess ru_maxrss, 2-core
+# 8 GB Linux machine), so n = 21 would need about 3.5 GB.
+_MAX_WALL_MARKINGS = 20
+
+
 @functools.lru_cache(maxsize=32)
 def _walls_of(n: int) -> dict[Wall, int]:
-    """The walls for n markings, in order, each mapped to its index."""
+    """The walls for n markings, in order, each mapped to its index; a
+    ``MemoryError`` naming the wall count, before anything is built, for
+    n above ``_MAX_WALL_MARKINGS``."""
+    if n > _MAX_WALL_MARKINGS:
+        raise MemoryError(f"n = {n} markings have {2 ** (n - 1) - n - 1:,} walls; "
+                          f"wall tables stop at n = {_MAX_WALL_MARKINGS}")
     # of I and its complement, Wall.of keeps the smaller: the one holding 1
     subsets = sorted((1,) + rest for size in range(1, n - 2)
                      for rest in itertools.combinations(range(2, n + 1), size))
@@ -97,13 +109,14 @@ def _walls_of(n: int) -> dict[Wall, int]:
 class _TreeSystem:
     """Tree types of a genus-0 problem at one leak k, each edge read as a wall.
 
-    Each entry pairs a record of ``_types_for(0, n, e)`` with one (wall index,
-    side) per edge: the edge's cut (mask, c) has c = |mask| - 1, so its form
-    sum_{i in mask} x_i - k c is the wall's form (side +1) when mask is the
-    wall's subset, and minus it on the degree hyperplane (side -1) when mask
-    is the complement.  The pair is looked up once per position of the
-    type list's cut table, and each record reads its edges' pairs by
-    position (``CombinatorialType.cut_of``).  At wall sign s the edge
+    Each entry pairs a record of ``_types_for(0, e)``, over n = len(e)
+    markings, with one (wall index, side) per edge: the edge's cut (mask,
+    c) has c = |mask| - 1, so its form sum_{i in mask} x_i - k c is the
+    wall's form (side +1) when mask is the wall's subset, and minus it on
+    the degree hyperplane (side -1) when mask is the complement.  The pair
+    is looked up once per position of the type list's cut table, and each
+    record reads its edges' pairs by position
+    (``CombinatorialType.cut_of``).  At wall sign s the edge
     points along its stored (u, v) when s * side > 0 and weighs
     s * (wall form) = |delta|.  All polynomials are built in normal form,
     in x1..x_{n-1}, and ``wall_polys`` is ``_wall_polys(n, k)``, shared by
@@ -122,14 +135,14 @@ class _TreeSystem:
     and extension counts in the records (``CombinatorialType.extensions``).
     """
 
-    def __init__(self, n: int, e: tuple[int, ...], k: int):
-        self.n = n
+    def __init__(self, e: tuple[int, ...], k: int):
+        self.n = n = len(e)
         full = (1 << n) - 1
         # a wall's subset is the side of its cut that holds marking 1
         index = {sum(1 << (j - 1) for j in w.subset): i
                  for w, i in _walls_of(n).items()}
         self.wall_polys = _wall_polys(n, k)
-        types = _types_for(0, n, e)
+        types = _types_for(0, e)
         # types[0] exists: the markings can always be shared out along a path
         at = tuple((index[mask], 1) if mask & 1 else (index[full ^ mask], -1)
                    for mask, _ in types[0].cut_table)
@@ -182,8 +195,8 @@ class _TreeSystem:
 
 
 @functools.lru_cache(maxsize=128)
-def _tree_system(n: int, e: tuple[int, ...], k: int) -> _TreeSystem:
-    return _TreeSystem(n, e, k)
+def _tree_system(e: tuple[int, ...], k: int) -> _TreeSystem:
+    return _TreeSystem(e, k)
 
 
 @functools.lru_cache(maxsize=128)
@@ -204,18 +217,19 @@ def chamber_polynomial(p: Problem) -> Poly:
     x_n eliminated; at each integer point of the chamber it is the cover count."""
     if p.genus != 0:
         raise ProblemError("chamber polynomials exist for genus 0 only")
-    chamber = _signs(p.n, p.k, p.x)
+    chamber = _signs(p.k, p.x)
     if 0 in chamber:
         wall = list(_walls_of(p.n))[chamber.index(0)]
         raise WallError(
             f"reference point {list(p.x)} lies on the wall {list(wall.subset)}")
-    return _tree_system(p.n, p.e, p.k).polynomial(chamber)
+    return _tree_system(p.e, p.k).polynomial(chamber)
 
 
-def _signs(n: int, k: int, point: Sequence) -> tuple[int, ...]:
-    """The sign, -1, 0 or +1, of each wall form of n markings at point."""
+def _signs(k: int, point: Sequence) -> tuple[int, ...]:
+    """The sign, -1, 0 or +1, of each wall form of len(point) markings at
+    point."""
     signs = []
-    for w in _walls_of(n):
+    for w in _walls_of(len(point)):
         value = w.form.evaluate(point, k)
         signs.append((value > 0) - (value < 0))
     return tuple(signs)
@@ -277,7 +291,7 @@ def _find_flanking(n: int, k: int, wall: Wall):
         z[b - 1] += k * (n - 2) - sum(z)
     step = [(i == a) - (i == b) for i in range(1, n + 1)]
     x_plus = tuple(c + d for c, d in zip(z, step))
-    return x_plus, tuple(c - d for c, d in zip(z, step)), _signs(n, k, x_plus)
+    return x_plus, tuple(c - d for c, d in zip(z, step)), _signs(k, x_plus)
 
 
 def _check_crossing(p: Problem, wall: Wall) -> int:
@@ -306,7 +320,7 @@ def wall_crossing(p: Problem, wall: Wall) -> Poly:
     the chamber of x+ is read from ``_find_flanking``, which computes it
     with the points, once per (n, k, wall) for every psi vector."""
     i = _check_crossing(p, wall)
-    return _tree_system(p.n, p.e, p.k).crossing(i, _find_flanking(p.n, p.k, wall)[2])
+    return _tree_system(p.e, p.k).crossing(i, _find_flanking(p.n, p.k, wall)[2])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -325,7 +339,7 @@ def _formula_frame(n: int, k: int, wall: Wall):
     # the normal form drops its variable, so a factor composed onto the
     # surviving markings' coordinates alone is exact
     return wall.form.as_poly(n, k).compose(coords), tuple(
-        (part, _signs(len(part) + 1, k, tuple(x_plus[i - 1] for i in part) + (cut,)),
+        (part, _signs(k, tuple(x_plus[i - 1] for i in part) + (cut,)),
          [coords[i - 1] for i in part], {})
         for part, cut in ((wall.subset, -1), (comp, 1)))
 
@@ -366,7 +380,7 @@ def wall_crossing_formula(p: Problem, wall: Wall) -> Poly:
         factor = factors.get(sub_e)
         if factor is None:
             factor = factors[sub_e] = _tree_system(
-                len(sub_e), sub_e, k).polynomial(chamber).compose(coords)
+                sub_e, k).polynomial(chamber).compose(coords)
         product = product * factor
     return product
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 standard output closed early, 2 invalid problem or
 usage, 3 missing vertex fixture, 4 wall or reference-point error, 5 problem
-too large (its enumeration went past Python's recursion limit, or ran out of
-memory).
+too large (its enumeration went past Python's recursion limit, it ran out of
+memory, or its wall table would pass the cap on marking counts).
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def _problem(args) -> Problem:
         raise ProblemError(
             f"-n {args.markings} disagrees with the profile length "
             f"{len(args.profile)}")
-    e = args.psi if args.psi is not None else (0,) * len(args.profile)
-    return Problem.of(args.genus, args.leak, args.profile, e)
+    return Problem.of(args.genus, args.leak, args.profile, args.psi)
 
 
 def _fixtures(args):
@@ -168,9 +167,8 @@ def cmd_wallcross(args) -> int:
         raise ProblemError("wallcross needs -n or -e to fix the marking count")
     if n < 3:
         raise ProblemError(f"unstable marking count: n = {n} must be at least 3")
-    e = args.psi if args.psi is not None else (0,) * n
     k = args.leak
-    p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), e)
+    p = Problem.of(0, k, (k * (n - 2),) + (0,) * (n - 1), args.psi)
     wall = Wall.of(n, subset)
     computed = wall_crossing(p, wall)
     closed = wall_crossing_formula(p, wall)
@@ -207,11 +205,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the signal module docs' recipe: exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except RecursionError as exc:
-        print(f"error: problem too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except MemoryError:
-        print("error: problem too large: out of memory", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        # only a bare MemoryError, from the allocator, has no message
+        print(f"error: problem too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (ProblemError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,9 +312,9 @@ def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
 
 
 @functools.lru_cache(maxsize=128)
-def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
-    """Every combinatorial type of (g, n, e), as one record each, in sorted
-    order.
+def _types_for(g: int, e: tuple[int, ...]) -> tuple[CombinatorialType, ...]:
+    """Every combinatorial type of genus g with the psi vector e on its
+    len(e) markings, as one record each, in sorted order.
 
     The vertices are laid out canonically: the m marked blocks by smallest
     marking (as ``_end_partitions`` orders them), then the unmarked vertices
@@ -343,7 +343,7 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
     records, so it goes when the cache drops them; the shapes and their
     structures stay in ``_shape``'s cache.
     """
-    V = 2 * g - 2 + n - sum(e)
+    V = 2 * g - 2 + len(e) - sum(e)
     least = 1 if V > 1 else 0  # a connected graph's vertices have edges
     block_data: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
@@ -369,7 +369,7 @@ def _types_for(g: int, n: int, e: tuple[int, ...]) -> tuple[CombinatorialType, .
         labelled.append((blocks, V - blocks.count(()), degs0, masks, mu,
                          factors))
     positions = _Positions()
-    full = (1 << n) - 1
+    full = (1 << len(e)) - 1
     records = []
     for genera in _genus_vectors(V, g):  # in sorted order
         has_higher = any(genera)
@@ -708,7 +708,7 @@ def _admissible_flows(p: Problem, types: Sequence[CombinatorialType]
 def _weighted_types(p: Problem) -> Iterator[tuple[CombinatorialType, tuple]]:
     """Each weighted type of p: its type and its edges (u, v, weight),
     oriented from u to v along the positive flows."""
-    for t, flows, _ in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
+    for t, flows, _ in _admissible_flows(p, _types_for(p.genus, p.e)):
         yield t, tuple((a, b, f) if f > 0 else (b, a, -f)
                        for (a, b), f in zip(t.edges, flows))
 
@@ -737,7 +737,7 @@ def enumerate_covers(p: Problem,
 def _count_trees(p: Problem) -> tuple[Fraction, int]:
     """``count_covers`` in genus 0, where every flow is a wall value (the
     proof is in ``count_covers``)."""
-    types = _types_for(0, p.n, p.e)
+    types = _types_for(0, p.e)
     flows = _cut_flows(p, types)  # each S[M] - k(|M| - 1)
     sizes = tuple(map(abs, flows))
     ups = tuple(map((0).__lt__, flows))
@@ -801,7 +801,7 @@ def count_covers(p: Problem,
         return _count_trees(p)
     table = fixtures if fixtures is not None else vertexdata.default_fixtures()
     whole, rest, count = 0, Fraction(0), 0
-    for t, flows, orders in _admissible_flows(p, _types_for(p.genus, p.n, p.e)):
+    for t, flows, orders in _admissible_flows(p, _types_for(p.genus, p.e)):
         count += orders
         term = orders * t.genus0_factor * abs(math.prod(flows))
         aut = 1

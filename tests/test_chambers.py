@@ -52,7 +52,7 @@ def test_walls_match_both_sides_generation():
 @pytest.mark.parametrize("n", range(4, 9))
 def test_hyperplane_wall_polys_are_normal_forms(n):
     for k in range(-3, 4):
-        system = _TreeSystem(n, (n - 3,) + (0,) * (n - 1), k)
+        system = _TreeSystem((n - 3,) + (0,) * (n - 1), k)
         assert system.wall_polys == tuple(
             w.form.as_poly(n, k).substitute_degree(k * (n - 2))
             for w in walls(n)), (n, k)
@@ -145,8 +145,8 @@ def test_chamber_polynomial_needs_genus0():
 
 def test_tree_system_cache_is_bounded():
     assert _tree_system.cache_info().maxsize == 128
-    assert _tree_system(EXPP.n, EXPP.e, EXPP.k) is \
-        _tree_system(EXPP.n, EXPP.e, EXPP.k)
+    assert _tree_system(EXPP.e, EXPP.k) is \
+        _tree_system(EXPP.e, EXPP.k)
 
 
 def _tail_sides(t):
@@ -174,8 +174,8 @@ def _tail_sides(t):
 
 def test_tree_system_holds_the_type_records():
     _tree_system.cache_clear()
-    entries = _tree_system(EXPP.n, EXPP.e, EXPP.k).entries
-    types = enumeration._types_for(0, EXPP.n, EXPP.e)
+    entries = _tree_system(EXPP.e, EXPP.k).entries
+    types = enumeration._types_for(0, EXPP.e)
     assert len(entries) == len(types)
     assert all(entries[i][0] is types[i] for i in range(len(types)))
     # each edge names the wall of its tail-side markings, side +1, or of
@@ -197,7 +197,7 @@ def test_genus0_cuts_are_walls():
         for e in itertools.product(range(n - 2), repeat=n):
             if sum(e) > n - 3:
                 continue
-            types = enumeration._types_for(0, n, e)
+            types = enumeration._types_for(0, e)
             table = tuple(types[0].cut_table)
             for t in types:
                 assert t.cut_of(table) == _tail_sides(t)
@@ -207,7 +207,7 @@ def test_genus0_cuts_are_walls():
 
 
 def test_tree_system_memos_hold_one_leak():
-    # one system per (n, e, k): querying many leaks on one (n, e) opens new
+    # one system per (e, k): querying many leaks on one e opens new
     # systems in the bounded cache instead of growing the memos of one
     _tree_system.cache_clear()
     e = (0,) * 4
@@ -218,7 +218,7 @@ def test_tree_system_memos_hold_one_leak():
     assert info.currsize == info.maxsize == 128
     for k in leaks[-128:]:
         hits = _tree_system.cache_info().hits
-        system = _tree_system(4, e, k)
+        system = _tree_system(e, k)
         assert _tree_system.cache_info().hits == hits + 1
         assert not hasattr(system, "k")
         # the walls x1 + x_j at n = 4, on the hyperplane in x1..x3:
@@ -249,7 +249,7 @@ def test_counts_and_chambers_compile_each_type_once(monkeypatch):
             cached.cache_clear()
     compute_H(p)
     chamber_polynomial(p)
-    types = enumeration._types_for(0, p.n, p.e)
+    types = enumeration._types_for(0, p.e)
     assert len(calls) == len(types) > 1
     assert set(calls.values()) == {1}
     assert set(calls) == {tuple(t[:7]) for t in types}
@@ -261,7 +261,7 @@ def _tree_entry(n, e, ends):
     wall_list = walls(n)
     return next((tuple((wall_list[i].subset, side) for i, side in edge_walls),
                  t.genus0_factor)
-                for t, edge_walls in _tree_system(n, e, 0).entries
+                for t, edge_walls in _tree_system(e, 0).entries
                 if t.vertex_ends == ends)
 
 
@@ -291,7 +291,7 @@ def test_chamber_memo_one_polynomial_per_chamber():
     pa, pb = Problem.of(0, 1, a, EXPP.e), Problem.of(0, 1, b, EXPP.e)
     first = chamber_polynomial(pa)
     assert chamber_polynomial(pb) is first
-    assert _TreeSystem(5, EXPP.e, 1).polynomial(_wall_signs(EXPP, b)) == first
+    assert _TreeSystem(EXPP.e, 1).polynomial(_wall_signs(EXPP, b)) == first
     for p in (pa, pb):
         assert first.eval(p.x[:-1]) == compute_H(p)
     # equal wall signs at another leak are another chamber polynomial
@@ -392,7 +392,7 @@ def test_flank_chamber_is_the_chamber_of_x_plus():
         for k in range(-2, 3):
             for wall in walls(n):
                 x_plus, _, chamber = chambers._find_flanking(n, k, wall)
-                assert chamber == chambers._signs(n, k, x_plus)
+                assert chamber == chambers._signs(k, x_plus)
 
 
 def test_crossings_of_one_wall_share_one_flanking_search():
@@ -414,7 +414,7 @@ def test_crossings_of_one_wall_share_one_flanking_search():
 
 def _recorded_systems(monkeypatch):
     """Patch ``_tree_system`` to record each chamber polynomial read from a
-    system, as ((n, e, k), polynomial), in the returned list."""
+    system, as ((e, k), polynomial), in the returned list."""
     system_of, read = _tree_system, []
 
     class Recorded:
@@ -440,7 +440,7 @@ def test_formula_reads_each_factor_once_per_psi_restriction(monkeypatch):
     for e in ((0,) * 6, (1,) + (0,) * 5):
         wall_crossing_formula(Problem.of(0, 1, (4,) + (0,) * 5, e), wall)
     assert [key for key, _ in read] == [
-        (4, (0, 0, 0, 0), 1), (4, (0, 0, 0, 0), 1), (4, (1, 0, 0, 0), 1)]
+        ((0, 0, 0, 0), 1), ((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1)]
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -453,8 +453,8 @@ def test_wall_polys_are_shared_per_leak(n):
                 {j: -1 for j in range(1, n) if j not in w.subset},
                 k=n - len(w.subset) - 1)).as_poly(n - 1, k)
             for w in walls(n)), (n, k)
-        first = _TreeSystem(n, (n - 3,) + (0,) * (n - 1), k)
-        second = _TreeSystem(n, (0,) * (n - 1) + (n - 3,), k)
+        first = _TreeSystem((n - 3,) + (0,) * (n - 1), k)
+        second = _TreeSystem((0,) * (n - 1) + (n - 3,), k)
         assert first.wall_polys is second.wall_polys is chambers._wall_polys(n, k)
 
 
@@ -473,9 +473,9 @@ def test_formula_reads_no_system_of_the_crossed_problem(monkeypatch):
     system_of, wall_polys_of = _tree_system, getattr(chambers, "_wall_polys", None)
     crossed = {}
 
-    def tree_system(n, e, k):
-        assert (n, e, k) != crossed["system"], "read the crossed system"
-        return system_of(n, e, k)
+    def tree_system(e, k):
+        assert (e, k) != crossed["system"], "read the crossed system"
+        return system_of(e, k)
 
     def wall_polys(n, k):
         assert (n, k) != crossed["walls"], "read the crossed wall polynomials"
@@ -485,7 +485,7 @@ def test_formula_reads_no_system_of_the_crossed_problem(monkeypatch):
     monkeypatch.setattr(chambers, "_wall_polys", wall_polys, raising=False)
     crossings = 0
     for p, wall in _crossing_cases((5, 6)):
-        crossed.update(system=(p.n, p.e, p.k), walls=(p.n, p.k))
+        crossed.update(system=(p.e, p.k), walls=(p.n, p.k))
         wall_crossing_formula(p, wall)
         crossings += 1
     assert crossings == 315
@@ -505,9 +505,9 @@ def test_formula_builds_without_the_crossed_system(monkeypatch):
         chambers._formula_frame.cache_clear()
         expected = wall_crossing_formula(p, wall)
 
-        def tree_system(n, e, k):
-            assert (n, e, k) != (p.n, p.e, p.k), "read the crossed system"
-            return system_of(n, e, k)
+        def tree_system(e, k):
+            assert (e, k) != (p.e, p.k), "read the crossed system"
+            return system_of(e, k)
 
         chambers._formula_frame.cache_clear()
         with monkeypatch.context() as patched:
@@ -532,7 +532,7 @@ def test_formula_factors_are_the_subproblem_chamber_polynomials(monkeypatch):
         for part, cut in parts:
             sub = Problem.of(0, p.k, tuple(x_plus[i - 1] for i in part) + (cut,),
                              tuple(p.e[i - 1] for i in part) + (0,))
-            expected.append(((sub.n, sub.e, sub.k), chamber_polynomial(sub)))
+            expected.append(((sub.e, sub.k), chamber_polynomial(sub)))
     read = _recorded_systems(monkeypatch)
     for p, wall in cases:
         # a fresh frame, so that every crossing reads both factors
@@ -644,7 +644,7 @@ def test_wall_crossing_reads_only_the_types_on_its_wall(monkeypatch):
         _tree_system.cache_clear()
         read.clear()
         wall_crossing(p, wall)
-        system = _tree_system(p.n, p.e, p.k)
+        system = _tree_system(p.e, p.k)
         assert system._chambers == {}
         on_wall = {idx for idx, (_, edge_walls) in enumerate(system.entries)
                    if any(wall_list[i] == wall for i, _ in edge_walls)}

@@ -5,15 +5,18 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leakyhurwitz.cli import main
+from leakyhurwitz import chambers
+from leakyhurwitz.cli import build_parser, main
 from leakyhurwitz.covers import Problem
 from leakyhurwitz.enumeration import count_covers
 from leakyhurwitz.vertexdata import VertexKey, default_fixtures
@@ -473,6 +476,53 @@ def test_out_of_memory_exits_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "error: problem too large: out of memory\n"
+
+
+@pytest.mark.parametrize("argv, n", [
+    ("walls -n 40", 40),
+    ("wallcross -n 40 --subset 1,2", 40),
+    ("polynomial -x 20" + ",-1" * 20, 21),
+], ids=["walls", "wallcross", "polynomial"])
+def test_wall_table_past_the_cap_exits_5(capsys, argv, n):
+    # refused before any wall is built: fast, one line naming the wall
+    # count, and nothing left in the wall cache
+    cached = chambers._walls_of.cache_info().currsize
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (5, "")
+    assert err == (f"error: problem too large: n = {n} markings have "
+                   f"{2 ** (n - 1) - n - 1:,} walls; wall tables stop at "
+                   f"n = {chambers._MAX_WALL_MARKINGS}\n")
+    assert chambers._walls_of.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("argv, zeros", [
+    ("number -k 1 -x 6,-1,-1,1,-2", 5),
+    ("covers -k 1 -x 6,-1,-1,1,-2", 5),
+    ("polynomial -k 1 -x 6,-1,-1,1,-2", 5),
+    ("classify -k 2 -x 1,1,1,1", 4),
+    ("wallcross -n 5 -k 1 --subset 1,2,3", 5),
+])
+def test_psi_defaults_to_zeros(capsys, argv, zeros):
+    code, implicit, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    explicit = run_cli(capsys, *argv.split(), "-e", ",".join("0" * zeros))
+    assert explicit == (0, implicit, "")
+
+
+def test_readme_names_every_option():
+    # every option string of every command, help aside, as its own word
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(action for action in build_parser()._actions
+                    if action.choices).choices
+    missing = [(name, option)
+               for name, command in commands.items()
+               for action in command._actions
+               for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(rf"(?<![\w-]){option}(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_table_format(capsys):

@@ -26,7 +26,7 @@ GOLDEN = Problem.of(1, 1, (7, -3, -1), (1, 0, 0))
 
 def test_enumerate_types_single_vertex():
     p = Problem.of(0, 1, (3, -1, -1))
-    types = _types_for(p.genus, p.n, p.e)
+    types = _types_for(p.genus, p.e)
     assert len(types) == 1
     assert types[0].num_vertices == 1
     assert types[0].edges == ()
@@ -34,7 +34,7 @@ def test_enumerate_types_single_vertex():
 
 def test_enumerate_types_six_trees():
     p = Problem.of(0, 1, (6, -1, -1, 1, -2), (1, 0, 0, 0, 0))
-    types = _types_for(p.genus, p.n, p.e)
+    types = _types_for(p.genus, p.e)
     assert len(types) == 6
     for t in types:
         assert t.num_vertices == 2
@@ -47,7 +47,7 @@ def test_enumerate_types_six_trees():
 
 
 def test_enumerate_types_golden():
-    types = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    types = _types_for(GOLDEN.genus, GOLDEN.e)
     assert len(types) == 4
     double_edge = [t for t in types if len(t.edges) == 2]
     genus_vertex = [t for t in types if any(g == 1 for g in t.vertex_genus)]
@@ -58,7 +58,7 @@ def test_enumerate_types_golden():
 def test_type_cache_is_bounded():
     types_for = enumeration._types_for
     assert types_for.cache_info().maxsize == 128
-    assert types_for(1, 3, (1, 0, 0)) is types_for(1, 3, (1, 0, 0))
+    assert types_for(1, (1, 0, 0)) is types_for(1, (1, 0, 0))
 
 
 def test_compiled_type_cache_is_bounded():
@@ -66,8 +66,8 @@ def test_compiled_type_cache_is_bounded():
     types_for = enumeration._types_for
     assert types_for.cache_info().maxsize == 128
     assert not hasattr(enumeration, "_compiled_for")
-    types = types_for(1, 3, (1, 0, 0))
-    assert types is types_for(1, 3, (1, 0, 0))
+    types = types_for(1, (1, 0, 0))
+    assert types is types_for(1, (1, 0, 0))
     table = tuple(types[0].cut_table)
     assert all(t.cut_of(table) == _edge_cuts(t) for t in types)
 
@@ -186,7 +186,7 @@ def test_genus3_types_build_cold_within_budget():
     # it: (3, 3, 0^3) has 535 types of 8,427 connected multigraphs
     enumeration._shape.cache_clear()
     start = time.perf_counter()
-    types = _types_for.__wrapped__(3, 3, (0, 0, 0))
+    types = _types_for.__wrapped__(3, (0, 0, 0))
     elapsed = time.perf_counter() - start
     assert len(types) == 535
     assert elapsed < 1.0, f"cold (3, 3, 0^3) took {elapsed:.2f}s"
@@ -358,7 +358,7 @@ def _types_one_partition_at_a_time(g, n, e):
     ids=str)
 def test_types_match_one_partition_at_a_time(g, e):
     n = len(e)
-    records = enumeration._types_for.__wrapped__(g, n, e)
+    records = enumeration._types_for.__wrapped__(g, e)
     assert records == _types_one_partition_at_a_time(g, n, e)
     # the cuts are no value field: each record's are read from its table
     table = tuple(records[0].cut_table)
@@ -437,9 +437,9 @@ def _clear_type_caches():
 
 def test_enumerate_types_idempotent():
     # two enumerations, not two reads of the cache
-    first = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    first = _types_for(GOLDEN.genus, GOLDEN.e)
     _clear_type_caches()
-    second = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)
+    second = _types_for(GOLDEN.genus, GOLDEN.e)
     assert first is not second
     assert first == second
     assert len(set(first)) == len(first)
@@ -813,7 +813,7 @@ def test_units_are_fundamental_cycles(g, n):
     for e in ((0,) * n, (1,) + (0,) * (n - 1)):
         if (g, e) == (3, (0, 0)):
             continue  # 0.6 s of type enumeration; (1, 0) has three cycles
-        for t in enumeration._types_for(g, n, e):
+        for t in enumeration._types_for(g, e):
             _, walk, *_ = enumeration._edge_structure(
                 t.num_vertices, t.edges)
             free = sorted(set(range(len(t.edges))) - {idx for _, idx in walk})
@@ -845,7 +845,7 @@ def _on_a_wall(p):
     """Whether some edge of some type of p has flow 0 at p, each cut
     summed from x directly: such a type has no cover at p."""
     return any(sum(v for i, v in enumerate(p.x) if mask >> i & 1) == p.k * c
-               for t in _types_for(0, p.n, p.e)
+               for t in _types_for(0, p.e)
                for mask, c in _edge_cuts(t))
 
 
@@ -873,7 +873,7 @@ def _per_type_sum(p, orders):
     orientation, memoized in ``orders``; also the number of types skipped
     for a zero flow."""
     whole = count = skipped = 0
-    for t in _types_for(0, p.n, p.e):
+    for t in _types_for(0, p.e):
         flows = []
         for mask, _ in _edge_cuts(t):
             bits = [i for i in range(p.n) if mask >> i & 1]
@@ -925,7 +925,7 @@ def test_count_covers_matches_per_type_sum_genus0():
     (Problem.of(0, 1, (2, -1, 3, 1, -2)), 2),  # on a wall: zero flows skipped
 ], ids=str)
 def test_count_covers_matches_per_type_sum_small(p, edges):
-    types = _types_for(0, p.n, p.e)
+    types = _types_for(0, p.e)
     table = tuple(types[0].cut_table)
     for t in types:
         assert len(t.edges) == edges
@@ -939,14 +939,14 @@ def test_records_share_one_cut_table():
     p = Problem.of(0, 1, (7, -1, -1, 1, -1, -1), (1, 0, 0, 0, 0, 0))
     _types_for.cache_clear()
     first = count_covers(p)
-    records = _types_for(0, p.n, p.e)
+    records = _types_for(0, p.e)
     table = records[0].cut_table
     assert all(t.cut_table is table for t in records)
     assert set(table) == {cut for t in records for cut in _edge_cuts(t)}
     assert list(table.values()) == list(range(len(table)))
     _types_for.cache_clear()  # the next call builds its records and table anew
     assert count_covers(p) == first
-    assert _types_for(0, p.n, p.e)[0].cut_table is not table
+    assert _types_for(0, p.e)[0].cut_table is not table
 
 
 @pytest.mark.parametrize("p", [
@@ -960,7 +960,7 @@ def test_cut_table_holds_each_distinct_cut_once(p):
     # genus-0 cut (mask, c) has c = |mask| - 1, so its mask alone tells it;
     # and every base flow a record reads through its getter is the cut
     # expression S[mask] - k c of the cut derived from its own edges
-    records = _types_for(p.genus, p.n, p.e)
+    records = _types_for(p.genus, p.e)
     table = records[0].cut_table
     assert list(table.values()) == list(range(len(table)))
     assert set(table) == {cut for t in records for cut in _edge_cuts(t)}
@@ -1001,7 +1001,7 @@ def test_genus0_records_hold_their_invariants(n, e):
     # edges' cuts out of the shared table, each cut is the wall c = |M| - 1
     # of its mask M, the factor is the product of the blocks' multinomials,
     # and the records are sorted and distinct
-    records = _types_for(0, n, e)
+    records = _types_for(0, e)
     table = tuple(records[0].cut_table)
     for t in records:
         assert t.cut_of(table) == _edge_cuts(t)
@@ -1037,7 +1037,7 @@ def test_genus0_edges_cut_distinct_bipartitions():
         full = (1 << n) - 1
         for total in range(n - 2):
             for e in _sorted_psi(total, n, total):
-                for t in _types_for(0, n, e):
+                for t in _types_for(0, e):
                     sides = [min(mask, full ^ mask) for mask, _ in _edge_cuts(t)]
                     assert len(set(sides)) == len(sides), (n, e, t.edges)
                     types += 1
@@ -1048,8 +1048,8 @@ def test_calls_with_equal_vertex_counts_share_shapes():
     # both cells have V = 4: a record of the second call with edges that the
     # first call met reads that call's structure, with its extension memo
     _clear_type_caches()
-    first = _types_for(0, 7, (1,) + (0,) * 6)
-    second = _types_for(0, 8, (2,) + (0,) * 7)
+    first = _types_for(0, (1,) + (0,) * 6)
+    second = _types_for(0, (2,) + (0,) * 7)
     structures = {t.edges: t for t in first}
     shared = [t for t in second if t.edges in structures]
     assert shared
@@ -1081,7 +1081,7 @@ def test_shapes_of_one_call_share_equal_edges(problems):
     p = problems[0]
     # (genera, m, edges) names one structure: the edges fix the degrees
     by_structure, by_edges = {}, {}
-    for t in _types_for(p.genus, p.n, p.e):
+    for t in _types_for(p.genus, p.e):
         key = (t.vertex_genus, sum(map(bool, t.vertex_ends)), t.edges)
         other = by_structure.setdefault(key, t)
         assert t.orders is other.orders and t.units is other.units
@@ -1133,7 +1133,7 @@ def test_tree_groups_count_each_orientation_once(monkeypatch):
     # one, each memo holds an orientation and its reverse with one count, and
     # each such pair cost one count
     memos = {}
-    for t in _types_for(0, len(x), (0,) * len(x)):
+    for t in _types_for(0, (0,) * len(x)):
         assert memos.setdefault(t.edges, t.orders) is t.orders
     assert len({id(memo) for memo in memos.values()}) == len(memos) > 1
     pairs = set()
@@ -1220,7 +1220,7 @@ def _walk_is_box_scan(p, widen):
         if widen:
             bound = weight_bound(p)
             mp.setattr(enumeration, "weight_bound", lambda q: 2 * bound + 2)
-        types = enumeration._types_for(p.genus, p.n, p.e)
+        types = enumeration._types_for(p.genus, p.e)
         assert (list(enumeration._admissible_flows(p, types))
                 == list(_box_scan(p, types)))
 
@@ -1267,7 +1267,7 @@ def test_admissible_flows_walk_is_box_scan_signed(g, k, psi, widen, head):
 def test_walked_vectors_have_an_order(p):
     # stands in for the guard count_covers no longer has: every orientation
     # the walk yields is acyclic, so it has a linear extension
-    types = enumeration._types_for(p.genus, p.n, p.e)
+    types = enumeration._types_for(p.genus, p.e)
     assert all(_orders(t, flows) >= 1
                for t, flows, _ in enumeration._admissible_flows(p, types))
 
@@ -1317,7 +1317,7 @@ def test_repeated_genus2_count_reads_the_memo(monkeypatch):
     assert calls
     # the records with equal edges share one plan, no two edge tuples one
     plans = {}
-    for t in _types_for(p.genus, p.n, p.e):
+    for t in _types_for(p.genus, p.e):
         assert plans.setdefault(t.edges, t.plan) is t.plan
     plans = [plan for plan in plans.values() if plan]
     assert len({id(plan.closures) for plan in plans}) == len(plans)
@@ -1350,7 +1350,7 @@ def test_turned_around_count_reads_the_memo(monkeypatch, p):
 def test_records_with_filled_memos_keep_their_values(p):
     # equality and hashing read the value fields, not the memo
     count_covers(p)
-    records = _types_for(p.genus, p.n, p.e)
+    records = _types_for(p.genus, p.e)
     assert any(t.orders for t in records)
     # a genus-0 type is a tree, with no cycle weights to walk
     assert any(t.plan and t.plan.closures for t in records) == bool(p.genus)
@@ -1366,7 +1366,7 @@ def test_records_with_filled_memos_keep_their_values(p):
 def test_records_compare_with_other_objects():
     # a record equals the tuple of its value fields, and no other kind of
     # object: comparing with one falls back to identity
-    t = _types_for(GOLDEN.genus, GOLDEN.n, GOLDEN.e)[0]
+    t = _types_for(GOLDEN.genus, GOLDEN.e)[0]
     assert t == tuple(t[:7]) and not t != tuple(t[:7])
     assert (t == None) is False and (t != None) is True  # noqa: E711
     assert (t != 0) is True and (t == "") is False
