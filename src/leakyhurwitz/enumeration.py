@@ -9,12 +9,15 @@ The pipeline runs in three stages:
    are tested: the valence law makes sum_v d(v) = |e| + 3V - 2(g - h1) - n,
    h1 = g - sum_v g(v), that is 2(V - 1 + h1) as V = 2g - 2 + n - |e|; and
    val(v) = 0 would be a lone vertex with n = 0, but then V = 2g - 2 is even.
-   ``_types_for`` splits this stage in two: a shape stage enumerates the
+   ``_types_for`` splits this stage in two: a shape stage generates the
    multigraphs once per shape (genera, number m of marked vertices, edge
-   degrees) and sweeps them by orbit under the permutations of its runs of
-   unmarked vertices of equal genus, relabelling each orbit once and
-   keeping its smallest edge tuple, and a labelling stage gives each
-   marking partition the canonical multigraphs of its shape.
+   degrees) in one orderly pass, keeping the smallest edge tuple of each
+   orbit under the permutations of its runs of unmarked vertices of equal
+   genus: a column test cuts every branch that swapping two neighbours of
+   a run makes smaller, which keeps every orbit's minimum, and a
+   minimality test at each complete tuple keeps that minimum exactly once.
+   A labelling stage gives each marking partition the canonical
+   multigraphs of its shape.
    A shape's structures are cached under (genera, m, degs) (``_shape``),
    shared by calls with equal V, and each shape builds its own
    (``_edge_structure``): two shapes with equal edges keep separate memos,
@@ -248,34 +251,6 @@ def _genus_vectors(blocks: int, g: int) -> Iterator[tuple[int, ...]]:
             yield combo
 
 
-def _edge_multisets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Loopless multigraphs on range(V) with the given edge degrees."""
-    V = len(degrees)
-    pairs = [(u, v) for u in range(V) for v in range(u + 1, V)]
-    rem = list(degrees)
-    acc: list[tuple[int, int]] = []
-
-    def rec(idx: int):
-        if idx == len(pairs):
-            if all(r == 0 for r in rem):
-                yield tuple(acc)
-            return
-        u, v = pairs[idx]
-        cap = min(rem[u], rem[v])
-        for m in range(cap + 1):
-            rem[u] -= m
-            rem[v] -= m
-            # (u, V-1) is the last pair touching u
-            if v != V - 1 or rem[u] == 0:
-                acc.extend([(u, v)] * m)
-                yield from rec(idx + 1)
-                del acc[len(acc) - m:]
-            rem[u] += m
-            rem[v] += m
-
-    yield from rec(0)
-
-
 @functools.lru_cache(maxsize=1024)
 def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
     """The canonical edge structures of the shape (genera, m, degs), sorted
@@ -283,32 +258,65 @@ def _shape(genera: tuple[int, ...], m: int, degs: tuple[int, ...]) -> tuple:
 
     A run is consecutive unmarked vertices of one genus, and so of one edge
     degree: permuting it changes neither the genera, the ends nor the
-    degrees, and so maps the multigraphs ``_edge_multisets`` yields (sorted
-    edge tuples) onto each other.  Each connected multigraph not yet seen
-    starts an orbit: its sorted edge tuples under every relabelling of the
-    runs, generated one at a time (a run can hold dozens of vertices, whose
-    permutations no list could hold).  The whole orbit is marked seen and
-    its smallest tuple kept, so each type's relabellings are walked once,
-    not once per multigraph of its orbit.  A call meets a few dozen shapes
-    (46 at (0, 9, 0^9)); the bound holds those of many."""
+    degrees, and so maps the loopless multigraphs of ``degs`` (sorted edge
+    tuples) onto each other.  A shape keeps the smallest tuple of each orbit
+    of connected ones, in one orderly pass (McKay, "Isomorph-free exhaustive
+    generation", 1998): the multiplicity of each pair (u, v), u < v, is
+    fixed in row-major order, from high to low, so more copies of an
+    earlier pair come first and the complete tuples arrive in ascending
+    order.  As row u begins, with u and u + 1 in one run, a branch is cut
+    when column u + 1 is lexicographically above column u over the rows
+    above u: the transposition (u u+1) swaps the two columns there, and at
+    the first row a where they differ gives more copies of (a, u), a smaller
+    tuple, whatever the later rows hold.  So the column test keeps every
+    orbit's minimum.  A complete connected tuple is kept when no relabelling
+    of the runs makes it smaller, the relabellings generated one at a time
+    (a run can hold dozens of vertices, whose permutations no list could
+    hold) up to the first smaller one; as each tuple is met once and an
+    orbit has one minimum, that test keeps it exactly once.  A call meets a
+    few dozen shapes (46 at (0, 0^9)); the bound holds those of many."""
     V = len(degs)
     runs = [tuple(run) for _, run in
             itertools.groupby(range(m, V), genera.__getitem__)]
-    label = list(range(V))
-    seen, found = set(), []
-    for edges in _edge_multisets(degs):
-        if edges in seen or not is_connected(V, edges):
-            continue
-        orbit = set()
+    pairs = [(u, v) for u in range(V) for v in range(u + 1, V)]
+    mult = [[0] * V for _ in range(V)]
+    rem = list(degs)
+    found = []
+
+    def minimal(edges):
         for assignment in itertools.product(*map(itertools.permutations, runs)):
-            for run, perm in zip(runs, assignment):
-                label[run[0]:run[-1] + 1] = perm
-            orbit.add(tuple(sorted(
-                (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
-                for a, b in edges)))
-        seen |= orbit
-        found.append(min(orbit))
-    return tuple(_edge_structure(V, edges) for edges in sorted(found))
+            label = (*range(m), *itertools.chain(*assignment))
+            if tuple(sorted(
+                    (label[a], label[b]) if label[a] < label[b]
+                    else (label[b], label[a]) for a, b in edges)) < edges:
+                return False
+        return True
+
+    # one level per pair, not per row: the depth makes a shape too large to
+    # enumerate (60 vertices, 1,770 pairs) hit the recursion limit at once
+    def rec(idx: int):
+        if idx == len(pairs):
+            edges = tuple((u, v) for u, v in pairs for _ in range(mult[u][v]))
+            if not rem[-1] and is_connected(V, edges) and minimal(edges):
+                found.append(_edge_structure(V, edges))
+            return
+        u, v = pairs[idx]
+        # the swap (u v) within a run would make every completion smaller
+        if (v == u + 1 and u >= m and genera[u] == genera[v] and
+                [row[v] for row in mult[:u]] > [row[u] for row in mult[:u]]):
+            return
+        for k in range(min(rem[u], rem[v]), -1, -1):
+            # (u, V-1) is the last pair touching u
+            if v != V - 1 or rem[u] == k:
+                mult[u][v] = k
+                rem[u] -= k
+                rem[v] -= k
+                rec(idx + 1)
+                rem[u] += k
+                rem[v] += k
+
+    rec(0)
+    return tuple(found)
 
 
 @functools.lru_cache(maxsize=128)

@@ -393,7 +393,7 @@ def _module_env():
 
 
 @pytest.mark.parametrize("argv", [
-    ["-g", "30", "-x", "5,-5"],  # _edge_multisets recurses over 1,770 pairs
+    ["-g", "30", "-x", "5,-5"],  # _shape recurses over 1,770 pairs
     ["-x", "1,-1" + ",0" * 1100],  # _end_partitions recurses over 1,102 markings
 ], ids=["genus-30", "1102-markings"])
 def test_too_deep_recursion_exits_5(argv):
